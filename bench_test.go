@@ -186,6 +186,26 @@ func BenchmarkPlannerSession(b *testing.B) {
 			}
 		}
 	})
+	// cache-hit-json is the call cmd/planbench's lib-hot workload times:
+	// decode-side construction of a fresh Query from the document, then a
+	// routed, cached Plan under the serving configuration.
+	b.Run("cache-hit-json", func(b *testing.B) {
+		p := NewPlanner(WithAlgorithm(SolverAuto), WithBudget(Budget{MaxCsgCmpPairs: 10_000_000}))
+		doc := graphJSON(g)
+		if _, err := p.PlanJSON(ctx, doc); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			q, err := doc.BuildQuery()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.Plan(ctx, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkMemo isolates the memo claim of the unified enumeration

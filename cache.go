@@ -2,13 +2,14 @@ package repro
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 )
 
 // planCache is a bounded LRU mapping configuration+fingerprint keys to
-// finished plans. Entries store private clones of the plan tree and
-// hand out fresh clones on every hit, so cached state can never be
-// corrupted by a caller mutating its Result.
+// finished plans. Entries store private clones of the plan tree and of
+// Stats.WorkerPairs and hand out fresh clones on every hit, so cached
+// state can never be corrupted by a caller mutating its Result.
 //
 // Invalidation is structural rather than explicit: the key embeds the
 // full canonical description of the graph (cardinalities, free sets,
@@ -40,10 +41,11 @@ func newPlanCache(capacity int) *planCache {
 
 // get returns a Result for key, or false. The returned Result carries a
 // clone of the cached plan, the original run's Stats with CacheHit set,
-// and no Graph (the caller fills in the graph it planned against).
-func (c *planCache) get(key string) (*Result, bool) {
+// and no Graph (the caller fills in the graph it planned against). The
+// key is probed as bytes, so a lookup allocates no key string.
+func (c *planCache) get(key []byte) (*Result, bool) {
 	c.mu.Lock()
-	el, ok := c.m[key]
+	el, ok := c.m[string(key)]
 	if !ok {
 		c.mu.Unlock()
 		return nil, false
@@ -60,13 +62,16 @@ func (c *planCache) get(key string) (*Result, bool) {
 	c.mu.Unlock()
 
 	stats.CacheHit = true
+	stats.WorkerPairs = slices.Clone(stats.WorkerPairs)
 	return &Result{Plan: cached.Clone(), Stats: stats, Algorithm: alg}, true
 }
 
 // add stores a clone of plan under key, evicting the least recently
-// used entry when the cache is full.
+// used entry when the cache is full. WorkerPairs is copied too: the
+// caller's Result still holds the original slice.
 func (c *planCache) add(key string, plan *PlanNode, stats Stats, alg Algorithm) {
 	clone := plan.Clone()
+	stats.WorkerPairs = slices.Clone(stats.WorkerPairs)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {

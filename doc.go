@@ -65,9 +65,15 @@
 // fingerprint (relation cardinalities and free sets; every edge's
 // hypernodes, selectivity, and operator, in stored order) combined with
 // the planning configuration (algorithm, cost model, conflict rule,
-// edge mode). Repeated traffic over the same query shapes skips
-// enumeration entirely: hits return a deep copy of the cached plan with
-// the original run's Stats and Stats.CacheHit set.
+// edge mode, budget and fallback policy, IterDP cluster size).
+// Repeated traffic over the same query shapes skips enumeration
+// entirely. A hit builds its key in a 2 KB stack buffer, so up to an
+// 11-relation clique or a 35-relation chain the lookup allocates
+// nothing, and it returns a private copy of the cached plan made in two
+// allocations whatever the plan's size — one slab of nodes, one of edge
+// indices — with the original run's Stats (a private WorkerPairs too)
+// and Stats.CacheHit set. Only a miss allocates the key string the
+// cache stores.
 //
 // Invalidation is structural: there is nothing to invalidate
 // explicitly, because any change to the graph or the configuration
@@ -194,12 +200,26 @@
 //
 // # Benchmarks
 //
-// Checked-in BENCH_PR*.json files record cmd/dpbench shape sweeps
-// (SolverAuto, JSON mode) at the PR that produced them. Medians from
-// parallel enumeration are only comparable between files recorded on
-// the same core budget, so the hardware context matters — since PR 9
-// the files embed it themselves (num_cpu, gomaxprocs fields); for the
-// earlier files it is recorded here:
+// cmd/planbench is the only basis for performance claims. It runs four
+// seeded workloads against the serving configuration — every call a
+// cache hit (lib-hot), every call a miss (lib-cold), large queries
+// routed to greedy and IterDP (lib-large), and /plan over HTTP
+// (http-mixed) — verifies each plan against a reference optimum, and
+// reports end-to-end and per-layer metrics. BENCHMARK.json at the
+// repository root names the workloads and metrics and fixes each
+// end-to-end metric's regression bound; a claimed gain must hold over
+// interleaved runs of both commits on one machine under those rules.
+// The testing.B benchmarks here (BenchmarkPlannerSession's cache-hit
+// and cache-hit-json among them) serve profiling, not claims.
+//
+// The checked-in BENCH_PR*.json files are cmd/dpbench paper-
+// reproduction artifacts: cold Cout enumeration sweeps over the §4
+// shapes (SolverAuto, JSON mode), each recorded once on the hardware
+// noted below. They document the reproduction, not the speed of the
+// current code. Medians from parallel enumeration are only comparable
+// between files recorded on the same core budget; the later files embed
+// it themselves (num_cpu, gomaxprocs fields), and for the earlier ones
+// it is recorded here:
 //
 //   - BENCH_PR3.json — n≤12, reps 3, serial; 1-CPU container.
 //   - BENCH_PR4.json — n≤12, reps 3, serial; 1-CPU container.

@@ -131,15 +131,37 @@ func singleWide(e int) Set {
 }
 
 // Range returns the set {lo, lo+1, ..., hi-1}. Range(a, a) is empty.
+// The words are filled directly: at most one allocation, for the tail.
 func Range(lo, hi int) Set {
 	if lo < 0 || hi > MaxElems || lo > hi {
 		panic(fmt.Sprintf("bitset: invalid range [%d,%d)", lo, hi))
 	}
-	var s Set
-	for e := lo; e < hi; e++ {
-		s = s.Add(e)
+	if hi <= wordBits || lo == hi {
+		return Set{lo: wordRange(lo, hi)}
 	}
-	return s
+	return rangeWide(lo, hi)
+}
+
+// rangeWide builds Range(lo, hi) for hi > 64.
+//
+//dp:coldpath only ranges reaching element 64 allocate a tail; the ≤64-relation hot path never enters the wide branches
+func rangeWide(lo, hi int) Set {
+	hiWords := make([]uint64, (hi-1)/wordBits)
+	for i := range hiWords {
+		base := (i + 1) * wordBits
+		hiWords[i] = wordRange(lo-base, hi-base)
+	}
+	return wide(wordRange(lo, hi), hiWords)
+}
+
+// wordRange returns the word with bits [a, b) set, both ends clamped to
+// [0, 64].
+func wordRange(a, b int) uint64 {
+	a, b = max(a, 0), min(b, wordBits)
+	if a >= b {
+		return 0
+	}
+	return ^uint64(0) >> uint(wordBits-(b-a)) << uint(a)
 }
 
 // Full returns the set {0, 1, ..., n-1}.

@@ -73,6 +73,39 @@ func TestRange(t *testing.T) {
 	}
 }
 
+var sinkSet Set
+
+// TestRangeWords: Range fills whole words instead of adding elements one
+// by one, so Full(n) allocates at most once (never up to 64), and its
+// result, canonical tail included, agrees with the element-wise
+// definition at and around every word boundary.
+func TestRangeWords(t *testing.T) {
+	for _, n := range []int{64, 65, 100, 1024} {
+		limit := 1.0
+		if n <= 64 {
+			limit = 0
+		}
+		if a := testing.AllocsPerRun(20, func() { sinkSet = Full(n) }); a > limit {
+			t.Errorf("Full(%d): %v allocs, want <= %v", n, a, limit)
+		}
+	}
+	points := []int{0, 1, 63, 64, 65, 100, 127, 128, 129, 1023, 1024}
+	for _, lo := range points {
+		for _, hi := range points {
+			if lo > hi {
+				continue
+			}
+			var want Set
+			for e := lo; e < hi; e++ {
+				want = want.Add(e)
+			}
+			if got := Range(lo, hi); !got.Equal(want) {
+				t.Errorf("Range(%d,%d) = %v, want %v", lo, hi, got, want)
+			}
+		}
+	}
+}
+
 func TestSetAlgebra(t *testing.T) {
 	a := New(0, 1, 2)
 	b := New(2, 3)

@@ -17,6 +17,8 @@ package hypergraph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,6 +91,8 @@ type Graph struct {
 	dirty           bool
 	simpleNeighbors []bitset.Set // node -> union of simple-edge partners
 	complexEdges    []int        // indices of non-simple edges
+	connected       bool         // the whole hypergraph is one reachability component
+	skelConnected   bool         // so is the simple-edge skeleton alone
 
 	// Definition-3 connectivity memo, invalidated on mutation.
 	// Keyed by Set.Key (Set itself is not a valid map key).
@@ -99,13 +103,15 @@ type Graph struct {
 func New() *Graph { return &Graph{} }
 
 // AddRelation appends a relation and returns its node index. Cardinality
-// must be positive. Node indices determine the total order ≺ of §2.1.
+// must be positive and finite. Node indices determine the total order ≺
+// of §2.1.
 func (g *Graph) AddRelation(name string, card float64) int {
 	if len(g.rels) >= bitset.MaxElems {
 		panic(fmt.Sprintf("hypergraph: more than %d relations", bitset.MaxElems))
 	}
-	if card <= 0 {
-		panic(fmt.Sprintf("hypergraph: relation %q has non-positive cardinality %g", name, card))
+	// Written so that NaN fails too: every comparison with NaN is false.
+	if !(card > 0) || math.IsInf(card, 1) {
+		panic(fmt.Sprintf("hypergraph: relation %q has cardinality %g, want finite and positive", name, card))
 	}
 	g.rels = append(g.rels, Relation{Name: name, Card: card})
 	g.invalidate()
@@ -124,17 +130,16 @@ func (g *Graph) AddRelations(n int, prefix string, card float64) int {
 
 // AddEdge validates and appends an edge, returning its index.
 func (g *Graph) AddEdge(e Edge) int {
-	all := g.AllNodes()
 	if e.U.IsEmpty() || e.V.IsEmpty() {
 		panic("hypergraph: hyperedge hypernodes must be non-empty (Definition 1)")
 	}
-	if !e.U.SubsetOf(all) || !e.V.SubsetOf(all) || !e.W.SubsetOf(all) {
+	if !g.known(e.U) || !g.known(e.V) || !g.known(e.W) {
 		panic("hypergraph: edge references unknown relations")
 	}
 	if e.U.Overlaps(e.V) || e.U.Overlaps(e.W) || e.V.Overlaps(e.W) {
 		panic("hypergraph: u, v, w must be pairwise disjoint")
 	}
-	if e.Sel <= 0 || e.Sel > 1 {
+	if !(e.Sel > 0 && e.Sel <= 1) { // NaN fails both comparisons
 		panic(fmt.Sprintf("hypergraph: selectivity %g outside (0,1]", e.Sel))
 	}
 	if e.Op == algebra.InvalidOp {
@@ -158,10 +163,23 @@ func (g *Graph) SetFree(rel int, free bitset.Set) {
 	if free.Has(rel) {
 		panic("hypergraph: relation cannot depend on itself")
 	}
-	if !free.SubsetOf(g.AllNodes()) {
+	if !g.known(free) {
 		panic("hypergraph: free set references unknown relations")
 	}
 	g.rels[rel].Free = free
+}
+
+// known reports whether every element of s is a relation of g, without
+// building the full node set.
+func (g *Graph) known(s bitset.Set) bool {
+	return s.IsEmpty() || s.Max() < len(g.rels)
+}
+
+// Grow reserves room for rels more relations and edges more edges, so a
+// builder that knows the query's size appends without reallocating.
+func (g *Graph) Grow(rels, edges int) {
+	g.rels = slices.Grow(g.rels, rels)
+	g.edges = slices.Grow(g.edges, edges)
 }
 
 // FreeTables returns FT(S): the tables referenced freely by the
@@ -209,24 +227,102 @@ func (g *Graph) Freeze() {
 	g.mu.Unlock()
 }
 
+// ensureIndex rebuilds the derived indexes. Besides the neighbour table
+// it records reachability, found with one union-find pass over the
+// edges: O(V+E), and without allocating up to 64 relations. Simple edges
+// are merged first, so the component count after them is the
+// skeleton's.
+//
 //dp:coldpath index rebuild runs once per graph mutation, guarded by g.dirty
 func (g *Graph) ensureIndex() {
 	if !g.dirty && g.simpleNeighbors != nil {
 		return
 	}
-	g.simpleNeighbors = make([]bitset.Set, len(g.rels))
+	n := len(g.rels)
+	g.simpleNeighbors = make([]bitset.Set, n)
 	g.complexEdges = g.complexEdges[:0]
+	var small [64]int32
+	uf := small[:0]
+	if n > len(small) {
+		uf = make([]int32, n)
+	}
+	uf = newForest(uf[:n])
+	comps := n
 	for i := range g.edges {
 		e := &g.edges[i]
 		if e.Simple() {
 			a, b := e.U.Min(), e.V.Min()
 			g.simpleNeighbors[a] = g.simpleNeighbors[a].Add(b)
 			g.simpleNeighbors[b] = g.simpleNeighbors[b].Add(a)
+			if union(uf, int32(a), int32(b)) {
+				comps--
+			}
 		} else {
 			g.complexEdges = append(g.complexEdges, i)
 		}
 	}
+	g.skelConnected = comps <= 1
+	for _, ei := range g.complexEdges {
+		e := &g.edges[ei]
+		first := int32(e.U.Min())
+		for _, s := range [...]bitset.Set{e.U, e.V, e.W} {
+			for x := s.NextElem(0); x >= 0; x = s.NextElem(x + 1) {
+				if union(uf, first, int32(x)) {
+					comps--
+				}
+			}
+		}
+	}
+	g.connected = comps <= 1
 	g.dirty = false
+}
+
+// Connectivity reports whether the whole hypergraph, where an edge links
+// every node it touches (as in Components), and its simple-edge skeleton
+// alone each form a single component. A graph of at most one relation
+// is connected. The answer comes from the derived index, which this
+// builds under the graph's lock like Freeze.
+func (g *Graph) Connectivity() (whole, skeleton bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.ensureIndex()
+	return g.connected, g.skelConnected
+}
+
+// SimpleDegree returns the number of distinct relations joined to rel by
+// simple edges. Like SimpleNeighborUnion it reads the derived index, so
+// concurrent callers need a frozen graph.
+func (g *Graph) SimpleDegree(rel int) int {
+	g.ensureIndex()
+	return g.simpleNeighbors[rel].Len()
+}
+
+// newForest resets uf to a union-find forest of singletons.
+func newForest(uf []int32) []int32 {
+	for i := range uf {
+		uf[i] = int32(i)
+	}
+	return uf
+}
+
+// find returns the root of x's tree, halving the path on the way.
+func find(uf []int32, x int32) int32 {
+	for uf[x] != x {
+		uf[x] = uf[uf[x]]
+		x = uf[x]
+	}
+	return x
+}
+
+// union merges the trees of a and b, hanging a's root under b's, and
+// reports whether they were separate.
+func union(uf []int32, a, b int32) bool {
+	ra, rb := find(uf, a), find(uf, b)
+	if ra == rb {
+		return false
+	}
+	uf[ra] = rb
+	return true
 }
 
 // CandidateHypernodes returns E↓(S,X): the ⊆-minimal hypernodes v such
@@ -646,33 +742,16 @@ func (g *Graph) connectedSetHyper(S, C bitset.Set, sc *ConnScratch) bool {
 // is the partition the connectivity repair of §2.1 operates on.
 func (g *Graph) Components() []bitset.Set {
 	n := len(g.rels)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
+	uf := newForest(make([]int32, n))
 	for i := range g.edges {
 		nodes := g.edges[i].Nodes()
-		first := nodes.Min()
-		nodes.ForEach(func(e int) { union(first, e) })
+		first := int32(nodes.Min())
+		nodes.ForEach(func(e int) { union(uf, first, int32(e)) })
 	}
 	byRoot := map[int]bitset.Set{}
 	var roots []int
 	for i := 0; i < n; i++ {
-		r := find(i)
+		r := int(find(uf, int32(i)))
 		if _, ok := byRoot[r]; !ok {
 			roots = append(roots, r)
 		}
@@ -762,9 +841,14 @@ func (g *Graph) Dot() string {
 // relation names are display/execution metadata and are excluded, so two
 // structurally identical queries share a fingerprint and can share a
 // cached plan. Edge order is part of the key because plans reference
-// edges by index.
-func (g *Graph) Fingerprint() string {
-	var b []byte
+// edges by index. The text is built in a 1 KiB stack buffer, so up to
+// that length the string is the only allocation.
+func (g *Graph) Fingerprint() string { return string(g.AppendFingerprint(make([]byte, 0, 1024))) }
+
+// AppendFingerprint appends the Fingerprint bytes to b and returns the
+// extended slice, so a caller can build a composite key in its own
+// buffer without allocating.
+func (g *Graph) AppendFingerprint(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(len(g.rels)), 10)
 	for i := range g.rels {
 		r := &g.rels[i]
@@ -788,7 +872,7 @@ func (g *Graph) Fingerprint() string {
 		b = append(b, ':')
 		b = strconv.AppendInt(b, int64(e.Op), 10)
 	}
-	return string(b)
+	return b
 }
 
 // Clone returns a deep copy of the graph (edges share payload pointers).

@@ -182,7 +182,7 @@ func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
 			stats.Subproblems++
 			next = append(next, vertex{
 				rels: unionRels(verts, grp),
-				card: sp.Card,
+				card: vertexCard(sp.Card),
 				pl:   expand(sp, grp, verts),
 			})
 		}
@@ -228,6 +228,23 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
+}
+
+// vertexCard clamps a subplan's cardinality estimate into the finite,
+// positive range hypergraph.AddRelation accepts. The estimate is an
+// unclamped product, so a large cluster can overflow float64 to +Inf
+// (DefaultConfig-style cardinalities do near 100 joins), underflow to
+// 0, or meet both as NaN. Like compress's selectivity clamp, the value
+// only steers later clustering and the compound-level enumeration: the
+// final recost re-derives every figure from the original graph.
+func vertexCard(c float64) float64 {
+	switch {
+	case !(c > 0): // 0 after underflow, or NaN from 0·Inf
+		return math.SmallestNonzeroFloat64
+	case c > math.MaxFloat64:
+		return math.MaxFloat64
+	}
+	return c
 }
 
 // accumulate folds one sub-enumeration's counters into the run total.

@@ -358,6 +358,55 @@ func TestHyperedgeDegradation(t *testing.T) {
 	checkPlan(t, "starhyper80", g, p)
 }
 
+// TestOverflowingCardinalities pins the vertex-cardinality clamp: a
+// compound vertex's estimate is an unclamped product, so clustering
+// large relations overflows float64 to +Inf, which
+// hypergraph.AddRelation rejects with a panic when the next level is
+// built. Both graphs have finite, valid inputs: 1e30-row relations
+// joined without reduction overflow in round 1, and a 300-relation
+// DefaultConfig chain overflows in a later round. The tier must clamp
+// and return a complete plan. The recosted figures may still be
+// infinite; that is the open finite-cost item, not this test's concern.
+func TestOverflowingCardinalities(t *testing.T) {
+	huge := hypergraph.New()
+	for i := 0; i < 100; i++ {
+		huge.AddRelation("", 1e30)
+	}
+	for i := 0; i+1 < 100; i++ {
+		huge.AddSimpleEdge(i, i+1, 1)
+	}
+	model := cost.Default()
+	for _, tc := range []struct {
+		name string
+		g    *hypergraph.Graph
+	}{
+		{"chain100-card1e30", huge},
+		{"chain300-default", workload.Chain(300, workload.DefaultConfig())},
+	} {
+		tc.g.Freeze()
+		p, stats, err := iterdp.Solve(tc.g, iterdp.Options{
+			Model: model,
+			Exact: exactSolver(model, &memo.Pool{}),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: invalid plan: %v", tc.name, err)
+		}
+		if !p.Rels.Equal(tc.g.AllNodes()) || p.Relations() != tc.g.NumRels() {
+			t.Fatalf("%s: plan covers %v (%d relations), want all %d",
+				tc.name, p.Rels, p.Relations(), tc.g.NumRels())
+		}
+		if stats.Rounds == 0 {
+			t.Fatalf("%s: no compression round ran", tc.name)
+		}
+		if !math.IsInf(p.Card, 1) {
+			t.Errorf("%s: recosted root card %g, want the overflowed +Inf this test exercises", tc.name, p.Card)
+		}
+	}
+}
+
 // TestDenseSelectivityUnderflow pins the compression clamp: a clique
 // beyond the 64-relation ceiling collapses hundreds of parallel edges
 // into each compound pair, and the raw selectivity product underflows

@@ -33,6 +33,7 @@ package optree
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/algebra"
 	"repro/internal/bitset"
@@ -171,7 +172,7 @@ func Analyze(root *Node, rels []RelInfo, rule ConflictRule) (*Tree, error) {
 			return err
 		}
 		n.tables = n.Left.tables.Union(n.Right.tables)
-		if n.Pred.Sel <= 0 || n.Pred.Sel > 1 {
+		if !(n.Pred.Sel > 0 && n.Pred.Sel <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("optree: predicate selectivity %g outside (0,1]", n.Pred.Sel)
 		}
 		if !n.Pred.Tables.SubsetOf(n.tables) {
@@ -194,8 +195,8 @@ func Analyze(root *Node, rels []RelInfo, rule ConflictRule) (*Tree, error) {
 		return nil, fmt.Errorf("optree: %d relations declared but %d leaves found", len(rels), nextLeaf)
 	}
 	for i := range rels {
-		if rels[i].Card <= 0 {
-			return nil, fmt.Errorf("optree: relation %d has non-positive cardinality", i)
+		if c := rels[i].Card; !(c > 0) || math.IsInf(c, 1) {
+			return nil, fmt.Errorf("optree: relation %d has cardinality %g, want finite and positive", i, c)
 		}
 		if rels[i].Free.Has(i) {
 			return nil, fmt.Errorf("optree: relation %d depends on itself", i)

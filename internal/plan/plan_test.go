@@ -45,6 +45,30 @@ func TestJoinNode(t *testing.T) {
 	}
 }
 
+// TestCloneSlab: Clone is a deep copy in two allocations, and appending
+// to one copied node's Edges cannot reach the node copied after it.
+func TestCloneSlab(t *testing.T) {
+	p := leftDeep3()
+	c := p.Clone()
+	if c.String() != p.String() || c.Left == p.Left {
+		t.Fatalf("clone differs from or shares nodes with the original:\n%s\n%s", c, p)
+	}
+	if a := testing.AllocsPerRun(20, func() { c = p.Clone() }); a != 2 {
+		t.Errorf("Clone made %v allocations, want 2 (node slab and edge slab)", a)
+	}
+	c.Edges = append(c.Edges, 7)
+	c.Left.Cost = -1
+	if len(c.Left.Edges) != 1 || c.Left.Edges[0] != 0 {
+		t.Errorf("append to the root's Edges overwrote its child's: %v", c.Left.Edges)
+	}
+	if len(p.Edges) != 1 || p.Left.Cost != 50 {
+		t.Error("writing the clone changed the original")
+	}
+	if Leaf(0, 1).Clone().Edges != nil {
+		t.Error("a leaf's clone gained an Edges slice")
+	}
+}
+
 func TestJoinPanics(t *testing.T) {
 	cases := []func(){
 		func() { Join(algebra.Join, nil, Leaf(0, 1), nil, 1, 1) },

@@ -9,13 +9,13 @@
 // the canonical shapes before enumeration starts; the Planner's
 // SolverAuto mode routes on the result.
 //
-// Classify runs in O(|V| + |E|): it computes the degree sequence of the
+// Classify runs in O(|V| + |E|): it reads the degree sequence of the
 // simple-edge skeleton (hyperedges are counted separately — they do not
 // change the skeleton class, mirroring the paper's "cycle/star with
-// hyperedges" families), checks connectivity with a union-find pass, and
-// matches the degree profile against the canonical shapes. Degree
-// profiles are permutation-invariant, so the classification cannot
-// depend on relation labels or insertion order.
+// hyperedges" families) and the connectivity the graph's derived index
+// records, and matches the degree profile against the canonical shapes.
+// Degree profiles are permutation-invariant, so the classification
+// cannot depend on relation labels or insertion order.
 package shape
 
 import (
@@ -87,9 +87,11 @@ type Profile struct {
 	Connected bool
 }
 
-// Classify computes the Profile of g in O(|V| + |E|) time (plus the
-// inverse-Ackermann union-find factor). It never mutates the graph and
-// is safe for concurrent use on a frozen graph.
+// Classify computes the Profile of g in O(|V| + |E|) time. Degrees and
+// connectivity come from the graph's derived index, which Classify
+// builds under the graph's lock if needed; on a frozen graph, as the
+// Planner hands it, Classify allocates nothing. It never otherwise
+// mutates the graph and is safe for concurrent use.
 //
 // The Grid class is matched by its degree profile (edge count and degree
 // histogram of some a×b factorization), which is a necessary but not
@@ -103,40 +105,22 @@ func Classify(g *hypergraph.Graph) Profile {
 		return p
 	}
 
-	deg := make([]int, n)
-	seenPair := make(map[string]struct{}, g.NumEdges())
-	all := newUnionFind(n)  // connectivity of the full hypergraph
-	skel := newUnionFind(n) // connectivity of the simple skeleton
-
+	var skelConnected bool
+	p.Connected, skelConnected = g.Connectivity()
+	var hist degreeHist
+	degrees := 0
+	for i := 0; i < n; i++ {
+		d := g.SimpleDegree(i)
+		hist[min(d, len(hist)-1)]++
+		degrees += d
+		p.MaxDegree = max(p.MaxDegree, d)
+	}
+	p.SimpleEdges = degrees / 2
 	for i := 0; i < g.NumEdges(); i++ {
-		e := g.Edge(i)
-		if e.Simple() {
-			a, b := e.U.Min(), e.V.Min()
-			pair := e.U.Union(e.V).Key()
-			if _, dup := seenPair[pair]; !dup {
-				seenPair[pair] = struct{}{}
-				deg[a]++
-				deg[b]++
-				p.SimpleEdges++
-			}
-			skel.union(a, b)
-			all.union(a, b)
-		} else {
+		if !g.Edge(i).Simple() {
 			p.HyperEdges++
-			nodes := e.Nodes()
-			first := nodes.Min()
-			nodes.ForEach(func(v int) { all.union(first, v) })
 		}
 	}
-
-	hist := map[int]int{}
-	for _, d := range deg {
-		hist[d]++
-		if d > p.MaxDegree {
-			p.MaxDegree = d
-		}
-	}
-	p.Connected = all.components() == 1
 	if n >= 2 {
 		p.Density = float64(p.SimpleEdges) / float64(n*(n-1)/2)
 	}
@@ -145,7 +129,6 @@ func Classify(g *hypergraph.Graph) Profile {
 	}
 
 	m := p.SimpleEdges
-	skelConnected := skel.components() == 1
 	switch {
 	case n == 1:
 		p.Class = Chain
@@ -174,11 +157,15 @@ func Classify(g *hypergraph.Graph) Profile {
 	return p
 }
 
+// degreeHist counts relations by simple-edge degree: entry d for
+// degrees 0–4 (all a lattice has), the last entry for 5 and more.
+type degreeHist [6]int
+
 // gridDegreeProfile reports whether (n, m, degree histogram) matches an
 // a×b lattice for some factorization n = a·b with 2 ≤ a ≤ b: m must be
 // a(b-1) + b(a-1), the four corners have degree 2, border nodes degree
-// 3, and interior nodes degree 4.
-func gridDegreeProfile(n, m int, hist map[int]int) bool {
+// 3, and interior nodes degree 4 (a 2×b lattice has no interior).
+func gridDegreeProfile(n, m int, hist degreeHist) bool {
 	for a := 2; a*a <= n; a++ {
 		if n%a != 0 {
 			continue
@@ -187,67 +174,9 @@ func gridDegreeProfile(n, m int, hist map[int]int) bool {
 		if m != a*(b-1)+b*(a-1) {
 			continue
 		}
-		want := map[int]int{2: 4}
-		if a == 2 {
-			// No interior: only corners (degree 2) and border (degree 3).
-			if b > 2 {
-				want[3] = 2 * (b - 2)
-			}
-		} else {
-			want[3] = 2*(a-2) + 2*(b-2)
-			want[4] = (a - 2) * (b - 2)
-		}
-		if histEqual(hist, want) {
+		if hist == (degreeHist{2: 4, 3: 2*(a-2) + 2*(b-2), 4: (a - 2) * (b - 2)}) {
 			return true
 		}
 	}
 	return false
-}
-
-func histEqual(got, want map[int]int) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for k, v := range want {
-		if got[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// unionFind is a small path-halving union-find over [0, n).
-type unionFind struct{ parent []int }
-
-func newUnionFind(n int) *unionFind {
-	u := &unionFind{parent: make([]int, n)}
-	for i := range u.parent {
-		u.parent[i] = i
-	}
-	return u
-}
-
-func (u *unionFind) find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-func (u *unionFind) union(a, b int) {
-	ra, rb := u.find(a), u.find(b)
-	if ra != rb {
-		u.parent[ra] = rb
-	}
-}
-
-func (u *unionFind) components() int {
-	c := 0
-	for i := range u.parent {
-		if u.find(i) == i {
-			c++
-		}
-	}
-	return c
 }

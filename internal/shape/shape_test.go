@@ -69,6 +69,11 @@ func TestClassifyCanonicalShapes(t *testing.T) {
 		if p.Rels != c.g.NumRels() {
 			t.Errorf("%s: Rels = %d, want %d", c.name, p.Rels, c.g.NumRels())
 		}
+		// The first call built the graph's index; from then on the
+		// router's per-call classification allocates nothing.
+		if a := testing.AllocsPerRun(10, func() { Classify(c.g) }); a != 0 {
+			t.Errorf("%s: Classify made %v allocations on an indexed graph, want 0", c.name, a)
+		}
 	}
 }
 

@@ -108,6 +108,7 @@ func (q *QueryJSON) BuildQuery() (*Query, error) {
 		return nil, fmt.Errorf("repro: tree documents cannot build a hypergraph query directly; use PlanJSON")
 	}
 	g := hypergraph.New()
+	g.Grow(len(q.Relations), len(q.Edges))
 	var err error
 	catch(&err, func() {
 		for i, r := range q.Relations {

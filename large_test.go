@@ -144,6 +144,39 @@ func TestLargeQueryUnsupportedFallsBackToGreedy(t *testing.T) {
 	}
 }
 
+// TestLargeQueryOverflowingEstimates: finite, valid inputs whose join
+// estimates overflow float64 must still plan through SolverAuto and
+// explicit IterDP, without a panic and without the greedy fallback. The
+// tier clamps its compound-vertex cardinalities instead of handing +Inf
+// to hypergraph.AddRelation.
+func TestLargeQueryOverflowingEstimates(t *testing.T) {
+	g := hypergraph.New()
+	for i := 0; i < 100; i++ {
+		g.AddRelation("", 1e30)
+	}
+	for i := 0; i+1 < 100; i++ {
+		g.AddSimpleEdge(i, i+1, 1)
+	}
+	g.Freeze()
+	for _, algo := range []Algorithm{SolverAuto, IterDP} {
+		p := NewPlanner(WithAlgorithm(algo), WithoutGreedyFallback())
+		res, err := p.PlanGraph(context.Background(), g)
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		if res.Algorithm != IterDP || res.Stats.Rounds == 0 {
+			t.Errorf("%v: planned by %v in %d rounds, want IterDP with compression rounds",
+				algo, res.Algorithm, res.Stats.Rounds)
+		}
+		if err := res.Plan.Validate(); err != nil {
+			t.Fatalf("%v: invalid plan: %v", algo, err)
+		}
+		if res.Plan.Relations() != g.NumRels() {
+			t.Fatalf("%v: plan has %d relations, want %d", algo, res.Plan.Relations(), g.NumRels())
+		}
+	}
+}
+
 // TestLargeQueryExplicitIterDP: the tier is also directly selectable,
 // and WithClusterSize shapes its subproblems.
 func TestLargeQueryExplicitIterDP(t *testing.T) {

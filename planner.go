@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -414,7 +415,7 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 			// name the algorithm that actually plans, so a degraded call
 			// shares entries with direct greedy/iterdp traffic and never
 			// poisons the exact tier's entries. The budget itself stays
-			// out of configKey — it only influences this choice.
+			// out of the cache key — it only influences this choice.
 			final, slo.predicted, slo.degraded = p.routeBudget(prof, routed, &o)
 		}
 		o.explain.End(span)
@@ -432,10 +433,13 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 	// per-analysis conflict state the fingerprint cannot see; bypass the
 	// cache for both.
 	cacheable := p.cache != nil && filter == nil && o.trace == nil && o.onEmit == nil
-	var key string
+	// The key is built in a stack buffer: a hit allocates no key at all,
+	// and only a miss copies it into the string the cache stores.
+	var keyBuf [keyBufSize]byte
+	var key []byte
 	if cacheable {
 		span := o.explain.Start(obs.PhaseCacheLookup)
-		key = configKey(o) + "\x00" + g.Fingerprint()
+		key = g.AppendFingerprint(append(appendConfigKey(keyBuf[:0], o), 0))
 		res, ok := p.cache.get(key)
 		o.explain.End(span)
 		if ok {
@@ -529,7 +533,7 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 	// trace — a trace is per-request state, and a cached pointer would
 	// leak one request's spans into every later hit.
 	if cacheable {
-		p.cache.add(key, pl, st, o.alg)
+		p.cache.add(string(key), pl, st, o.alg)
 	}
 	annotate(&st)
 	o.explain.Finish()
@@ -546,19 +550,39 @@ func (p *Planner) fail(err error) error {
 	return err
 }
 
-// configKey encodes every configuration dimension that influences plan
-// choice, so per-call option overrides cannot alias cache entries. The
-// budget and fallback policy are part of the key because a budget trip
-// caches a Greedy plan — which must not be served to a call that could
-// afford the exact enumeration (or that asked for a hard error).
-// Parallelism is deliberately absent: the engine's order-independent
-// tie-break makes plans byte-identical at every worker count, so a
-// plan enumerated serially is interchangeable with a parallel one.
-func configKey(o options) string {
-	return fmt.Sprintf("%d/%s/%v/%t/%d:%d/%t/%d",
-		o.alg, o.model.Name(), o.rule, o.genAndTest,
-		o.budget.MaxCsgCmpPairs, o.budget.MaxCostedPlans, o.noFallback,
-		o.clusterSize)
+// keyBufSize is the stack buffer planGraph builds cache keys in: room
+// for the key of an 11-relation clique, just under 2 KB. Longer keys
+// spill to the heap.
+const keyBufSize = 2048
+
+// appendConfigKey appends the configuration half of a cache key to dst:
+// every configuration dimension that influences plan choice, so per-call
+// option overrides cannot alias cache entries. The budget and fallback
+// policy are part of the key because a budget trip caches a Greedy plan
+// — which must not be served to a call that could afford the exact
+// enumeration (or that asked for a hard error). Parallelism is
+// deliberately absent: the engine's order-independent tie-break makes
+// plans byte-identical at every worker count, so a plan enumerated
+// serially is interchangeable with a parallel one.
+//
+// The layout, "alg/model/rule/genAndTest/maxPairs:maxPlans/noFallback/
+// clusterSize", is persisted in warm-start snapshots and must not change.
+func appendConfigKey(dst []byte, o options) []byte {
+	dst = strconv.AppendInt(dst, int64(o.alg), 10)
+	dst = append(dst, '/')
+	dst = append(dst, o.model.Name()...)
+	dst = append(dst, '/')
+	dst = append(dst, o.rule.String()...)
+	dst = append(dst, '/')
+	dst = strconv.AppendBool(dst, o.genAndTest)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(o.budget.MaxCsgCmpPairs), 10)
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, int64(o.budget.MaxCostedPlans), 10)
+	dst = append(dst, '/')
+	dst = strconv.AppendBool(dst, o.noFallback)
+	dst = append(dst, '/')
+	return strconv.AppendInt(dst, int64(o.clusterSize), 10)
 }
 
 var (

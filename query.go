@@ -114,10 +114,12 @@ func (q *Query) Err() error { return q.err }
 // ensureConnected applies the §2.1 connectivity repair exactly once;
 // concurrent planning calls on the same query serialize on the sync.Once
 // so the graph is mutated by at most one goroutine, before any of them
-// starts enumerating.
+// starts enumerating. The check reads the connectivity the graph's
+// derived index computes anyway, so a connected query pays nothing for
+// it.
 func (q *Query) ensureConnected() {
 	q.repair.Do(func() {
-		if len(q.g.Components()) > 1 {
+		if whole, _ := q.g.Connectivity(); !whole {
 			q.g.MakeConnected()
 		}
 	})

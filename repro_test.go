@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -139,6 +141,70 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, err := q3.Optimize(); err == nil {
 		t.Error("Optimize must surface builder errors")
+	}
+}
+
+// TestNonFiniteInputsRejected: a NaN or infinite cardinality or
+// selectivity is a construction error on every input path. Every
+// comparison with NaN is false, so a check that only rejects values
+// "<= 0" or "> 1" lets NaN, and a +Inf cardinality, through.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	pair := func(card, sel float64) *QueryJSON {
+		return &QueryJSON{
+			Relations: []RelationJSON{{Name: "a", Card: card}, {Name: "b", Card: 20}},
+			Edges:     []EdgeJSON{{Left: []int{0}, Right: []int{1}, Sel: sel}},
+		}
+	}
+	treeDoc := func(card, sel float64) *QueryJSON {
+		r0, r1 := 0, 1
+		return &QueryJSON{
+			Relations: []RelationJSON{{Name: "a", Card: card}, {Name: "b", Card: 20}},
+			Tree: &TreeJSON{Op: "leftouterjoin", Left: &TreeJSON{Rel: &r0}, Right: &TreeJSON{Rel: &r1},
+				Pred: []int{0, 1}, Sel: sel},
+		}
+	}
+	treeQuery := func(card, sel float64) error {
+		tq := NewTreeQuery()
+		a, b := tq.Table("a", card), tq.Table("b", 20)
+		_, err := NewPlanner().PlanTree(context.Background(), tq, a.LeftOuterJoin(b, sel))
+		return err
+	}
+	paths := []struct {
+		name  string
+		build func(v float64) error
+	}{
+		{"Query.Relation card", func(v float64) error {
+			q := NewQuery()
+			q.Relation("a", v)
+			return q.Err()
+		}},
+		{"Query.Join sel", func(v float64) error {
+			q := NewQuery()
+			q.Join(q.Relation("a", 10), q.Relation("b", 20), v)
+			return q.Err()
+		}},
+		{"BuildQuery card", func(v float64) error { _, err := pair(v, 0.5).BuildQuery(); return err }},
+		{"BuildQuery sel", func(v float64) error { _, err := pair(10, v).BuildQuery(); return err }},
+		{"TreeQuery.Table card", func(v float64) error { return treeQuery(v, 0.5) }},
+		{"TreeQuery predicate sel", func(v float64) error { return treeQuery(10, v) }},
+		{"tree document card", func(v float64) error {
+			_, err := NewPlanner().PlanJSON(context.Background(), treeDoc(v, 0.5))
+			return err
+		}},
+		{"tree document sel", func(v float64) error {
+			_, err := NewPlanner().PlanJSON(context.Background(), treeDoc(10, v))
+			return err
+		}},
+	}
+	for _, p := range paths {
+		if err := p.build(0.5); err != nil {
+			t.Fatalf("%s: finite control value rejected: %v", p.name, err)
+		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if p.build(v) == nil {
+				t.Errorf("%s: %v accepted", p.name, v)
+			}
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ type snapshotDoc struct {
 }
 
 // snapshotEntry is one cached plan. Key is the cache's own composite
-// key — configKey(options) + NUL + graph fingerprint — kept opaque:
+// key — appendConfigKey(options) + NUL + graph fingerprint — kept opaque:
 // the snapshot never needs to interpret it, only to match it against
 // future lookups byte-for-byte.
 type snapshotEntry struct {

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/algebra"
@@ -44,8 +45,8 @@ type Expr struct {
 // Table declares the next base table. Declaration order defines the
 // left-to-right leaf order of the final tree.
 func (t *TreeQuery) Table(name string, card float64) *Expr {
-	if card <= 0 {
-		t.fail(fmt.Errorf("repro: table %q has non-positive cardinality", name))
+	if !(card > 0) || math.IsInf(card, 1) { // NaN fails the comparison
+		t.fail(fmt.Errorf("repro: table %q has cardinality %g, want finite and positive", name, card))
 	}
 	id := len(t.rels)
 	t.rels = append(t.rels, optree.RelInfo{Name: name, Card: card})
