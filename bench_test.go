@@ -304,15 +304,15 @@ func BenchmarkMemo(b *testing.B) {
 	})
 
 	// deferred-buckets measures the steady state of the pooled
-	// deferred-pricing cycle the parallel spines (DPhyp, DPccp, TopDown)
-	// run per query: record pairs into the per-worker pooled buffers,
-	// fold the collect barrier, assemble the pooled size buckets, and
-	// price every bucket level through the merged barriers. After warmup
-	// the whole cycle is allocation-free. Two per-run costs are hoisted
-	// out because they are per-run by design, not per-pair: the
-	// Stats.WorkerPairs header (deliberately freshly allocated by
-	// Engine.Parallel — it escapes into Results) and PriceLevels'
-	// goroutine fork/join (pricing runs inline here).
+	// deferred-pricing cycle the parallel DPhyp spine runs per query:
+	// record pairs into the per-worker pooled buffers, fold the collect
+	// barrier, assemble the pooled size buckets, and price every bucket
+	// level through the merged barriers. After warmup the whole cycle is
+	// allocation-free. Two per-run costs are hoisted out because they are
+	// per-run by design, not per-pair: the Stats.WorkerPairs header
+	// (deliberately freshly allocated by Engine.Parallel — it escapes
+	// into Results) and PriceLevels' goroutine fork/join (pricing runs
+	// inline here).
 	b.Run("deferred-buckets", func(b *testing.B) {
 		g := workload.Star(12, workload.DefaultConfig())
 		var recs []dp.PairRec

@@ -61,7 +61,7 @@ func main() {
 		solver      = flag.String("solver", "auto", "default algorithm: auto | dphyp | dpsize | dpsub | dpccp | topdown | greedy")
 		costMod     = flag.String("cost", "cout", "default cost model: cout | cmm | nlj | hash | physical")
 		budgetPairs = flag.Int("budget-pairs", 10_000_000, "per-plan csg-cmp-pair budget before greedy fallback (0 = unlimited)")
-		parallel    = flag.Int("parallel", 0, "enumeration workers per plan (0 = GOMAXPROCS, 1 = serial); large cache-miss queries fan out across cores")
+		parallel    = flag.Int("parallel", 0, "enumeration workers per plan (0 = GOMAXPROCS, 1 = serial); DPhyp and DPsub runs of 10+ relations fan out across cores, other solvers stay serial")
 		historyFile = flag.String("history-file", "", "persistent planning-cost history JSON (loaded at startup, saved periodically and at shutdown)")
 		historyInt  = flag.Duration("history-interval", 5*time.Minute, "periodic history save cadence")
 		snapFile    = flag.String("snapshot-file", "", "persistent plan-cache snapshot JSON (restored at startup for warm-start, saved periodically and at shutdown)")

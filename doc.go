@@ -135,40 +135,46 @@
 // # Parallel planning
 //
 // WithParallelism(n) lets one exact enumeration use up to n memo
-// workers (default GOMAXPROCS; 1 pins the serial engine). The engine
-// parallelizes level-synchronously: workers claim work units
-// dynamically off an atomic counter, build into private memo views
-// (per-worker open-addressing table + arena over the read-only merged
-// levels), and barriers fold the per-worker winners back into the main
-// memo. What is partitioned differs per solver:
+// workers (default GOMAXPROCS; 1 pins the serial engine). Only DPhyp
+// and DPsub have a parallel mode; every other solver plans serially at
+// any setting. The engine parallelizes level-synchronously: workers
+// claim work units dynamically off an atomic counter, build into
+// private memo views (per-worker open-addressing table + arena over the
+// read-only merged levels), and barriers fold the per-worker winners
+// back into the main memo. What is partitioned differs per solver:
 //
-//   - DPsize and DPsub partition their (*)-test loops directly — a
-//     plan-size level for DPsize, Gosper-enumerated same-size subset
-//     chunks for DPsub — and price pairs in place within the level.
-//   - DPhyp and DPccp partition the connected-subgraph expansion
-//     itself across start vertices: each worker runs the full
-//     csg-cmp-pair expansion for the start vertices it claims, using
-//     structural connectivity (hypergraph reachability, cached per
-//     worker) as the subgraph-membership oracle in place of the
-//     serial DP table — valid because in these modes every admitted
-//     pair stores a plan, so "present in the serial table" and
-//     "connected" coincide. Emitted pairs are recorded, not priced; a
-//     single barrier collects them and a level-parallel pricing sweep
-//     (ascending result-set size) builds the plans.
-//   - TopDown partitions its memoized partition search per level,
-//     descending: the sets discovered at size s+1 are frozen at a
-//     barrier, then workers claim fixed chunks of every size-(s+1)
-//     set's Vance–Maier partition order, testing splits and recording
-//     newly reached connected subsets and pairs. Discovery flows
-//     strictly from supersets to subsets, so the level order
-//     reproduces the serial explored space exactly; pricing then runs
-//     level-parallel as above.
-//   - Greedy remains serial. The router still sends parallel clique
-//     workloads to DPsub rather than parallel TopDown — a measured
-//     choice, not a workaround: DPsub prices in place during its level
-//     sweep while TopDown pays a separate collect-then-price pass over
-//     every pair, and on the reference clique workload DPsub finishes
-//     in ≈0.93× of parallel TopDown's time.
+//   - DPsub partitions its (*)-test loop directly — Gosper-enumerated
+//     same-size subset chunks — and prices pairs in place within the
+//     level. SolverAuto sends cliques of ParallelMinRels or more
+//     relations to it whenever more than one worker is allowed.
+//   - DPhyp partitions the connected-subgraph expansion itself across
+//     start vertices: each worker runs the full csg-cmp-pair expansion
+//     for the start vertices it claims, using structural connectivity
+//     (hypergraph reachability, cached per worker) as the
+//     subgraph-membership oracle in place of the serial DP table —
+//     valid because in this mode every admitted pair stores a plan, so
+//     "present in the serial table" and "connected" coincide. Emitted
+//     pairs are recorded, not priced; a single barrier collects them
+//     and a level-parallel pricing sweep (ascending result-set size)
+//     builds the plans.
+//
+// A mode is kept only where it beats serial at 2 workers on a shape
+// SolverAuto routes to it. Measured through SolverAuto with the plan
+// cache off, 2 workers on 2 CPUs, median of 15 interleaved
+// serial/parallel pairs per cell (a clique's serial route is TopDown):
+//
+//	shape                        parallel route  parallel ÷ serial time
+//	clique10–12                  DPsub           0.59–0.78 (won 15 of 15 pairs)
+//	star12–16, grid3×4, grid4×4  DPhyp           0.66–0.94
+//	chain10–18, cycle10–18       DPsize, DPccp   1.03–2.08 (chain16: 0.97, won 7 of 15)
+//
+// DPsize's and DPccp's parallel modes won only at 20–24 relations, by
+// 2–17% in 9–13 of 15 pairs, and TopDown's was unreachable because
+// parallel cliques route to DPsub, so all three were deleted. Greedy
+// is inherently sequential. DPhyp's mode still loses (1.05–4.3×) on
+// star10/11 and on hypergraph queries of 10–12 relations:
+// ParallelMinRels selects parallel runs by relation count, not by the
+// work the query needs.
 //
 // Parallelism never changes the answer. Equal-cost ties are broken
 // order-independently (the lexicographically lowest (left, right)
@@ -185,18 +191,18 @@
 // serially: an exact enumeration at that size costs tens of
 // microseconds and fork/join would only add overhead. Traced and
 // observed runs (WithTrace, OnEmit, generate-and-test filters) are
-// also pinned serial. Graphs with dependent relations pass through a
-// cost-free admissibility precheck (dp.ParallelSafe): exactly one
+// also pinned serial. DPhyp admits graphs with dependent relations
+// through a cost-free precheck (dp.ParallelSafe): exactly one
 // dependent relation whose incident edges are all inner joins is
 // provably orientation-safe and plans parallel; more than one
 // dependent relation, or a dependent relation under a non-inner
-// operator, falls back to serial, where the builder's full
-// §5.6 dependency analysis applies. TopDown's parallel mode also
-// requires fewer than 63 relations (its packed partition indices),
-// beyond which it plans serially. Stats.Workers and Stats.WorkerPairs
-// record the fan-out per run; PlannerMetrics.ParallelRuns and
-// ParallelPairs (exported at /metrics as planner_parallel_runs_total
-// and planner_parallel_pairs_total) aggregate it per session.
+// operator, falls back to serial, where the builder's full §5.6
+// dependency analysis applies. DPsub's parallel mode requires fewer
+// than 63 relations (Gosper's hack needs a spare bit). Stats.Workers
+// and Stats.WorkerPairs record the fan-out per run;
+// PlannerMetrics.ParallelRuns and ParallelPairs (exported at /metrics
+// as planner_parallel_runs_total and planner_parallel_pairs_total)
+// aggregate it per session.
 //
 // # Benchmarks
 //

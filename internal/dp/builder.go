@@ -170,10 +170,10 @@ func (pr *ParRun) Buckets(n int) [][]PairRec {
 	return b.buckets
 }
 
-// PairRec is one csg-cmp-pair whose pricing was deferred: the
-// enumerate-first parallel modes of DPhyp and DPccp collect the pairs
-// their (serial or per-start-vertex) enumeration admits, then price
-// them level-synchronously with PriceLevels.
+// PairRec is one csg-cmp-pair whose pricing was deferred: DPhyp's
+// enumerate-first parallel mode collects the pairs its per-start-vertex
+// enumeration admits, then prices them level-synchronously with
+// PriceLevels.
 type PairRec struct {
 	S1, S2 bitset.Set
 }
@@ -230,12 +230,12 @@ func (pr *ParRun) PriceLevels(buckets [][]PairRec) {
 	}
 }
 
-// ParallelSafe reports whether g admits the enumerate-first parallel
-// modes (DPhyp, DPccp, TopDown). Deferred pricing requires that every
-// admitted pair actually produces a memo entry — otherwise a later
-// level would price against a missing subplan, and the parallel spines
-// could not substitute a structural connectivity test for mid-level
-// DP-table membership. Plans are only rejected after admission by
+// ParallelSafe reports whether g admits DPhyp's enumerate-first
+// parallel mode. Deferred pricing requires that every admitted pair
+// actually produces a memo entry — otherwise a later level would price
+// against a missing subplan, and the parallel spine could not
+// substitute a structural connectivity test for mid-level DP-table
+// membership. Plans are only rejected after admission by
 // dependency constraints (§5.6), which need free variables, so graphs
 // without dependent relations qualify outright.
 //

@@ -18,9 +18,6 @@
 package dpccp
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/bitset"
 	"repro/internal/cost"
 	"repro/internal/dp"
@@ -40,27 +37,13 @@ type Options struct {
 
 	// Explain, when non-nil, receives phase spans for the run (the
 	// engine records the materialize phase; the planner wraps the whole
-	// enumeration). Unlike OnEmit it does not force the serial engine.
+	// enumeration).
 	Explain *obs.Trace
-
-	// Parallelism > 1 enables the two-phase parallel mode: the csg-cmp
-	// enumeration — which on simple graphs needs no DP-table access at
-	// all — partitions across start vertices claimed dynamically by
-	// workers, and the collected pairs are then priced level-by-level
-	// in parallel (dp.ParRun.PriceLevels). Graphs with dependent
-	// relations fall back to the serial engine (dp.ParallelSafe).
-	// 0 or 1 runs today's serial engine.
-	Parallelism int
 }
 
 type solver struct {
 	g *hypergraph.Graph
 	e *memo.Engine
-
-	// emit receives every csg-cmp-pair: the engine's EmitPair in the
-	// serial mode, a deferred-pair recorder in the parallel mode. One
-	// enumeration body serves both, so the modes cannot drift apart.
-	emit func(S1, S2 bitset.Set)
 }
 
 // Solve runs DPccp over the simple graph g.
@@ -82,18 +65,7 @@ func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
 	}
 	b.Init()
 
-	// The parallel mode needs plan-construction acceptance to be
-	// cost-free (dp.ParallelSafe) and has no serial emission order to
-	// offer observation hooks; filters may carry per-analysis state the
-	// worker builders must not share. The planner enforces the same
-	// gates; they are repeated here so direct solver callers are safe.
-	if opts.Parallelism > 1 && opts.Filter == nil && opts.OnEmit == nil && dp.ParallelSafe(g) {
-		solveParallel(g, b, n, opts.Parallelism)
-		p, err := b.Final()
-		return p, e.Stats, err
-	}
-
-	s := &solver{g: g, e: e, emit: e.EmitPair}
+	s := &solver{g: g, e: e}
 	for v := n - 1; v >= 0 && e.Aborted() == nil; v-- {
 		S := bitset.Single(v)
 		s.emitCmp(S)
@@ -101,53 +73,6 @@ func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
 	}
 	p, err := b.Final()
 	return p, e.Stats, err
-}
-
-// solveParallel runs the two-phase parallel DPccp. Phase 1 partitions
-// the enumeration — the serial solver body with emit redirected to a
-// deferred-pair recorder; on simple graphs it needs no DP-table access
-// — across start vertices that workers claim dynamically (descending,
-// matching the serial order), so skewed shapes — a star's hub vertex
-// emits almost every pair — cost at most one worker's imbalance.
-// Phase 2 buckets the collected pairs by result-set size (pooled
-// storage; bucket order is irrelevant under the order-independent
-// merge tie-break) and prices the buckets level-parallel.
-func solveParallel(g *hypergraph.Graph, b *dp.Builder, n, workers int) {
-	pr := dp.NewParRun(b, workers)
-	pr.Par.StartLevel()
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wb := pr.Bs[w]
-		we := wb.Engine
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			col := solver{g: g, e: we, emit: func(S1, S2 bitset.Set) {
-				if we.EmitDeferred(S1, S2) {
-					wb.DeferPair(S1, S2)
-				}
-			}}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || we.Aborted() != nil {
-					return
-				}
-				v := n - 1 - i
-				S := bitset.Single(v)
-				col.emitCmp(S)
-				col.enumerateCsgRec(S, bitset.BelowEq(v))
-			}
-		}()
-	}
-	wg.Wait()
-	pr.Par.FinishLevel(memo.LevelCollected)
-	if pr.Par.Aborted() != nil {
-		return
-	}
-	pr.PriceLevels(pr.Buckets(n))
 }
 
 // enumerateCsgRec grows connected subgraphs along the adjacency
@@ -191,7 +116,7 @@ func (s *solver) emitCmp(S1 bitset.Set) {
 	}
 	for v := N.Max(); v >= 0 && s.e.Aborted() == nil; v = prevElem(N, v) {
 		S2 := bitset.Single(v)
-		s.emit(S1, S2)
+		s.e.EmitPair(S1, S2)
 		s.growCmp(S1, S2, X.Union(N.Intersect(bitset.BelowEq(v))))
 	}
 }
@@ -212,7 +137,7 @@ func (s *solver) growCmp(S1, S2, X bitset.Set) {
 		if !s.e.Step() {
 			return
 		}
-		s.emit(S1, S2.Union(n))
+		s.e.EmitPair(S1, S2.Union(n))
 	}
 	newX := X.Union(N)
 	for n := range N.SubsetsOf() {

@@ -20,9 +20,6 @@
 package dpsize
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/bitset"
 	"repro/internal/cost"
 	"repro/internal/dp"
@@ -43,16 +40,8 @@ type Options struct {
 
 	// Explain, when non-nil, receives phase spans for the run (the
 	// engine records the materialize phase; the planner wraps the whole
-	// enumeration). Unlike OnEmit it does not force the serial engine.
+	// enumeration).
 	Explain *obs.Trace
-
-	// Parallelism > 1 enumerates each plan size level-synchronously
-	// across that many workers: all pairs within a size are independent
-	// given the previous sizes, so the (*) tests and plan construction
-	// partition freely; worker results merge at the level barrier with
-	// an order-independent tie-break, keeping plans byte-identical to
-	// the serial engine. 0 or 1 runs today's serial engine.
-	Parallelism int
 }
 
 // Solve runs DPsize over g and returns the optimal bushy cross-product-
@@ -78,21 +67,12 @@ func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
 		bySize[1] = append(bySize[1], bitset.Single(i))
 	}
 
-	// Filters may carry shared per-analysis state and hooks need the
-	// serial emission order, so both pin direct solver calls to the
-	// serial engine (the planner enforces the same gates).
-	if opts.Parallelism > 1 && opts.Filter == nil && opts.OnEmit == nil {
-		solveParallel(g, b, bySize, n, opts.Parallelism)
-		p, err := b.Final()
-		return p, e.Stats, err
-	}
-
 	enumerate(g, e, bySize, n)
 	p, err := b.Final()
 	return p, e.Stats, err
 }
 
-// enumerate is the serial DPsize loop nest of Fig. 3: all (S1, S2)
+// enumerate is the DPsize loop nest of Fig. 3: all (S1, S2)
 // candidate pairs by ascending plan size, dominated by the failing (*)
 // tests.
 //
@@ -138,82 +118,6 @@ func collectSize(e *memo.Engine, bySize [][]bitset.Set, s int) {
 			bySize[s] = append(bySize[s], S)
 		}
 	})
-}
-
-// sizeChunk is one unit of parallel work within a plan-size level: a
-// contiguous block of left-subplan candidates for one (s1, s2) split.
-// Chunks have stable identities independent of the worker count, so
-// the set of pairs tested — and, with the engine's order-independent
-// tie-break, the merged plans — never depends on scheduling.
-type sizeChunk struct {
-	s1, lo, hi int
-}
-
-// chunkBlock bounds the left-side candidates per chunk: small enough
-// to balance skewed levels across workers, large enough that the
-// atomic chunk-claim is amortized over thousands of (*) tests.
-const chunkBlock = 64
-
-// solveParallel runs the level-synchronous parallel DPsize: plan sizes
-// proceed in order, and within a size the candidate pairs partition
-// into chunks that workers claim dynamically (cheap work-stealing for
-// skewed shapes). Workers build plans into private memo views; the
-// level barrier merges them back deterministically.
-func solveParallel(g *hypergraph.Graph, b *dp.Builder, bySize [][]bitset.Set, n, workers int) {
-	pr := dp.NewParRun(b, workers)
-	var chunks []sizeChunk
-	for s := 2; s <= n; s++ {
-		chunks = chunks[:0]
-		for s1 := 1; s1 < s; s1++ {
-			if len(bySize[s-s1]) == 0 {
-				continue
-			}
-			for lo := 0; lo < len(bySize[s1]); lo += chunkBlock {
-				chunks = append(chunks, sizeChunk{s1, lo, min(lo+chunkBlock, len(bySize[s1]))})
-			}
-		}
-		pr.Par.StartLevel()
-		var (
-			next atomic.Int64
-			wg   sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			we := pr.Bs[w].Engine
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(next.Add(1)) - 1
-					if ci >= len(chunks) || we.Aborted() != nil {
-						return
-					}
-					c := chunks[ci]
-					right := bySize[s-c.s1]
-					for _, S1 := range bySize[c.s1][c.lo:c.hi] {
-						for _, S2 := range right {
-							if !we.Step() {
-								return
-							}
-							if !S1.Disjoint(S2) {
-								continue
-							}
-							if !g.ConnectsTo(S1, S2) {
-								continue
-							}
-							if S1.Min() < S2.Min() {
-								we.EmitPair(S1, S2)
-							}
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		bySize[s] = pr.Par.FinishLevel(memo.LevelBuilt)
-		if pr.Par.Aborted() != nil {
-			return
-		}
-	}
 }
 
 type solverError string

@@ -35,15 +35,8 @@ type Options struct {
 
 	// Explain, when non-nil, receives phase spans for the run (the
 	// engine records the materialize phase; the planner wraps the whole
-	// enumeration). Unlike OnEmit it does not force the serial engine.
+	// enumeration).
 	Explain *obs.Trace
-
-	// Parallelism is accepted for interface parity but ignored: GOO is
-	// inherently sequential (each greedy merge depends on the previous
-	// one), and its O(n³) pair inspections are far below the scale
-	// where fork/join pays. It stays the serial fallback even inside a
-	// parallel planning session.
-	Parallelism int
 }
 
 // Solve runs greedy operator ordering over g.

@@ -399,8 +399,8 @@ func pairBudgetErr(n, max int) error {
 
 // EmitDeferred admits the csg-cmp-pair (S1, S2) for later pricing: it
 // enforces the pair budget and counts the emission exactly like
-// EmitPair, but does not build a plan. The parallel DPhyp/DPccp paths
-// use it while collecting pairs into level buckets; BuildDeferred
+// EmitPair, but does not build a plan. The parallel DPhyp path uses it
+// while collecting pairs into level buckets; BuildDeferred
 // prices them afterwards. It reports whether the run may continue.
 //
 //dp:hotpath

@@ -153,10 +153,10 @@ type LevelKind int
 
 const (
 	// LevelBuilt: the workers emitted and priced pairs in place
-	// (DPsize/DPsub). Counts toward the run total and WorkerPairs.
+	// (DPsub). Counts toward the run total and WorkerPairs.
 	LevelBuilt LevelKind = iota
 	// LevelCollected: the workers only recorded pairs for deferred
-	// pricing (parallel DPccp's enumeration phase). Counts toward the
+	// pricing (parallel DPhyp's enumeration phase). Counts toward the
 	// run total; WorkerPairs waits for the pricing phase.
 	LevelCollected
 	// LevelPriced: the workers built plans for pairs already counted at
@@ -172,13 +172,7 @@ const (
 // does not depend on how candidates were partitioned. Entries are
 // installed in ascending relation-set order, which makes the main
 // engine's slot layout — and ForEach order — independent of scheduling.
-//
-// For LevelBuilt it returns the relation sets added this level, sorted
-// ascending (DPsize/DPsub drive the next level off them; the slice is
-// retained by the caller, so it cannot be pooled). The collect/price
-// kinds return nil — their callers never consume the sets, and skipping
-// the slice keeps the deferred-pricing barriers allocation-free.
-func (p *Par) FinishLevel(kind LevelKind) []bitset.Set {
+func (p *Par) FinishLevel(kind LevelKind) {
 	m := p.Main
 	ents := p.ents[:0]
 	for i, w := range p.Workers() {
@@ -202,10 +196,6 @@ func (p *Par) FinishLevel(kind LevelKind) []bitset.Set {
 	p.sorter.s = ents
 	sort.Sort(&p.sorter)
 
-	var newSets []bitset.Set
-	if kind == LevelBuilt {
-		newSets = make([]bitset.Set, 0, len(ents))
-	}
 	for i := 0; i < len(ents); {
 		j := i + 1
 		best := ents[i]
@@ -227,16 +217,12 @@ func (p *Par) FinishLevel(kind LevelKind) []bitset.Set {
 		h := int32(len(m.nodes))
 		m.nodes = append(m.nodes, n)
 		m.table.Put(best.S, h)
-		if kind == LevelBuilt {
-			newSets = append(newSets, best.S)
-		}
 		i = j
 	}
 
 	if p.sh.aborted.Load() && m.abortErr == nil {
 		m.abortErr = p.sh.cause()
 	}
-	return newSets
 }
 
 // Aborted returns the run-wide abort cause, if any worker tripped a

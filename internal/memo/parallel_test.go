@@ -77,9 +77,10 @@ func runMergeScenario(t *testing.T, nw int, assign [][][2]bitset.Set, cost func(
 		}()
 	}
 	wg.Wait()
-	newSets := p.FinishLevel(LevelBuilt)
-	if len(newSets) != 1 || !newSets[0].Equal(bitset.Full(4)) {
-		t.Fatalf("merge produced %v, want [%v]", newSets, bitset.Full(4))
+	before := e.Entries()
+	p.FinishLevel(LevelBuilt)
+	if added := e.Entries() - before; added != 1 {
+		t.Fatalf("merge added %d entries, want only %v", added, bitset.Full(4))
 	}
 	h, ok := e.Lookup(bitset.Full(4))
 	if !ok {
@@ -251,9 +252,11 @@ func TestParallelPoolRecycle(t *testing.T) {
 		p.StartLevel()
 		p.Workers()[0].EmitPair(bitset.New(0), bitset.New(1))
 		p.Workers()[1].EmitPair(bitset.New(2), bitset.New(3))
-		sets := p.FinishLevel(LevelBuilt)
-		if len(sets) != 2 {
-			t.Fatalf("level added %v, want two sets", sets)
+		p.FinishLevel(LevelBuilt)
+		for _, S := range []bitset.Set{bitset.New(0, 1), bitset.New(2, 3)} {
+			if _, ok := e.Lookup(S); !ok {
+				t.Fatalf("level did not merge %v", S)
+			}
 		}
 		if e.Stats.CsgCmpPairs != 2 || e.Stats.Workers != 2 {
 			t.Fatalf("stats = %+v", e.Stats)

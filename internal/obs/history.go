@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 )
@@ -113,8 +112,8 @@ func (h *History) Entries() []HistoryEntry {
 	for _, e := range h.entries {
 		ce := *e
 		ce.Buckets = append([]uint64(nil), e.Buckets...)
-		ce.P50Seconds = quantile(h.bounds, ce.Buckets, ce.Count, 0.50)
-		ce.P99Seconds = quantile(h.bounds, ce.Buckets, ce.Count, 0.99)
+		ce.P50Seconds = Quantile(h.bounds, ce.Buckets, ce.Count, 0.50)
+		ce.P99Seconds = Quantile(h.bounds, ce.Buckets, ce.Count, 0.99)
 		out = append(out, ce)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -140,12 +139,15 @@ func (h *History) Quantile(k Key, q float64) (time.Duration, bool) {
 	if e == nil || e.Count == 0 {
 		return 0, false
 	}
-	return time.Duration(quantile(h.bounds, e.Buckets, e.Count, q) * float64(time.Second)), true
+	return time.Duration(Quantile(h.bounds, e.Buckets, e.Count, q) * float64(time.Second)), true
 }
 
-// quantile interpolates the q-quantile in seconds from non-cumulative
-// bucket counts.
-func quantile(bounds []float64, buckets []uint64, count uint64, q float64) float64 {
+// Quantile interpolates the q-quantile in seconds from non-cumulative
+// bucket counts over bounds; count is the total observation count,
+// including any mass beyond the last bound. Entries of buckets past
+// len(bounds) (an overflow bucket) are ignored, and a quantile that
+// falls in the overflow reports the last bound.
+func Quantile(bounds []float64, buckets []uint64, count uint64, q float64) float64 {
 	if count == 0 {
 		return 0
 	}
@@ -176,7 +178,7 @@ func quantile(bounds []float64, buckets []uint64, count uint64, q float64) float
 	return bounds[len(bounds)-1]
 }
 
-// Save writes the history atomically (temp file + rename) as JSON.
+// Save writes the history atomically (WriteFileAtomic) as JSON.
 func (h *History) Save(path string) error {
 	doc := historyFile{
 		Version:     historyVersion,
@@ -189,22 +191,7 @@ func (h *History) Save(path string) error {
 		return fmt.Errorf("obs: encoding history: %w", err)
 	}
 	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".history-*.json")
-	if err != nil {
-		return fmt.Errorf("obs: saving history: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return fmt.Errorf("obs: saving history: %w", werr)
-		}
-		return fmt.Errorf("obs: saving history: %w", cerr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := WriteFileAtomic(path, ".history-*.json", data); err != nil {
 		return fmt.Errorf("obs: saving history: %w", err)
 	}
 	return nil

@@ -41,12 +41,8 @@ func NewHistogram(bounds []float64) *Histogram {
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
-	s := d.Seconds()
-	for i, b := range h.bounds {
-		if s <= b {
-			h.buckets[i].Add(1)
-			break
-		}
+	if i := BucketIndex(h.bounds, d.Seconds()); i < len(h.buckets) {
+		h.buckets[i].Add(1)
 	}
 	h.count.Add(1)
 	h.sumNs.Add(uint64(d.Nanoseconds()))
@@ -99,6 +95,18 @@ func (h *Histogram) Write(w io.Writer, name, labels string) {
 }
 
 func formatBound(b float64) string { return fmt.Sprintf("%g", b) }
+
+// BucketIndex returns the index of the first bound at or above seconds,
+// or len(bounds) when seconds exceeds the last bound (the +Inf
+// overflow).
+func BucketIndex(bounds []float64, seconds float64) int {
+	for i, b := range bounds {
+		if seconds <= b {
+			return i
+		}
+	}
+	return len(bounds)
+}
 
 // NBucket maps a relation count to its stable bucket label. The
 // boundaries follow the planning regimes: ≤8 is the cached/interactive
@@ -246,7 +254,7 @@ func (m *PlanMetrics) Quantile(k Key, q float64) (d time.Duration, count uint64,
 	if count == 0 {
 		return 0, 0, false
 	}
-	d = time.Duration(quantile(m.bounds, c.hist.Snapshot(), count, q) * float64(time.Second))
+	d = time.Duration(Quantile(m.bounds, c.hist.Snapshot(), count, q) * float64(time.Second))
 	return d, count, true
 }
 

@@ -25,11 +25,11 @@ import (
 type solverFn func(*hypergraph.Graph, cost.Model) (*plan.Node, dp.Stats, error)
 
 // exactSolvers are the five enumerators that must return cost-optimal
-// plans, plus the parallel modes of all five (run at
-// three workers to exercise partitioning, merging, and the
-// order-independent tie-break even on the suite's small graphs — the
-// internal solvers apply no size crossover). needsSimple marks solvers
-// restricted to simple graphs.
+// plans, plus the parallel modes of DPhyp and DPsub (run at three
+// workers to exercise partitioning, merging, and the order-independent
+// tie-break even on the suite's small graphs — the internal solvers
+// apply no size crossover). needsSimple marks solvers restricted to
+// simple graphs.
 var exactSolvers = []struct {
 	name        string
 	solve       solverFn
@@ -53,17 +53,8 @@ var exactSolvers = []struct {
 	{"dphyp-par3", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
 		return core.Solve(g, core.Options{Model: m, Parallelism: 3})
 	}, false},
-	{"dpsize-par3", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
-		return dpsize.Solve(g, dpsize.Options{Model: m, Parallelism: 3})
-	}, false},
 	{"dpsub-par3", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
 		return dpsub.Solve(g, dpsub.Options{Model: m, Parallelism: 3})
-	}, false},
-	{"dpccp-par3", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
-		return dpccp.Solve(g, dpccp.Options{Model: m, Parallelism: 3})
-	}, true},
-	{"topdown-par3", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
-		return topdown.Solve(g, topdown.Options{Model: m, Parallelism: 3})
 	}, false},
 }
 

@@ -42,8 +42,9 @@ func detGraph(i int) *Graph {
 // over 200 random graphs, the plan JSON produced with parallel
 // enumeration is byte-identical to the serial plan at every worker
 // count, and the csg-cmp-pair counts (the §2.2 effort yardstick) agree
-// exactly. SolverAuto exercises the routed mix (DPsize on chains,
-// DPccp on cycles, DPsub on parallel cliques, DPhyp elsewhere).
+// exactly. SolverAuto exercises the routed mix (serial DPsize on
+// chains and DPccp on cycles, DPsub on parallel cliques, DPhyp
+// elsewhere).
 func TestParallelPlansDeterministic(t *testing.T) {
 	graphs := 200
 	if testing.Short() {
@@ -114,62 +115,60 @@ func depGraph(i int) *Graph {
 }
 
 // TestNewParallelModesDeterministic pins the parallel DPhyp enumeration
-// spine and the parallel TopDown partition search to the byte-identical
-// contract at workers ∈ {1,2,4}. Half the graphs carry one dependent
-// relation — previously blanket-rejected by dp.ParallelSafe, now
-// admitted by the precheck — and every parallel run must actually
-// engage its workers (Stats.Workers), not silently fall back to serial.
+// spine to the byte-identical contract at workers ∈ {1,2,4}. Half the
+// graphs carry one dependent relation — previously blanket-rejected by
+// dp.ParallelSafe, now admitted by the precheck — and every parallel
+// run must actually engage its workers (Stats.Workers), not silently
+// fall back to serial.
 func TestNewParallelModesDeterministic(t *testing.T) {
 	graphs := 200
 	if testing.Short() {
 		graphs = 20
 	}
 	ctx := context.Background()
-	for _, alg := range []Algorithm{DPhyp, TopDown} {
-		serial := NewPlanner(WithAlgorithm(alg), WithPlanCacheSize(0), WithParallelism(1))
-		par := []struct {
-			workers int
-			p       *Planner
-		}{
-			{2, NewPlanner(WithAlgorithm(alg), WithPlanCacheSize(0), WithParallelism(2))},
-			{4, NewPlanner(WithAlgorithm(alg), WithPlanCacheSize(0), WithParallelism(4))},
+	serial := NewPlanner(WithAlgorithm(DPhyp), WithPlanCacheSize(0), WithParallelism(1))
+	par := []struct {
+		workers int
+		p       *Planner
+	}{
+		{2, NewPlanner(WithAlgorithm(DPhyp), WithPlanCacheSize(0), WithParallelism(2))},
+		{4, NewPlanner(WithAlgorithm(DPhyp), WithPlanCacheSize(0), WithParallelism(4))},
+	}
+	for i := 0; i < graphs; i++ {
+		var g *Graph
+		if i%2 == 0 {
+			g = detGraph(i)
+		} else {
+			g = depGraph(i)
 		}
-		for i := 0; i < graphs; i++ {
-			var g *Graph
-			if i%2 == 0 {
-				g = detGraph(i)
-			} else {
-				g = depGraph(i)
-			}
-			rs, err := serial.PlanGraph(ctx, g)
+		rs, err := serial.PlanGraph(ctx, g)
+		if err != nil {
+			t.Fatalf("graph %d serial: %v", i, err)
+		}
+		want, err := json.Marshal(rs.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pp := range par {
+			rp, err := pp.p.PlanGraph(ctx, g)
 			if err != nil {
-				t.Fatalf("%v graph %d serial: %v", alg, i, err)
+				t.Fatalf("graph %d workers=%d: %v", i, pp.workers, err)
 			}
-			want, err := json.Marshal(rs.Plan)
+			if rp.Stats.Workers != pp.workers {
+				t.Errorf("graph %d: ran with %d workers, want %d (parallel mode did not engage)",
+					i, rp.Stats.Workers, pp.workers)
+			}
+			got, err := json.Marshal(rp.Plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, pp := range par {
-				rp, err := pp.p.PlanGraph(ctx, g)
-				if err != nil {
-					t.Fatalf("%v graph %d workers=%d: %v", alg, i, pp.workers, err)
-				}
-				if rp.Stats.Workers != pp.workers {
-					t.Errorf("%v graph %d: ran with %d workers, want %d (parallel mode did not engage)",
-						alg, i, rp.Stats.Workers, pp.workers)
-				}
-				got, err := json.Marshal(rp.Plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(got) != string(want) {
-					t.Errorf("%v graph %d workers=%d: plan differs from serial\nserial:   %s\nparallel: %s",
-						alg, i, pp.workers, want, got)
-				}
-				if rp.Stats.CsgCmpPairs != rs.Stats.CsgCmpPairs {
-					t.Errorf("%v graph %d workers=%d: csg-cmp-pairs %d != serial %d",
-						alg, i, pp.workers, rp.Stats.CsgCmpPairs, rs.Stats.CsgCmpPairs)
-				}
+			if string(got) != string(want) {
+				t.Errorf("graph %d workers=%d: plan differs from serial\nserial:   %s\nparallel: %s",
+					i, pp.workers, want, got)
+			}
+			if rp.Stats.CsgCmpPairs != rs.Stats.CsgCmpPairs {
+				t.Errorf("graph %d workers=%d: csg-cmp-pairs %d != serial %d",
+					i, pp.workers, rp.Stats.CsgCmpPairs, rs.Stats.CsgCmpPairs)
 			}
 		}
 	}
@@ -186,7 +185,6 @@ func TestParallelWorkerStats(t *testing.T) {
 		g    *Graph
 	}{
 		{"dpsub-direct", DPsub, workload.Clique(10, workload.DefaultConfig())},
-		{"dpccp-deferred", DPccp, workload.Cycle(12, workload.DefaultConfig())},
 		{"dphyp-deferred", DPhyp, workload.Star(11, workload.DefaultConfig())},
 	}
 	for _, c := range cases {
@@ -221,20 +219,37 @@ func TestParallelWorkerStats(t *testing.T) {
 	}
 }
 
-// TestParallelSmallQueriesStaySerial: below the crossover the serial
-// engine runs even when parallelism was requested — fork/join overhead
-// must not regress small queries.
+// TestParallelSmallQueriesStaySerial: the serial engine runs even when
+// parallelism was requested below the crossover — fork/join overhead
+// must not regress small queries — and for every solver without a
+// parallel mode (only DPhyp and DPsub have one).
 func TestParallelSmallQueriesStaySerial(t *testing.T) {
-	p := NewPlanner(WithPlanCacheSize(0), WithParallelism(4))
-	res, err := p.PlanGraph(context.Background(), workload.Star(8, workload.DefaultConfig()))
-	if err != nil {
-		t.Fatal(err)
+	cfg := workload.DefaultConfig()
+	cases := []struct {
+		name string
+		alg  Algorithm
+		g    *Graph
+	}{
+		{"dphyp-star8", DPhyp, workload.Star(8, cfg)},
+		{"dpsize-chain12", DPsize, workload.Chain(12, cfg)},
+		{"dpccp-cycle12", DPccp, workload.Cycle(12, cfg)},
+		{"topdown-clique10", TopDown, workload.Clique(10, cfg)},
+		{"greedy-chain30", Greedy, workload.Chain(30, cfg)},
 	}
-	if res.Stats.Workers > 1 {
-		t.Fatalf("star(8) ran with %d workers, want serial", res.Stats.Workers)
-	}
-	if m := p.Metrics(); m.ParallelRuns != 0 {
-		t.Fatalf("ParallelRuns = %d, want 0", m.ParallelRuns)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := NewPlanner(WithAlgorithm(c.alg), WithPlanCacheSize(0), WithParallelism(4))
+			res, err := p.PlanGraph(context.Background(), c.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Workers > 1 {
+				t.Fatalf("ran with %d workers, want serial", res.Stats.Workers)
+			}
+			if m := p.Metrics(); m.ParallelRuns != 0 {
+				t.Fatalf("ParallelRuns = %d, want 0", m.ParallelRuns)
+			}
+		})
 	}
 }
 

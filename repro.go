@@ -269,13 +269,18 @@ func WithoutGreedyFallback() Option { return func(o *options) { o.noFallback = t
 
 // WithParallelism bounds the workers one enumeration may use. The
 // default (0) is runtime.GOMAXPROCS; 1 pins every run to the serial
-// engine and its pooling behavior exactly as before. Parallelism never
-// changes the plan: worker results merge under an order-independent
-// tie-break, so plans are byte-identical across worker counts (and to
-// serial), which is also why the plan cache ignores this knob. Small
-// queries (fewer than ParallelMinRels relations), traced or observed
-// runs, and generate-and-test filters always plan serially — fork/join
-// overhead would dominate or ordering guarantees would be lost.
+// engine. Only DPhyp and DPsub enumerate in parallel, the two modes
+// measured faster than serial on the shapes SolverAuto routes to them
+// (see the package documentation); SolverAuto additionally sends
+// cliques to DPsub instead of TopDown when more than one worker is
+// allowed. Every other solver plans serially at any setting.
+// Parallelism never changes the plan: worker results merge under an
+// order-independent tie-break, so plans are byte-identical across
+// worker counts (and to serial), which is also why the plan cache
+// ignores this knob. Small queries (fewer than ParallelMinRels
+// relations), traced or observed runs, and generate-and-test filters
+// always plan serially — fork/join overhead would dominate or ordering
+// guarantees would be lost.
 func WithParallelism(n int) Option { return func(o *options) { o.parallelism = n } }
 
 // DefaultClusterSize is the IterDP subproblem budget unless overridden
@@ -351,20 +356,19 @@ func runSolver(g *Graph, o options, filter dp.Filter) (*PlanNode, Stats, error) 
 		MaxCsgCmpPairs: o.budget.MaxCsgCmpPairs,
 		MaxCostedPlans: o.budget.MaxCostedPlans,
 	}
-	par := o.workers(g, filter)
 	switch o.alg {
 	case DPhyp:
-		return core.Solve(g, core.Options{Model: o.model, Filter: filter, Trace: o.trace, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool, Parallelism: par})
+		return core.Solve(g, core.Options{Model: o.model, Filter: filter, Trace: o.trace, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool, Parallelism: o.workers(g, filter)})
 	case DPsize:
-		return dpsize.Solve(g, dpsize.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool, Parallelism: par})
+		return dpsize.Solve(g, dpsize.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool})
 	case DPsub:
-		return dpsub.Solve(g, dpsub.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool, Parallelism: par})
+		return dpsub.Solve(g, dpsub.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool, Parallelism: o.workers(g, filter)})
 	case DPccp:
-		return dpccp.Solve(g, dpccp.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool, Parallelism: par})
+		return dpccp.Solve(g, dpccp.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool})
 	case TopDown:
-		return topdown.Solve(g, topdown.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool, Parallelism: par})
+		return topdown.Solve(g, topdown.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool})
 	case Greedy:
-		return goo.Solve(g, goo.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool, Parallelism: par})
+		return goo.Solve(g, goo.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool})
 	case IterDP:
 		return runIterDP(g, o, limits)
 	case SolverAuto:

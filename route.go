@@ -56,15 +56,13 @@ const autoMaxGreedyRels = 64
 //
 // workers is the effective parallelism of the call. It only matters in
 // one place: cliques at or above the parallel crossover route to the
-// level-parallel DPsub instead of TopDown. TopDown has its own parallel
-// partition search now, so this is no longer a serial-mode workaround —
-// it is a measured choice: on a clique every subset is connected, so
-// both solvers walk the same Θ(3ⁿ) partition space, but DPsub prices
-// pairs in place during its level sweep while parallel TopDown pays an
-// extra collect-then-price pass over every pair (clique12 at 4 workers:
-// DPsub ≈ 0.93× of parallel TopDown's time on the 2-core reference
-// box). Below the crossover (and at workers == 1) the serial routing is
-// unchanged, so small queries never pay fork/join overhead.
+// level-parallel DPsub instead of TopDown, which has no parallel mode.
+// This is a measured choice against serial TopDown: on a clique every
+// subset is connected, so both solvers walk the same Θ(3ⁿ) partition
+// space, and at 2 workers on 2 CPUs parallel DPsub takes 0.59–0.78× of
+// serial TopDown's time on clique10–12. Below the crossover (and at
+// workers == 1) the serial routing is unchanged, so small queries never
+// pay fork/join overhead.
 func routeAuto(p shape.Profile, workers int) Algorithm {
 	limit := autoMaxDenseRels
 	switch p.Class {

@@ -236,15 +236,7 @@ func (w *latencyWindow) rotate(now time.Time) {
 
 func (w *latencyWindow) observe(d time.Duration, now time.Time) {
 	w.rotate(now)
-	s := d.Seconds()
-	idx := len(w.bounds) // overflow
-	for i, b := range w.bounds {
-		if s <= b {
-			idx = i
-			break
-		}
-	}
-	w.slots[w.cur][idx]++
+	w.slots[w.cur][obs.BucketIndex(w.bounds, d.Seconds())]++
 	w.counts[w.cur]++
 }
 
@@ -267,26 +259,5 @@ func (w *latencyWindow) p99(now time.Time) (time.Duration, bool) {
 			merged[j] += v
 		}
 	}
-	target := 0.99 * float64(count)
-	var cum uint64
-	for i, b := range merged {
-		prev := cum
-		cum += b
-		if float64(cum) >= target && b > 0 {
-			if i >= len(w.bounds) {
-				return time.Duration(w.bounds[len(w.bounds)-1] * float64(time.Second)), true
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = w.bounds[i-1]
-			}
-			frac := (target - float64(prev)) / float64(b)
-			if frac < 0 {
-				frac = 0
-			}
-			sec := lo + (w.bounds[i]-lo)*frac
-			return time.Duration(sec * float64(time.Second)), true
-		}
-	}
-	return time.Duration(w.bounds[len(w.bounds)-1] * float64(time.Second)), true
+	return time.Duration(obs.Quantile(w.bounds, merged, count, 0.99) * float64(time.Second)), true
 }

@@ -7,64 +7,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// histogram is a fixed-bucket latency histogram in the Prometheus
-// cumulative style. Buckets are upper bounds in seconds; observations
-// above the last bound land only in +Inf (count).
-type histogram struct {
-	bounds  []float64
-	buckets []atomic.Uint64 // buckets[i] counts observations ≤ bounds[i] (non-cumulative; summed at render)
-	count   atomic.Uint64   //dp:atomic
-	sumNs   atomic.Uint64   //dp:atomic
-}
+	"repro/internal/obs"
+)
 
 // defaultLatencyBounds spans 100µs..10s — cached star-query hits sit in
 // the lowest buckets, budgeted exact enumerations in the middle, and
 // anything near the top is about to trip a deadline.
 var defaultLatencyBounds = []float64{
 	.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10,
-}
-
-func newHistogram(bounds []float64) *histogram {
-	return &histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds))}
-}
-
-func (h *histogram) observe(d time.Duration) {
-	s := d.Seconds()
-	for i, b := range h.bounds {
-		if s <= b {
-			h.buckets[i].Add(1)
-			break
-		}
-	}
-	h.count.Add(1)
-	h.sumNs.Add(uint64(d.Nanoseconds()))
-}
-
-// write renders the histogram in Prometheus text exposition format.
-// The snapshot is taken under concurrent observe() calls (which bump a
-// bucket before the total), so each cumulative bucket is capped at the
-// total read first — keeping the rendered histogram monotone with
-// +Inf == count even when a scrape lands between the two increments.
-func (h *histogram) write(w io.Writer, name string) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	count := h.count.Load()
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.buckets[i].Load()
-		if cum > count {
-			cum = count
-		}
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(b), cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, count)
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sumNs.Load())/1e9)
-	fmt.Fprintf(w, "%s_count %d\n", name, count)
-}
-
-func formatBound(b float64) string {
-	return fmt.Sprintf("%g", b)
 }
 
 // metrics aggregates the server-side counters; the planner's own
@@ -76,7 +27,7 @@ type metrics struct {
 	mu       sync.Mutex
 	requests map[reqKey]uint64
 
-	latency *histogram // /plan and /batch handler latency
+	latency *obs.Histogram // /plan and /batch handler latency
 
 	timeouts atomic.Uint64 // requests that ended in 504 //dp:atomic
 	panics   atomic.Uint64 // handler panics converted to 500 //dp:atomic
@@ -114,8 +65,15 @@ func newMetrics() *metrics {
 	return &metrics{
 		start:    time.Now(),
 		requests: make(map[reqKey]uint64),
-		latency:  newHistogram(defaultLatencyBounds),
+		latency:  obs.NewHistogram(defaultLatencyBounds),
 	}
+}
+
+// writeLatency renders the handler-latency histogram family.
+func (m *metrics) writeLatency(w io.Writer) {
+	const name = "dpserved_request_duration_seconds"
+	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+	m.latency.Write(w, name, "")
 }
 
 func (m *metrics) recordRequest(path string, code int) {

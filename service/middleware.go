@@ -64,7 +64,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			}
 			s.met.recordRequest(r.URL.Path, rec.code)
 			if r.URL.Path == "/plan" || r.URL.Path == "/batch" {
-				s.met.latency.observe(elapsed)
+				s.met.latency.Observe(elapsed)
 				// The rich per-plan record is the handler's Info line;
 				// this is the transport-level view.
 				s.log.Debug("http",

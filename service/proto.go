@@ -1,7 +1,9 @@
 package service
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro"
@@ -251,6 +253,22 @@ func validateQuery(q *repro.QueryJSON) error {
 		return fmt.Errorf("service: request has no query")
 	}
 	return q.Validate()
+}
+
+// errNonFinitePlan refuses a plan whose estimates overflowed float64:
+// JSON cannot encode ±Inf or NaN, so such a plan has no wire form.
+var errNonFinitePlan = errors.New("service: plan has a non-finite cost or cardinality")
+
+// finitePlan reports whether every node of the plan tree has a finite
+// cost and cardinality.
+func finitePlan(n *repro.PlanNode) bool {
+	if n == nil {
+		return true
+	}
+	if math.IsInf(n.Cost, 0) || math.IsNaN(n.Cost) || math.IsInf(n.Card, 0) || math.IsNaN(n.Card) {
+		return false
+	}
+	return finitePlan(n.Left) && finitePlan(n.Right)
 }
 
 // planNodeJSON renders a plan tree for the wire. names maps relation

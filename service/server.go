@@ -473,6 +473,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		break
 	}
+	if err == nil && !finitePlan(res.Plan) {
+		err = errNonFinitePlan
+	}
 	if err != nil {
 		s.log.Info("plan",
 			"id", requestID(r.Context()),
@@ -563,6 +566,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		start := time.Now()
 		res, err := s.planner.PlanJSON(ctx, doc, opts...)
+		if err == nil && !finitePlan(res.Plan) {
+			err = errNonFinitePlan
+		}
 		if err != nil {
 			out.Results[i] = BatchItem{Error: err.Error()}
 			continue
@@ -627,7 +633,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "dpserved_uptime_seconds %g\n", time.Since(s.met.start).Seconds())
 
 	s.met.writeRequests(w)
-	s.met.latency.write(w, "dpserved_request_duration_seconds")
+	s.met.writeLatency(w)
 
 	queued, running := s.pool.gauges()
 	fmt.Fprintf(w, "# TYPE dpserved_workers gauge\ndpserved_workers %d\n", s.pool.workers())
@@ -683,7 +689,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 //	429 queue full (Retry-After: 1)
 //	504 the request's deadline expired (queued or mid-enumeration)
 //	499 the client went away (nginx's convention; the response is moot)
-//	422 the query was understood but could not be planned
+//	422 the query was understood but could not be planned, or its plan's
+//	    estimates overflowed float64 (no JSON form)
 func (s *Server) writePlanError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):

@@ -33,6 +33,19 @@ func starDoc(n int, centerCard float64) *repro.QueryJSON {
 	return doc
 }
 
+// overflowDoc is a valid, finite document whose estimates overflow
+// float64: 100 relations of 1e30 rows chained with selectivity 1.
+func overflowDoc() *repro.QueryJSON {
+	doc := &repro.QueryJSON{}
+	for i := 0; i < 100; i++ {
+		doc.Relations = append(doc.Relations, repro.RelationJSON{Name: fmt.Sprintf("r%d", i), Card: 1e30})
+		if i > 0 {
+			doc.Edges = append(doc.Edges, repro.EdgeJSON{Left: []int{i - 1}, Right: []int{i}, Sel: 1})
+		}
+	}
+	return doc
+}
+
 // fakePlanner is a gated Planner backend: every call signals began,
 // then blocks until release is closed (or the call's context expires).
 // With release nil, calls return immediately. It makes concurrency
@@ -252,6 +265,17 @@ func TestBadRequests(t *testing.T) {
 	body, _ := json.Marshal(PlanRequest{Query: doc, Algorithm: "quantum"})
 	if code := post(string(body)); code != http.StatusBadRequest {
 		t.Errorf("unknown algorithm: %d, want 400", code)
+	}
+
+	// A plan with an infinite cost cannot be encoded; it must be refused
+	// with a JSON error, not sent as a 200 with an empty body. The long
+	// timeout covers exact DPhyp over 100 relations under -race.
+	for _, alg := range []string{"", "auto"} {
+		code, out := postPlan(t, client, srv.URL, PlanRequest{Query: overflowDoc(), Algorithm: alg, TimeoutMS: 60_000})
+		var e ErrorResponse
+		if code != http.StatusUnprocessableEntity || json.Unmarshal(out, &e) != nil || e.Error == "" {
+			t.Errorf("overflowing plan (algorithm %q): %d %q, want 422 with a JSON error", alg, code, out)
+		}
 	}
 
 	resp, err := client.Get(srv.URL + "/plan")
@@ -592,7 +616,9 @@ func TestBatchEndpoint(t *testing.T) {
 			starDoc(4, 1000),
 			{Relations: []repro.RelationJSON{{Name: "lonely", Card: 1}}}, // no edges: invalid
 			starDoc(5, 2000),
+			overflowDoc(), // valid, but its plan's cost is +Inf
 		},
+		TimeoutMS: 60_000, // exact DPhyp over 100 relations takes seconds under -race
 	}
 	body, _ := json.Marshal(req)
 	resp, err := srv.Client().Post(srv.URL+"/batch", "application/json", bytes.NewReader(body))
@@ -607,8 +633,8 @@ func TestBatchEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Results) != 3 {
-		t.Fatalf("%d results, want 3", len(out.Results))
+	if len(out.Results) != 4 {
+		t.Fatalf("%d results, want 4", len(out.Results))
 	}
 	if out.Results[0].Error != "" || out.Results[0].PlanResponse == nil || out.Results[0].Cost <= 0 {
 		t.Errorf("result 0: %+v", out.Results[0])
@@ -618,6 +644,9 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 	if out.Results[2].Error != "" || out.Results[2].PlanResponse == nil {
 		t.Errorf("healthy query 2 dragged down: %+v", out.Results[2])
+	}
+	if out.Results[3].Error != errNonFinitePlan.Error() || out.Results[3].PlanResponse != nil {
+		t.Errorf("overflowing query 3: %+v, want the item error %q", out.Results[3], errNonFinitePlan)
 	}
 }
 

@@ -5,8 +5,8 @@ package repro
 // A snapshot captures the planner's plan cache — every entry's full key
 // (configuration + canonical graph fingerprint), its algorithm, its
 // enumeration Stats, and its plan tree — as versioned JSON, written
-// atomically (temp file + rename, the same discipline as obs.History)
-// so a crash mid-save can never destroy the previous snapshot. A
+// through obs.WriteFileAtomic (as obs.History saves are) so a crash
+// mid-save can never destroy the previous snapshot. A
 // restarted process restores the file before taking traffic and serves
 // its first request on a warm fingerprint from cache, no enumeration.
 //
@@ -23,9 +23,9 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 
 	"repro/internal/algebra"
+	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -133,8 +133,8 @@ func decodePlan(s *snapNode) (*PlanNode, error) {
 	return n, nil
 }
 
-// SaveCacheSnapshot atomically persists the plan cache to path (temp
-// file in the same directory + rename). A planner with caching disabled
+// SaveCacheSnapshot atomically persists the plan cache to path
+// (obs.WriteFileAtomic). A planner with caching disabled
 // writes nothing and returns nil. The snapshot is a point-in-time copy:
 // concurrent planning during the save is safe and simply may or may not
 // be included.
@@ -155,24 +155,8 @@ func (p *Planner) SaveCacheSnapshot(path string) error {
 	if err != nil {
 		return fmt.Errorf("repro: encoding cache snapshot: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".plancache-*.tmp")
-	if err != nil {
-		return fmt.Errorf("repro: creating snapshot temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	if err := obs.WriteFileAtomic(path, ".plancache-*.tmp", data); err != nil {
 		return fmt.Errorf("repro: writing cache snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("repro: closing cache snapshot: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("repro: installing cache snapshot: %w", err)
 	}
 	return nil
 }
