@@ -158,22 +158,34 @@ func BenchmarkAblationCostModels(b *testing.B) {
 	}
 }
 
-// BenchmarkPlannerSession measures the session machinery itself on a
-// mid-size clique: cold enumeration with pooled scratch reuse versus
-// plans served from the fingerprint cache — the repeated-traffic path a
-// server lives on.
+// BenchmarkPlannerSession measures the session machinery itself: cold
+// serial DPhyp enumeration with pooled scratch reuse, where pricing the
+// csg-cmp-pairs dominates, versus plans of a mid-size clique served from
+// the fingerprint cache — the repeated-traffic path a server lives on.
+// The enumerate-pooled graphs are lib-cold's costliest cells by shape.
 func BenchmarkPlannerSession(b *testing.B) {
-	g := workload.Clique(8, workload.DefaultConfig())
+	cfg := workload.DefaultConfig()
+	g := workload.Clique(8, cfg)
 	ctx := context.Background()
-	b.Run("enumerate-pooled", func(b *testing.B) {
-		p := NewPlanner(WithPlanCacheSize(0))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.PlanGraph(ctx, g); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"clique8", g},
+		{"grid4x4", workload.Grid(4, 4, cfg)},
+		{"star12", workload.Star(12, cfg)},
+		{"cycle-hyper12-5", workload.CycleHyper(12, 5, cfg)},
+	} {
+		b.Run("enumerate-pooled/"+c.name, func(b *testing.B) {
+			p := NewPlanner(WithPlanCacheSize(0), WithParallelism(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.PlanGraph(ctx, c.g); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	b.Run("cache-hit", func(b *testing.B) {
 		p := NewPlanner()
 		if _, err := p.PlanGraph(ctx, g); err != nil {

@@ -124,7 +124,14 @@
 //     (§5.6) and the optional generate-and-test filter (§5.8),
 //     estimates cardinalities, prices candidates under the configured
 //     cost model, and finally materializes the winning tree out of the
-//     arena into the pointer-based PlanNode form callers consume.
+//     arena into the pointer-based PlanNode form callers consume. It
+//     prices a pair in one pass over the edges, reading each edge's
+//     node set from a table built once per run, before any parallel
+//     worker starts, and shared read-only by all of them. The pass
+//     visits edges in ascending index, so the selectivities of the
+//     applied edges multiply in the same order whatever the pair's
+//     orientation, solver or worker count, and estimates stay
+//     bit-identical.
 //
 // The split is what makes the evaluation's comparisons meaningful: all
 // six strategies pay identical per-pair construction costs, so measured
@@ -161,20 +168,28 @@
 // A mode is kept only where it beats serial at 2 workers on a shape
 // SolverAuto routes to it. Measured through SolverAuto with the plan
 // cache off, 2 workers on 2 CPUs, median of 15 interleaved
-// serial/parallel pairs per cell (a clique's serial route is TopDown):
+// serial/parallel pairs per cell (a clique's serial route is TopDown),
+// before and after the plan builder began pricing a pair in one edge
+// pass, which made a pair 1.8–2.9× cheaper on lib-cold's routes:
 //
-//	shape                        parallel route  parallel ÷ serial time
-//	clique10–12                  DPsub           0.59–0.78 (won 15 of 15 pairs)
-//	star12–16, grid3×4, grid4×4  DPhyp           0.66–0.94
-//	chain10–18, cycle10–18       DPsize, DPccp   1.03–2.08 (chain16: 0.97, won 7 of 15)
+//	shape            parallel route  parallel ÷ serial time, before → after
+//	clique10         DPsub           1.38 → 1.17 (parallel won 2 of 15 pairs after)
+//	clique11–12      DPsub           0.51–0.58 → 0.62–0.66 (won 9 and 15 of 15)
+//	grid4×4          DPhyp           0.65 → 0.84 (won 8 of 15)
+//	grid3×4          DPhyp           0.73 → 1.80 (won 0 of 15)
+//	star10–16        DPhyp           0.75–1.21 → 1.12–1.55 (won 0–5 of 15)
+//	cycle-hyper12/5  DPhyp           0.66 → 1.13 (won 4 of 15)
+//	star-hyper10/3   DPhyp           0.85 → 1.68 (won 0 of 15)
 //
-// DPsize's and DPccp's parallel modes won only at 20–24 relations, by
-// 2–17% in 9–13 of 15 pairs, and TopDown's was unreachable because
-// parallel cliques route to DPsub, so all three were deleted. Greedy
-// is inherently sequential. DPhyp's mode still loses (1.05–4.3×) on
-// star10/11 and on hypergraph queries of 10–12 relations:
-// ParallelMinRels selects parallel runs by relation count, not by the
-// work the query needs.
+// DPsize's and DPccp's parallel modes took 1.03–2.08× serial's time on
+// chains and cycles of 10–18 relations and won only at 20–24, by 2–17%
+// in 9–13 of 15 pairs; TopDown's was unreachable because parallel
+// cliques route to DPsub. All three were deleted. Greedy is inherently
+// sequential. Since one-pass pricing, DPhyp's mode wins only on
+// grid4×4, and narrowly: its deferred collect phase now costs more than
+// the pricing it spreads across workers on smaller queries. The mode
+// and ParallelMinRels stay until routing selects parallel runs by the
+// work a query needs rather than by its relation count.
 //
 // Parallelism never changes the answer. Equal-cost ties are broken
 // order-independently (the lexicographically lowest (left, right)

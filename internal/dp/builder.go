@@ -70,6 +70,13 @@ type Builder struct {
 	// Engine is the memo this run stores plans into.
 	Engine *memo.Engine
 
+	// edgeNodes[i] is U ∪ V ∪ W of edge i, and dependent reports whether
+	// some relation has free variables (§5.6). NewRun derives both from
+	// the graph once per run; NewParRun hands them to the worker Builders
+	// before any worker starts, and nothing writes them during the run.
+	edgeNodes []bitset.Set
+	dependent bool
+
 	connBuf []EdgeRef
 	flipBuf []EdgeRef
 	edgeBuf []int
@@ -100,7 +107,23 @@ func NewRun(pool *memo.Pool, g *hypergraph.Graph, m cost.Model) (*memo.Engine, *
 		e.SetBackend(b)
 	}
 	b.G, b.Model, b.Engine = g, m, e
+	b.indexGraph()
 	return e, b
+}
+
+// indexGraph builds the per-run edge table BuildPair reads in place of
+// recomputing each edge's node set for every pair.
+func (b *Builder) indexGraph() {
+	g := b.G
+	nodes := b.edgeNodes[:0]
+	for i := 0; i < g.NumEdges(); i++ {
+		nodes = append(nodes, g.Edge(i).Nodes())
+	}
+	b.edgeNodes = nodes
+	b.dependent = false
+	for i := 0; i < g.NumRels() && !b.dependent; i++ {
+		b.dependent = !g.Relation(i).Free.IsEmpty()
+	}
 }
 
 // ParRun couples the memo engine's parallel orchestration with one
@@ -126,6 +149,7 @@ func NewParRun(b *Builder, n int) *ParRun {
 			w.SetBackend(wb)
 		}
 		wb.G, wb.Model, wb.Filter, wb.Engine = b.G, b.Model, b.Filter, w
+		wb.edgeNodes, wb.dependent = b.edgeNodes, b.dependent
 		wb.ResetPairs()
 		bs[i] = wb
 	}
@@ -179,7 +203,7 @@ type PairRec struct {
 }
 
 // priceChunk bounds the deferred pairs per parallel work unit. Pricing
-// a pair costs two O(|E|) edge scans plus the cost model, so even
+// a pair costs one O(|E|) edge scan plus the cost model, so even
 // small chunks amortize the atomic claim while keeping skewed levels
 // (a star's hub level holds almost everything) balanced.
 const priceChunk = 128
@@ -289,6 +313,8 @@ func (b *Builder) Release() {
 	b.Model = nil
 	b.Filter = nil
 	b.Engine = nil
+	clear(b.edgeNodes)
+	b.edgeNodes = b.edgeNodes[:0]
 	b.connBuf = b.connBuf[:0]
 	b.flipBuf = b.flipBuf[:0]
 	b.edgeBuf = b.edgeBuf[:0]
@@ -331,71 +357,117 @@ func (b *Builder) Final() (*plan.Node, error) {
 // commutative ones. Budget and emission bookkeeping has already happened
 // in Engine.EmitPair.
 //
+// Everything that does not depend on the orientation is done once per
+// pair: one pass over the edges, in ascending index, yields the applied
+// edges and their selectivity product, the connecting edges and the
+// operator; each child is looked up once; and the free tables of each
+// side are computed once, only when the graph has dependent relations.
+// The ascending order multiplies the selectivities in the same order
+// for every pair and orientation, so estimates are bit-identical
+// however the pair was enumerated.
+//
 //dp:hotpath
 func (b *Builder) BuildPair(S1, S2 bitset.Set) {
+	// Predicate application (§3.5): a predicate is evaluated at the first
+	// node that covers all relations it references. For simple edges this
+	// is the join separating the two endpoints, but a hyperedge can
+	// become fully covered at a join that splits its hypernodes across
+	// sides in a way that never satisfies u ⊆ S1 ∧ v ⊆ S2; its
+	// selectivity must still be charged exactly once. We therefore apply
+	// every edge covered by S = S1 ∪ S2 but by neither side alone, which
+	// keeps cardinality estimates independent of the join order.
+	//
+	// Operator recovery (§5.4): every hyperedge carries the operator it
+	// was derived from. Simple predicate edges carry the inner join. At
+	// most one connecting edge should be non-inner for TES-derived
+	// graphs; if several are, the latest wins and the event is counted.
+	S := S1.Union(S2)
+	sel := 1.0
+	applied := b.edgeBuf[:0]
 	conn := b.connBuf[:0]
-	//nolint:hotpathalloc // EachConnectingEdge does not retain the callback, so it stays on the stack
-	b.G.EachConnectingEdge(S1, S2, func(idx int, flipped bool) {
-		conn = append(conn, EdgeRef{Idx: idx, Flipped: flipped})
-	})
-	b.connBuf = conn
+	op := algebra.Join
+	leftIsS1 := true
+	nonInner := 0
+	for i, nodes := range b.edgeNodes {
+		if !nodes.SubsetOf(S) || nodes.SubsetOf(S1) || nodes.SubsetOf(S2) {
+			continue
+		}
+		ed := b.G.Edge(i)
+		sel *= ed.Sel
+		applied = append(applied, i)
+		// A connecting edge (u ⊆ S1, v ⊆ S2, w ⊆ S, or flipped) has its
+		// hypernodes on opposite sides, so it is always applied too.
+		var flipped bool
+		switch {
+		case ed.U.SubsetOf(S1) && ed.V.SubsetOf(S2):
+		case ed.U.SubsetOf(S2) && ed.V.SubsetOf(S1):
+			flipped = true
+		default:
+			continue
+		}
+		conn = append(conn, EdgeRef{Idx: i, Flipped: flipped})
+		if ed.Op != algebra.Join {
+			nonInner++
+			op = ed.Op
+			leftIsS1 = !flipped
+		}
+	}
+	b.edgeBuf, b.connBuf = applied, conn
 	if len(conn) == 0 {
 		// Not a csg-cmp-pair; callers are expected to have checked, so
 		// this indicates an enumeration bug.
 		panic(fmt.Sprintf("dp: EmitPair(%v,%v) without connecting edge", S1, S2))
 	}
-
-	// Operator recovery (§5.4): every hyperedge carries the operator it
-	// was derived from. Simple predicate edges carry the inner join. At
-	// most one connecting edge should be non-inner for TES-derived
-	// graphs; if several are, the latest wins and the event is counted.
-	op := algebra.Join
-	leftIsS1 := true
-	nonInner := 0
-	for _, ref := range conn {
-		e := b.G.Edge(ref.Idx)
-		if e.Op != algebra.Join {
-			nonInner++
-			op = e.Op
-			leftIsS1 = !ref.Flipped
-		}
-	}
 	if nonInner > 1 {
 		b.Engine.Stats.AmbiguousOps++
 	}
 
+	lh, lok := b.Engine.Lookup(S1)
+	rh, rok := b.Engine.Lookup(S2)
+	if !lok || !rok {
+		panic(fmt.Sprintf("dp: missing subplan for %v or %v", S1, S2))
+	}
+	l, r := side{rels: S1, h: lh}, side{rels: S2, h: rh}
+	if b.dependent {
+		l.free, r.free = b.G.FreeTables(S1), b.G.FreeTables(S2)
+	}
+
 	if op.Commutative() {
-		b.tryBuild(S1, S2, op, conn, false)
-		b.tryBuild(S2, S1, op, conn, true)
+		b.tryBuild(S, &l, &r, op, sel, false)
+		b.tryBuild(S, &r, &l, op, sel, true)
 		return
 	}
 	if leftIsS1 {
-		b.tryBuild(S1, S2, op, conn, false)
+		b.tryBuild(S, &l, &r, op, sel, false)
 	} else {
-		b.tryBuild(S2, S1, op, conn, true)
+		b.tryBuild(S, &r, &l, op, sel, true)
 	}
 }
 
-// tryBuild prices "left op right" and stores it through Engine.Improve
-// if it beats the incumbent for left ∪ right. connFlipped indicates that
-// the EdgeRef.Flipped flags in conn are relative to the swapped
-// orientation.
-func (b *Builder) tryBuild(left, right bitset.Set, op algebra.Op, conn []EdgeRef, connFlipped bool) {
-	e := b.Engine
-	lh, lok := e.Lookup(left)
-	rh, rok := e.Lookup(right)
-	if !lok || !rok {
-		panic(fmt.Sprintf("dp: missing subplan for %v or %v", left, right))
-	}
+// side is one argument of a csg-cmp-pair: its relations, the arena
+// handle of its best plan, and its free tables FT (empty when the graph
+// has no dependent relations).
+type side struct {
+	rels bitset.Set
+	h    int32
+	free bitset.Set
+}
 
+// tryBuild prices "left op right" over S = left ∪ right with the pair's
+// selectivity product and stores it through Engine.Improve if it beats
+// the incumbent for S. swapped indicates that left is the pair's second
+// side, so the EdgeRef.Flipped flags in connBuf are relative to the
+// other orientation.
+func (b *Builder) tryBuild(S bitset.Set, left, right *side, op algebra.Op, sel float64, swapped bool) {
+	e := b.Engine
 	// Dependency constraints (§5.6). The left argument must not reference
 	// the right side; if the right side references the left, the operator
 	// becomes its dependent counterpart.
-	if b.G.FreeTables(left).Overlaps(right) {
+	if left.free.Overlaps(right.rels) {
 		e.Stats.InvalidReject++
 		return
 	}
-	if b.G.FreeTables(right).Overlaps(left) {
+	if right.free.Overlaps(left.rels) {
 		op = op.DependentVariant()
 		if !op.Valid() {
 			e.Stats.InvalidReject++
@@ -404,41 +476,21 @@ func (b *Builder) tryBuild(left, right bitset.Set, op algebra.Op, conn []EdgeRef
 	}
 
 	if b.Filter != nil {
-		fc := conn
-		if connFlipped {
-			fc = b.flipRefs(conn)
+		fc := b.connBuf
+		if swapped {
+			fc = b.flipRefs(fc)
 		}
-		if !b.Filter(left, right, fc) {
+		if !b.Filter(left.rels, right.rels, fc) {
 			e.Stats.FilterReject++
 			return
 		}
 	}
 
-	// Predicate application (§3.5): a predicate is evaluated at the first
-	// node that covers all relations it references. For simple edges this
-	// is the join separating the two endpoints, but a hyperedge can
-	// become fully covered at a join that splits its hypernodes across
-	// sides in a way that never satisfies u ⊆ S1 ∧ v ⊆ S2; its
-	// selectivity must still be charged exactly once. We therefore apply
-	// every edge covered by S = left ∪ right but by neither child alone,
-	// which keeps cardinality estimates independent of the join order.
-	S := left.Union(right)
-	sel := 1.0
-	applied := b.edgeBuf[:0]
-	for i := 0; i < b.G.NumEdges(); i++ {
-		ed := b.G.Edge(i)
-		nodes := ed.Nodes()
-		if nodes.SubsetOf(S) && !nodes.SubsetOf(left) && !nodes.SubsetOf(right) {
-			sel *= ed.Sel
-			applied = append(applied, i)
-		}
-	}
-	b.edgeBuf = applied
 	if !e.ChargePlan() {
 		return
 	}
-	lcard, lcost := e.PlanInfo(lh)
-	rcard, rcost := e.PlanInfo(rh)
+	lcard, lcost := e.PlanInfo(left.h)
+	rcard, rcost := e.PlanInfo(right.h)
 	card := cost.EstimateCard(op, lcard, rcard, sel)
 	var (
 		c    float64
@@ -450,7 +502,7 @@ func (b *Builder) tryBuild(left, right bitset.Set, op algebra.Op, conn []EdgeRef
 		c = b.Model.JoinCost(op, lcost, rcost, lcard, rcard, card)
 	}
 
-	e.Improve(S, lh, rh, op, phys, card, c, applied)
+	e.Improve(S, left.h, right.h, op, phys, card, c, b.edgeBuf)
 }
 
 // flipRefs inverts the Flipped flags into the reusable flip buffer.

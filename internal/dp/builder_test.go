@@ -198,3 +198,41 @@ func TestHyperedgeSelectivityChargedOnce(t *testing.T) {
 		t.Errorf("card = %g, want 125 (hyperedge charged once)", p.Card)
 	}
 }
+
+// TestBuildPairAllocs pins the per-pair price stage allocation-free: on
+// a warmed builder, pricing a pair — edge pass, child lookups, free
+// tables, dependency checks, filter and Improve — allocates nothing.
+func TestBuildPairAllocs(t *testing.T) {
+	g := hypergraph.New()
+	g.AddRelations(4, "R", 10)
+	g.AddSimpleEdge(0, 1, 0.5)
+	g.AddSimpleEdge(2, 3, 0.5)
+	g.AddSimpleEdge(1, 2, 0.5)
+	g.AddEdge(hypergraph.Edge{U: bitset.New(0, 2), V: bitset.New(1, 3), Sel: 0.1})
+	dep := g.Clone()
+	dep.SetFree(3, bitset.New(0))
+	for _, c := range []struct {
+		name   string
+		g      *hypergraph.Graph
+		filter Filter
+	}{
+		{"plain", g, nil},
+		{"dependent", dep, nil},
+		{"filter", g, func(_, _ bitset.Set, conn []EdgeRef) bool { return len(conn) > 0 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewBuilder(c.g, cost.Cout{})
+			b.Filter = c.filter
+			b.Init()
+			b.Engine.EmitPair(bitset.New(0), bitset.New(1))
+			b.Engine.EmitPair(bitset.New(2), bitset.New(3))
+			S1, S2 := bitset.New(0, 1), bitset.New(2, 3)
+			if n := testing.AllocsPerRun(100, func() { b.BuildPair(S1, S2) }); n != 0 {
+				t.Errorf("BuildPair allocates %v times per pair, want 0", n)
+			}
+			if b.Best(bitset.Full(4)) == nil {
+				t.Fatal("no plan for the full set")
+			}
+		})
+	}
+}

@@ -191,10 +191,11 @@ func (p *Planner) recordSLO(st *Stats, s sloState, alg Algorithm, elapsed time.D
 // from this repository's benchmarks, which is enough to order the
 // ladder rungs — the only decision the router makes with them.
 
-// staticPairs approximates the number of csg-cmp-pairs a shape-matched
-// exact enumeration of an n-relation graph emits (§4.1): cubic for
-// chains and cycles, (n-1)·2^(n-2) for stars, ~3^n/2 for cliques, and
-// an intermediate exponential for grids and unclassified topologies.
+// staticPairs returns the number of csg-cmp-pairs a shape-matched exact
+// enumeration of an n-relation graph emits (§4.1): exactly for chains
+// ((n³-n)/6), cycles (n(n-1)²/2), stars ((n-1)·2^(n-2)) and cliques
+// ((3^n - 2^(n+1) + 1)/2), and approximately, by an intermediate
+// exponential, for grids and unclassified topologies.
 func staticPairs(shapeClass string, n int) float64 {
 	f := float64(n)
 	if f < 2 {
@@ -204,11 +205,11 @@ func staticPairs(shapeClass string, n int) float64 {
 	case "chain":
 		return (f*f*f - f) / 6
 	case "cycle":
-		return (f*f*f - f) / 3
+		return f * (f - 1) * (f - 1) / 2
 	case "star":
 		return (f - 1) * math.Exp2(f-2)
 	case "clique":
-		return (math.Pow(3, f) - math.Exp2(f+1) + 2) / 2
+		return (math.Pow(3, f) - math.Exp2(f+1) + 1) / 2
 	default: // grid, mixed, unclassified: denser than a star, sparser than a clique
 		return f * math.Exp2(f)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/counting"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -227,6 +228,25 @@ func TestStaticPairsMonotone(t *testing.T) {
 					class, n, got, n-1, prev)
 			}
 			prev = got
+		}
+	}
+	// The four §4.1 shapes have closed forms: each must equal the
+	// brute-force csg-cmp-pair count exactly.
+	cfg := workload.DefaultConfig()
+	for _, c := range []struct {
+		class string
+		gen   func(n int) *Graph
+	}{
+		{"chain", func(n int) *Graph { return workload.Chain(n, cfg) }},
+		{"cycle", func(n int) *Graph { return workload.Cycle(n, cfg) }},
+		{"star", func(n int) *Graph { return workload.Star(n, cfg) }},
+		{"clique", func(n int) *Graph { return workload.Clique(n, cfg) }},
+	} {
+		for n := 3; n <= 10; n++ {
+			want := counting.CountCsgCmpPairs(c.gen(n))
+			if got := staticPairs(c.class, n); got != float64(want) {
+				t.Errorf("%s: staticPairs(%d) = %g, want %d", c.class, n, got, want)
+			}
 		}
 	}
 }
