@@ -328,7 +328,7 @@ func BenchmarkMemo(b *testing.B) {
 	b.Run("deferred-buckets", func(b *testing.B) {
 		g := workload.Star(12, workload.DefaultConfig())
 		var recs []dp.PairRec
-		if _, _, err := core.Solve(g, core.Options{OnEmit: func(S1, S2 bitset.Set) {
+		if _, _, err := core.Solve(g, dp.Options{OnEmit: func(S1, S2 bitset.Set) {
 			recs = append(recs, dp.PairRec{S1: S1, S2: S2})
 		}}); err != nil {
 			b.Fatal(err)

@@ -146,9 +146,15 @@ func graphJSON(g *hypergraph.Graph) *QueryJSON {
 	return doc
 }
 
-// TestCacheHitAllocs bounds the allocations of a plan-cache hit: the key
+// raceAllocs is what the race detector adds to a BuildQuery+Plan hit
+// (see race_test.go); 0 in a normal build.
+var raceAllocs float64
+
+// TestCacheHitAllocs pins the allocations of a plan-cache hit: the key
 // is built without allocating and the plan is copied into two slabs, so
-// a hit costs a handful of allocations regardless of plan size.
+// a hit costs a handful of allocations regardless of plan size. Each
+// bound is the measured count, so a closure or struct that starts
+// escaping from the planning pipeline fails here.
 func TestCacheHitAllocs(t *testing.T) {
 	ctx := context.Background()
 	cfg := workload.DefaultConfig()
@@ -159,27 +165,28 @@ func TestCacheHitAllocs(t *testing.T) {
 	if _, err := p.PlanGraph(ctx, g); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() {
+	if n := testing.AllocsPerRun(200, func() {
 		if res, err := p.PlanGraph(ctx, g); err != nil || !res.Stats.CacheHit {
 			t.Fatalf("clique8 PlanGraph missed the cache (err=%v)", err)
 		}
-	}); n > 8 {
-		t.Errorf("clique8 PlanGraph hit: %v allocs, want <= 8", n)
+	}); n > 4 {
+		t.Errorf("clique8 PlanGraph hit: %v allocs, want <= 4", n)
 	}
 
 	for _, c := range []struct {
 		name string
 		g    *hypergraph.Graph
+		max  float64
 	}{
-		{"chain12", workload.Chain(12, cfg)},
-		{"cycle10", workload.Cycle(10, cfg)},
-		{"star11", workload.Star(11, cfg)},
+		{"chain12", workload.Chain(12, cfg), 9},
+		{"cycle10", workload.Cycle(10, cfg), 9},
+		{"star11", workload.Star(11, cfg), 10},
 	} {
 		doc := graphJSON(c.g)
 		if _, err := p.PlanJSON(ctx, doc); err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(100, func() {
+		if n := testing.AllocsPerRun(200, func() {
 			q, err := doc.BuildQuery()
 			if err != nil {
 				t.Fatal(err)
@@ -187,8 +194,8 @@ func TestCacheHitAllocs(t *testing.T) {
 			if res, err := p.Plan(ctx, q); err != nil || !res.Stats.CacheHit {
 				t.Fatalf("%s: BuildQuery+Plan missed the cache (err=%v)", c.name, err)
 			}
-		}); n > 12 {
-			t.Errorf("%s: BuildQuery+Plan hit: %v allocs, want <= 12", c.name, n)
+		}); n > c.max+raceAllocs {
+			t.Errorf("%s: BuildQuery+Plan hit: %v allocs, want <= %v", c.name, n, c.max+raceAllocs)
 		}
 	}
 }

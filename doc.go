@@ -39,7 +39,16 @@
 //	res, err := planner.PlanTree(ctx, t, expr)
 //
 // Raw hypergraphs (PlanGraph), JSON documents (PlanJSON), and query
-// batches (PlanBatch) have their own entry points on Planner.
+// batches (PlanBatch) have their own entry points on Planner. A Query's
+// §2.1 connectivity repair runs exactly once, on its first planning
+// call, so planning the same Query repeatedly is idempotent.
+//
+// Every entry point runs one pipeline with explicit stages: route
+// (resolve SolverAuto and the worker count), cache (look the call up in
+// the plan cache), enumerate (run the solver, with the Greedy fallback
+// after a budget trip), account (session counters), fill (store the
+// plan in the cache) and finish. A cache hit skips from the cache stage
+// to finish, so hits and misses share one epilogue.
 //
 // # Cancellation and budgets
 //
@@ -105,10 +114,13 @@
 //
 //   - Enumerators (internal/core, internal/dpsize, internal/dpsub,
 //     internal/dpccp, internal/topdown, internal/goo) are pure: they
-//     own nothing but their traversal order. Each run seeds base
-//     relations with EmitBase, proposes csg-cmp-pairs with EmitPair,
-//     and uses Contains/Step/Aborted for its connectivity tests and
-//     cancellation polling. No solver carries its own memo map.
+//     own nothing but their traversal order. All six run under one
+//     contract, dp.Options and dp.Run: Run takes an engine from the
+//     pool, applies the hooks and limits, rejects an empty graph, seeds
+//     the base relations and materializes the final plan, so a solver
+//     only proposes csg-cmp-pairs with EmitPair and uses
+//     Contains/Step/Aborted for its connectivity tests and cancellation
+//     polling. No solver carries its own memo map.
 //   - The memo engine (internal/memo) owns storage and accounting: an
 //     open-addressing hash table specialized for the uint64 relation-set
 //     keys (Fibonacci hashing, linear probing, power-of-two growth), a
@@ -364,21 +376,6 @@
 // threshold. Service logging is structured (log/slog) with a request
 // id shared between the access and plan records.
 //
-// # Compatibility wrappers
-//
-// The historical one-shot entry points remain and are thin wrappers
-// over a lazily-initialized process-wide session (see DefaultPlanner):
-//
-//   - Query.Optimize(opts...) ≡ DefaultPlanner().Plan(context.Background(), q, opts...)
-//   - TreeQuery.Optimize(root, opts...) ≡ DefaultPlanner().PlanTree(...)
-//   - OptimizeGraph(g, opts...) ≡ DefaultPlanner().PlanGraph(...)
-//   - OptimizeJSON(doc, opts...) ≡ DefaultPlanner().PlanJSON(...)
-//
-// They keep compiling and return the same plans as before; they now
-// additionally benefit from the default planner's cache and pooling. A
-// Query's §2.1 connectivity repair runs exactly once, on its first
-// planning call, so repeated Optimize calls are idempotent.
-//
 // # Algorithms
 //
 // Six enumeration strategies share one memo engine and plan-construction
@@ -413,8 +410,10 @@
 //   - hyperedges present → DPhyp (Figs. 5/6: lowest on every hyperedge
 //     workload)
 //   - star → DPhyp (Fig. 7: DPhyp ≪ DPsub < DPsize)
-//   - chain → DPsize, cycle → DPccp (all exact solvers are close on
-//     sparse simple shapes; these have the smallest constants)
+//   - chain → DPsize, cycle → DPccp (on cycles of 4–24 relations DPccp
+//     takes 0.90–1.00× of serial DPhyp's time; on chains of 8–24,
+//     serial DPhyp takes 0.36–0.67× of DPsize's, so the chain route is
+//     a measured loss awaiting a calibrated route table)
 //   - clique → TopDown (every subset is connected, so the failing
 //     connectivity tests that dominate elsewhere vanish)
 //   - grid/mixed → DPhyp (the overall winner)

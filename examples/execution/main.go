@@ -75,7 +75,7 @@ func main() {
 	tr, err := optree.Analyze(root, rels, optree.Conservative)
 	must(err)
 	g := tr.Hypergraph(optree.TESEdges)
-	p, stats, err := core.Solve(g, core.Options{Limits: dp.Limits{Ctx: context.Background()}})
+	p, stats, err := core.Solve(g, dp.Options{Limits: dp.Limits{Ctx: context.Background()}})
 	must(err)
 	fmt.Println("\nDPhyp-optimized plan over the TES-derived hypergraph:")
 	fmt.Print(p)

@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitset"
-	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/memo"
@@ -41,64 +40,17 @@ import (
 	"repro/internal/plan"
 )
 
-// Options configures a DPhyp run.
-type Options struct {
-	// Model is the cost model; cost.Default() when nil.
-	Model cost.Model
+// Options is dp.Options under the name cmd/planbench uses.
+type Options = dp.Options
 
-	// Filter enables the generate-and-test paradigm of §5.8: candidate
-	// plans are enumerated from the (smaller-edged) graph and rejected
-	// late, inside EmitCsgCmp. Used to reproduce the "DPhyp TESs" curve
-	// of Fig. 8a. Nil for the pure hypergraph-driven mode.
-	Filter dp.Filter
-
-	// OnEmit observes csg-cmp-pairs in emission order (tests, traces).
-	OnEmit func(S1, S2 bitset.Set)
-
-	// Trace, when non-nil, records the traversal steps analogous to
-	// Fig. 3.
-	Trace *Trace
-
-	// Explain, when non-nil, receives phase spans for the run (the
-	// engine records the materialize phase; the planner wraps the whole
-	// enumeration). Unlike Trace/OnEmit it does not force the serial
-	// engine — spans are recorded at phase boundaries by the
-	// orchestrating goroutine, never by workers.
-	Explain *obs.Trace
-
-	// Limits bounds the run: cancellation is polled inside the
-	// enumeration recursion, and budget trips abort with
-	// dp.ErrBudgetExhausted. The zero value imposes no bounds.
-	Limits dp.Limits
-
-	// Pool, when non-nil, supplies recycled memo engines (table,
-	// arena, and backend scratch) from previous runs.
-	Pool *memo.Pool
-
-	// Parallelism > 1 enables the parallel spine: the csg-cmp
-	// enumeration itself is partitioned across workers by start vertex
-	// (every csg grown from vertex v has min = v, so its intra-vertex
-	// membership tests are worker-local), with cross-vertex membership
-	// — complements whose minimum is a vertex possibly still in flight
-	// on another worker — answered by a structural Definition-3
-	// connectivity test cached per worker. Under the dp.ParallelSafe
-	// admissibility precheck table membership is exactly connectivity,
-	// so the partitioned enumeration admits the same pairs as the
-	// serial order. Admitted pairs are collected per worker and then
-	// priced level-by-level across workers (dp.ParRun.PriceLevels).
-	// Graphs failing the precheck fall back to the serial engine.
-	// 0 or 1 runs today's serial engine.
-	Parallelism int
-}
-
-// Solver runs DPhyp over one hypergraph. It is a pure enumerator: all
+// solver runs DPhyp over one hypergraph. It is a pure enumerator: all
 // memoization, budget accounting, and plan construction route through
 // the memo engine (e) and its dp.Builder backend (b).
-type Solver struct {
-	g    *hypergraph.Graph
-	e    *memo.Engine
-	b    *dp.Builder
-	opts Options
+type solver struct {
+	g     *hypergraph.Graph
+	e     *memo.Engine
+	b     *dp.Builder
+	trace *dp.Trace
 
 	// emit and contains are the enumeration's two memo touch points.
 	// In the serial mode they are the engine's EmitPair/Contains; the
@@ -113,69 +65,38 @@ type Solver struct {
 	sc hypergraph.NeighborScratch
 }
 
-// New prepares a solver. The graph must stay unmodified during Run.
-func New(g *hypergraph.Graph, opts Options) *Solver {
-	e, b := dp.NewRun(opts.Pool, g, opts.Model)
-	b.Filter = opts.Filter
-	e.OnEmit = opts.OnEmit
-	e.SetLimits(opts.Limits)
-	e.SetTrace(opts.Explain)
-	s := &Solver{g: g, e: e, b: b, opts: opts}
-	s.emit = e.EmitPair
-	s.contains = e.Contains
-	return s
-}
-
-// Solve is the convenience entry point: it runs DPhyp on g and returns
-// the optimal bushy plan without cross products. When opts.Pool is set,
-// the engine's scratch state is returned to the pool before Solve
-// returns (the plan itself is materialized out of the arena and stays
-// valid).
-func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
-	s := New(g, opts)
-	p, err := s.Run()
-	st := s.Stats()
-	opts.Pool.Put(s.e)
-	return p, st, err
-}
-
-// Stats returns the enumeration statistics of the last Run.
-func (s *Solver) Stats() dp.Stats { return s.e.Stats }
-
-// Engine exposes the memo engine (read-only use) for tests and tooling.
-func (s *Solver) Engine() *memo.Engine { return s.e }
-
-// Run executes the Solve routine of §3.1.
-func (s *Solver) Run() (*plan.Node, error) {
-	n := s.g.NumRels()
-	if n == 0 {
-		return nil, errEmpty
-	}
-	s.b.Init()
-	s.opts.Trace.init(n)
-
-	// Mirror the planner's serial gates for direct solver callers:
-	// filters may carry shared per-analysis state, and hooks/traces need
-	// the serial emission order (dp.ParallelSafe additionally requires
-	// cost-free pair acceptance for the deferred mode).
-	if s.opts.Parallelism > 1 && s.opts.Filter == nil && s.opts.OnEmit == nil &&
-		s.opts.Trace == nil && dp.ParallelSafe(s.g) {
-		return s.runParallel(n)
-	}
-	s.enumerate(n)
-	return s.b.Final()
+// Solve runs DPhyp (the Solve routine of §3.1) on g and returns the
+// optimal bushy plan without cross products. The graph must stay
+// unmodified during the run.
+//
+// With more than one worker (see dp.Options.Parallelism) and a graph
+// that passes the dp.ParallelSafe admissibility precheck, the csg-cmp
+// enumeration itself is partitioned across workers by start vertex
+// (see runParallel); other graphs run the serial engine.
+func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
+	return dp.Run(g, opts, func(b *dp.Builder, workers int) error {
+		s := &solver{g: g, e: b.Engine, b: b, trace: opts.Trace}
+		if workers > 1 && dp.ParallelSafe(g) {
+			s.runParallel(workers, opts.Explain)
+			return nil
+		}
+		s.emit = s.e.EmitPair
+		s.contains = s.e.Contains
+		s.enumerate()
+		return nil
+	})
 }
 
 // enumerate drives the §3.1 outer loop, feeding pairs to s.emit.
 //
 //dp:hotpath
-func (s *Solver) enumerate(n int) {
+func (s *solver) enumerate() {
 	// "for each v ∈ V descending according to ≺: EmitCsg({v});
 	// EnumerateCsgRec({v}, B_v)"
-	for v := n - 1; v >= 0 && s.e.Aborted() == nil; v-- {
+	for v := s.g.NumRels() - 1; v >= 0 && s.e.Aborted() == nil; v-- {
 		S := bitset.Single(v)
 		su := s.g.SimpleNeighborUnion(S)
-		s.opts.Trace.add(StepStartNode, S, bitset.Empty)
+		s.trace.Add(dp.StepStartNode, S, bitset.Empty)
 		s.emitCsg(S, su)
 		s.enumerateCsgRec(S, bitset.BelowEq(v), su)
 	}
@@ -205,10 +126,12 @@ func (s *Solver) enumerate(n int) {
 // workers' pair counters; their tables carry no plans), the recorded
 // pairs are bucketed by result-set size through the pooled
 // dp.ParRun.Buckets and priced level-by-level across the same workers.
-func (s *Solver) runParallel(n int) (*plan.Node, error) {
-	pr := dp.NewParRun(s.b, s.opts.Parallelism)
+// The collect and price phases are recorded as spans into explain.
+func (s *solver) runParallel(workers int, explain *obs.Trace) {
+	n := s.g.NumRels()
+	pr := dp.NewParRun(s.b, workers)
 	pr.Par.StartLevel()
-	collect := s.opts.Explain.Start(obs.PhaseCollect)
+	collect := explain.Start(obs.PhaseCollect)
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
@@ -221,7 +144,7 @@ func (s *Solver) runParallel(n int) (*plan.Node, error) {
 			defer wg.Done()
 			conn := we.Scratch(1 << uint(min(n, 12)))
 			var cs hypergraph.ConnScratch
-			col := &Solver{g: s.g, e: we, b: wb}
+			col := &solver{g: s.g, e: we, b: wb}
 			col.emit = func(S1, S2 bitset.Set) {
 				if we.EmitDeferred(S1, S2) {
 					wb.DeferPair(S1, S2)
@@ -253,15 +176,14 @@ func (s *Solver) runParallel(n int) (*plan.Node, error) {
 	}
 	wg.Wait()
 	pr.Par.FinishLevel(memo.LevelCollected)
-	s.opts.Explain.Annotate(collect, int64(s.e.Stats.CsgCmpPairs), 0, s.opts.Parallelism, 0)
-	s.opts.Explain.End(collect)
+	explain.Annotate(collect, int64(s.e.Stats.CsgCmpPairs), 0, workers, 0)
+	explain.End(collect)
 	if pr.Par.Aborted() == nil {
-		price := s.opts.Explain.Start(obs.PhasePrice)
+		price := explain.Start(obs.PhasePrice)
 		pr.PriceLevels(pr.Buckets(n))
-		s.opts.Explain.Annotate(price, 0, s.e.Entries(), s.opts.Parallelism, 0)
-		s.opts.Explain.End(price)
+		explain.Annotate(price, 0, s.e.Entries(), workers, 0)
+		explain.End(price)
 	}
-	return s.b.Final()
 }
 
 // enumerateCsgRec extends the connected subgraph S1 (§3.2). X is the set
@@ -270,7 +192,7 @@ func (s *Solver) runParallel(n int) (*plan.Node, error) {
 // the incrementally maintained SimpleNeighborUnion of S1.
 //
 //dp:hotpath
-func (s *Solver) enumerateCsgRec(S1, X, su bitset.Set) {
+func (s *solver) enumerateCsgRec(S1, X, su bitset.Set) {
 	if !s.e.Step() {
 		return
 	}
@@ -287,7 +209,7 @@ func (s *Solver) enumerateCsgRec(S1, X, su bitset.Set) {
 		}
 		next := S1.Union(n)
 		if s.contains(next) {
-			s.opts.Trace.add(StepCsg, next, bitset.Empty)
+			s.trace.Add(dp.StepCsg, next, bitset.Empty)
 			s.emitCsg(next, su.Union(s.g.SimpleNeighborUnion(n)))
 		}
 		if n.Equal(N) {
@@ -310,7 +232,7 @@ func (s *Solver) enumerateCsgRec(S1, X, su bitset.Set) {
 // subgraph S1 (§3.3). su is the SimpleNeighborUnion of S1.
 //
 //dp:hotpath
-func (s *Solver) emitCsg(S1, su bitset.Set) {
+func (s *solver) emitCsg(S1, su bitset.Set) {
 	if !s.e.Step() {
 		return
 	}
@@ -326,7 +248,7 @@ func (s *Solver) emitCsg(S1, su bitset.Set) {
 		// contain representatives of larger hypernodes that do not yet
 		// connect (§3.3's step 20: no edge between {R1,R2,R3} and {R4}).
 		if s.g.ConnectsTo(S1, S2) {
-			s.opts.Trace.add(StepCmp, S1, S2)
+			s.trace.Add(dp.StepCmp, S1, S2)
 			s.emit(S1, S2)
 		}
 		// Forbid the smaller-ordered neighbors while growing this seed so
@@ -351,7 +273,7 @@ func prevElem(N bitset.Set, v int) int {
 // SimpleNeighborUnion of S2.
 //
 //dp:hotpath
-func (s *Solver) enumerateCmpRec(S1, S2, X, su bitset.Set) {
+func (s *solver) enumerateCmpRec(S1, S2, X, su bitset.Set) {
 	if !s.e.Step() {
 		return
 	}
@@ -366,7 +288,7 @@ func (s *Solver) enumerateCmpRec(S1, S2, X, su bitset.Set) {
 		next := S2.Union(n)
 		// "if dpTable[S2 ∪ N] ≠ ∅ ∧ ∃(u,v) ∈ E : u ⊆ S1 ∧ v ⊆ S2 ∪ N"
 		if s.contains(next) && s.g.ConnectsTo(S1, next) {
-			s.opts.Trace.add(StepCmp, S1, next)
+			s.trace.Add(dp.StepCmp, S1, next)
 			s.emit(S1, next)
 		}
 		if n.Equal(N) {
@@ -382,9 +304,3 @@ func (s *Solver) enumerateCmpRec(S1, S2, X, su bitset.Set) {
 		}
 	}
 }
-
-type solverError string
-
-func (e solverError) Error() string { return string(e) }
-
-const errEmpty = solverError("dphyp: empty hypergraph")

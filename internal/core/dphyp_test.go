@@ -51,7 +51,7 @@ func cliqueGraph(n int) *hypergraph.Graph {
 func collectPairs(t *testing.T, g *hypergraph.Graph) []counting.Pair {
 	t.Helper()
 	var pairs []counting.Pair
-	_, _, err := Solve(g, Options{OnEmit: func(s1, s2 bitset.Set) {
+	_, _, err := Solve(g, dp.Options{OnEmit: func(s1, s2 bitset.Set) {
 		pairs = append(pairs, counting.Pair{S1: s1, S2: s2})
 	}})
 	if err != nil {
@@ -118,7 +118,7 @@ func TestExactCcpsPaperExample(t *testing.T) {
 
 func TestPaperExampleStats(t *testing.T) {
 	g := hypergraph.PaperExampleGraph()
-	p, stats, err := Solve(g, Options{})
+	p, stats, err := Solve(g, dp.Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestOptimalityAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 3 + rng.Intn(5)
 		g := randomHypergraph(rng, n)
-		p, _, err := Solve(g, Options{})
+		p, _, err := Solve(g, dp.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -216,7 +216,7 @@ func TestNoCrossProducts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		g := randomHypergraph(rng, 3+rng.Intn(6))
-		p, _, err := Solve(g, Options{})
+		p, _, err := Solve(g, dp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,8 +239,8 @@ func TestNoCrossProducts(t *testing.T) {
 // are grown through the canonical node R4.
 func TestTracePaperExample(t *testing.T) {
 	g := hypergraph.PaperExampleGraph()
-	tr := &Trace{}
-	if _, _, err := Solve(g, Options{Trace: tr}); err != nil {
+	tr := &dp.Trace{}
+	if _, _, err := Solve(g, dp.Options{Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	pairs := tr.Pairs()
@@ -260,7 +260,7 @@ func TestDisconnectedGraphFails(t *testing.T) {
 	g := hypergraph.New()
 	g.AddRelations(3, "R", 10)
 	g.AddSimpleEdge(0, 1, 0.5)
-	if _, _, err := Solve(g, Options{}); err == nil {
+	if _, _, err := Solve(g, dp.Options{}); err == nil {
 		t.Error("disconnected graph must fail")
 	}
 	// Definition-3 disconnection (hyperedge into an internally
@@ -268,13 +268,13 @@ func TestDisconnectedGraphFails(t *testing.T) {
 	g2 := hypergraph.New()
 	g2.AddRelations(3, "R", 10)
 	g2.AddEdge(hypergraph.Edge{U: bitset.New(0), V: bitset.New(1, 2), Sel: 0.5})
-	if _, _, err := Solve(g2, Options{}); err == nil {
+	if _, _, err := Solve(g2, dp.Options{}); err == nil {
 		t.Error("Definition-3 disconnected graph must fail")
 	}
 }
 
 func TestEmptyGraphFails(t *testing.T) {
-	if _, _, err := Solve(hypergraph.New(), Options{}); err == nil {
+	if _, _, err := Solve(hypergraph.New(), dp.Options{}); err == nil {
 		t.Error("empty graph must fail")
 	}
 }
@@ -282,7 +282,7 @@ func TestEmptyGraphFails(t *testing.T) {
 func TestSingleRelation(t *testing.T) {
 	g := hypergraph.New()
 	g.AddRelation("only", 42)
-	p, stats, err := Solve(g, Options{})
+	p, stats, err := Solve(g, dp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestSingleRelation(t *testing.T) {
 func TestFilterRejectsEverything(t *testing.T) {
 	g := chainGraph(3)
 	reject := func(left, right bitset.Set, conn []dp.EdgeRef) bool { return false }
-	_, stats, err := Solve(g, Options{Filter: reject})
+	_, stats, err := Solve(g, dp.Options{Filter: reject})
 	if err == nil {
 		t.Error("all-rejecting filter must leave no final plan")
 	}
@@ -309,11 +309,11 @@ func TestFilterRejectsEverything(t *testing.T) {
 func TestFilterPassthroughMatchesUnfiltered(t *testing.T) {
 	g := cycleGraph(6)
 	accept := func(left, right bitset.Set, conn []dp.EdgeRef) bool { return true }
-	p1, s1, err := Solve(g, Options{})
+	p1, s1, err := Solve(g, dp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, s2, err := Solve(g, Options{Filter: accept})
+	p2, s2, err := Solve(g, dp.Options{Filter: accept})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestGeneralizedHyperedge(t *testing.T) {
 	// Definition-3-valid root partition is ({R0,R1}, {R2}) with R1 placed
 	// on the left of the generalized edge.
 	g.AddEdge(hypergraph.Edge{U: bitset.New(0), V: bitset.New(2), W: bitset.New(1), Sel: 0.2})
-	p, _, err := Solve(g, Options{})
+	p, _, err := Solve(g, dp.Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -355,7 +355,7 @@ func TestGeneralizedHyperedge(t *testing.T) {
 	g2 := hypergraph.New()
 	g2.AddRelations(3, "R", 100)
 	g2.AddEdge(hypergraph.Edge{U: bitset.New(0), V: bitset.New(2), W: bitset.New(1), Sel: 0.2})
-	if _, _, err := Solve(g2, Options{}); err == nil {
+	if _, _, err := Solve(g2, dp.Options{}); err == nil {
 		t.Error("graph with stranded w-relation must have no plan")
 	}
 }
@@ -367,7 +367,7 @@ func TestStatsMatchLowerBound(t *testing.T) {
 		chainGraph(6), cycleGraph(6), starGraph(6), cliqueGraph(5),
 		hypergraph.PaperExampleGraph(),
 	} {
-		_, stats, err := Solve(g, Options{})
+		_, stats, err := Solve(g, dp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +386,7 @@ func BenchmarkDPhypClique10(b *testing.B) { benchGraph(b, cliqueGraph(10)) }
 func benchGraph(b *testing.B, g *hypergraph.Graph) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Solve(g, Options{}); err != nil {
+		if _, _, err := Solve(g, dp.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/workload"
 )
@@ -44,7 +45,7 @@ func TestSplitsMonotoneSearchSpace(t *testing.T) {
 	for fi, family := range families {
 		prev := -1
 		for splits := 0; splits <= 3; splits++ {
-			_, stats, err := Solve(family(splits), Options{})
+			_, stats, err := Solve(family(splits), dp.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

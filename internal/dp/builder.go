@@ -13,6 +13,10 @@
 // filter (the TES-check alternative measured in Fig. 8a), estimating
 // cardinalities, and costing both orientations of commutative operators
 // — and materializes the winning plan tree out of the engine's arena.
+//
+// The package also holds the run contract the solvers share: Options
+// configures any of them, and Run does the set-up and epilogue of every
+// run, so a solver contributes only its enumeration order.
 package dp
 
 import (
@@ -300,7 +304,7 @@ func ParallelSafe(g *hypergraph.Graph) bool {
 
 // NewBuilder returns a Builder over g with a fresh engine, for tests and
 // tooling that drive plan construction directly. Production runs go
-// through NewRun.
+// through Run.
 func NewBuilder(g *hypergraph.Graph, m cost.Model) *Builder {
 	_, b := NewRun(nil, g, m)
 	return b

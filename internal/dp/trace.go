@@ -1,4 +1,4 @@
-package core
+package dp
 
 import (
 	"fmt"
@@ -43,20 +43,19 @@ type Step struct {
 // the hot path stays branch-cheap.
 type Trace struct {
 	Steps []Step
-	n     int
 }
 
-//dp:coldpath trace capture is a debugging mode, never enabled on production runs
-func (t *Trace) init(n int) {
-	if t == nil {
-		return
+// reset empties the trace at the start of a run (see Run).
+func (t *Trace) reset() {
+	if t != nil {
+		t.Steps = t.Steps[:0]
 	}
-	t.Steps = t.Steps[:0]
-	t.n = n
 }
 
+// Add records one traversal event.
+//
 //dp:coldpath trace capture is a debugging mode, never enabled on production runs
-func (t *Trace) add(kind StepKind, s1, s2 bitset.Set) {
+func (t *Trace) Add(kind StepKind, s1, s2 bitset.Set) {
 	if t == nil {
 		return
 	}

@@ -19,27 +19,11 @@ package dpccp
 
 import (
 	"repro/internal/bitset"
-	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/memo"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
-
-// Options mirrors the options of the other enumerators.
-type Options struct {
-	Model  cost.Model
-	Filter dp.Filter
-	OnEmit func(S1, S2 bitset.Set)
-	Limits dp.Limits
-	Pool   *memo.Pool
-
-	// Explain, when non-nil, receives phase spans for the run (the
-	// engine records the materialize phase; the planner wraps the whole
-	// enumeration).
-	Explain *obs.Trace
-}
 
 type solver struct {
 	g *hypergraph.Graph
@@ -47,32 +31,21 @@ type solver struct {
 }
 
 // Solve runs DPccp over the simple graph g.
-func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
+func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
 	for i := 0; i < g.NumEdges(); i++ {
 		if !g.Edge(i).Simple() {
 			panic("dpccp: hyperedge in input graph; DPccp handles simple graphs only")
 		}
 	}
-	e, b := dp.NewRun(opts.Pool, g, opts.Model)
-	defer opts.Pool.Put(e)
-	b.Filter = opts.Filter
-	e.OnEmit = opts.OnEmit
-	e.SetLimits(opts.Limits)
-	e.SetTrace(opts.Explain)
-	n := g.NumRels()
-	if n == 0 {
-		return nil, e.Stats, errEmpty
-	}
-	b.Init()
-
-	s := &solver{g: g, e: e}
-	for v := n - 1; v >= 0 && e.Aborted() == nil; v-- {
-		S := bitset.Single(v)
-		s.emitCmp(S)
-		s.enumerateCsgRec(S, bitset.BelowEq(v))
-	}
-	p, err := b.Final()
-	return p, e.Stats, err
+	return dp.Run(g, opts, func(b *dp.Builder, _ int) error {
+		s := &solver{g: g, e: b.Engine}
+		for v := g.NumRels() - 1; v >= 0 && s.e.Aborted() == nil; v-- {
+			S := bitset.Single(v)
+			s.emitCmp(S)
+			s.enumerateCsgRec(S, bitset.BelowEq(v))
+		}
+		return nil
+	})
 }
 
 // enumerateCsgRec grows connected subgraphs along the adjacency
@@ -153,9 +126,3 @@ func prevElem(N bitset.Set, v int) int {
 	}
 	return below.Max()
 }
-
-type solverError string
-
-func (e solverError) Error() string { return string(e) }
-
-const errEmpty = solverError("dpccp: empty graph")

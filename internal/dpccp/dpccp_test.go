@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/counting"
+	"repro/internal/dp"
 	"repro/internal/hypergraph"
 )
 
@@ -34,10 +35,10 @@ func TestIdenticalSequenceToDPhyp(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		g := randomSimpleGraph(rng, 3+rng.Intn(7))
 		var ccp, hyp []counting.Pair
-		p1, _, err1 := Solve(g, Options{OnEmit: func(a, b bitset.Set) {
+		p1, _, err1 := Solve(g, dp.Options{OnEmit: func(a, b bitset.Set) {
 			ccp = append(ccp, counting.Pair{S1: a, S2: b})
 		}})
-		p2, _, err2 := core.Solve(g, core.Options{OnEmit: func(a, b bitset.Set) {
+		p2, _, err2 := core.Solve(g, dp.Options{OnEmit: func(a, b bitset.Set) {
 			hyp = append(hyp, counting.Pair{S1: a, S2: b})
 		}})
 		if err1 != nil || err2 != nil {
@@ -65,7 +66,7 @@ func TestMeetsLowerBound(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		g := randomSimpleGraph(rng, 3+rng.Intn(6))
 		var got []counting.Pair
-		if _, stats, err := Solve(g, Options{OnEmit: func(a, b bitset.Set) {
+		if _, stats, err := Solve(g, dp.Options{OnEmit: func(a, b bitset.Set) {
 			got = append(got, counting.Normalize(a, b))
 		}}); err != nil {
 			t.Fatal(err)
@@ -89,11 +90,11 @@ func TestPanicsOnHyperedge(t *testing.T) {
 			t.Error("hyperedge input must panic")
 		}
 	}()
-	Solve(g, Options{})
+	Solve(g, dp.Options{})
 }
 
 func TestEmptyFails(t *testing.T) {
-	if _, _, err := Solve(hypergraph.New(), Options{}); err == nil {
+	if _, _, err := Solve(hypergraph.New(), dp.Options{}); err == nil {
 		t.Error("empty graph must fail")
 	}
 }
@@ -101,7 +102,7 @@ func TestEmptyFails(t *testing.T) {
 func TestDisconnectedFails(t *testing.T) {
 	g := hypergraph.New()
 	g.AddRelations(2, "R", 10)
-	if _, _, err := Solve(g, Options{}); err == nil {
+	if _, _, err := Solve(g, dp.Options{}); err == nil {
 		t.Error("disconnected graph must fail")
 	}
 }

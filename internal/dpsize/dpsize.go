@@ -21,55 +21,28 @@ package dpsize
 
 import (
 	"repro/internal/bitset"
-	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/memo"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
-// Options configures a DPsize run. It mirrors core.Options so that the
-// baselines run under identical cost models, filters, and limits.
-type Options struct {
-	Model  cost.Model
-	Filter dp.Filter
-	OnEmit func(S1, S2 bitset.Set)
-	Limits dp.Limits
-	Pool   *memo.Pool
-
-	// Explain, when non-nil, receives phase spans for the run (the
-	// engine records the materialize phase; the planner wraps the whole
-	// enumeration).
-	Explain *obs.Trace
-}
-
 // Solve runs DPsize over g and returns the optimal bushy cross-product-
 // free plan, enumeration statistics, and an error if no plan exists.
-func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
-	e, b := dp.NewRun(opts.Pool, g, opts.Model)
-	defer opts.Pool.Put(e)
-	b.Filter = opts.Filter
-	e.OnEmit = opts.OnEmit
-	e.SetLimits(opts.Limits)
-	e.SetTrace(opts.Explain)
-	n := g.NumRels()
-	if n == 0 {
-		return nil, e.Stats, errEmpty
-	}
-	b.Init()
-
-	// bySize[s] lists the connected subgraphs of size s discovered so
-	// far. Entries of size s are only created while processing plan size
-	// s, so collecting after each round keeps the lists complete.
-	bySize := make([][]bitset.Set, n+1)
-	for i := 0; i < n; i++ {
-		bySize[1] = append(bySize[1], bitset.Single(i))
-	}
-
-	enumerate(g, e, bySize, n)
-	p, err := b.Final()
-	return p, e.Stats, err
+func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
+	return dp.Run(g, opts, func(b *dp.Builder, _ int) error {
+		// bySize[s] lists the connected subgraphs of size s discovered
+		// so far. Entries of size s are only created while processing
+		// plan size s, so collecting after each round keeps the lists
+		// complete.
+		n := g.NumRels()
+		bySize := make([][]bitset.Set, n+1)
+		for i := 0; i < n; i++ {
+			bySize[1] = append(bySize[1], bitset.Single(i))
+		}
+		enumerate(g, b.Engine, bySize, n)
+		return nil
+	})
 }
 
 // enumerate is the DPsize loop nest of Fig. 3: all (S1, S2)
@@ -119,9 +92,3 @@ func collectSize(e *memo.Engine, bySize [][]bitset.Set, s int) {
 		}
 	})
 }
-
-type solverError string
-
-func (e solverError) Error() string { return string(e) }
-
-const errEmpty = solverError("dpsize: empty hypergraph")

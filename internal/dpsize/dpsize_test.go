@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/counting"
+	"repro/internal/dp"
 	"repro/internal/hypergraph"
 )
 
@@ -67,7 +68,7 @@ func TestEmitsExactPairSet(t *testing.T) {
 		chainGraph(6), cycleGraph(6), starGraph(6), hypergraph.PaperExampleGraph(),
 	} {
 		var got []counting.Pair
-		_, _, err := Solve(g, Options{OnEmit: func(s1, s2 bitset.Set) {
+		_, _, err := Solve(g, dp.Options{OnEmit: func(s1, s2 bitset.Set) {
 			got = append(got, counting.Normalize(s1, s2))
 		}})
 		if err != nil {
@@ -98,8 +99,8 @@ func TestAgreesWithDPhyp(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 40; trial++ {
 		g := randomHypergraph(rng, 3+rng.Intn(6))
-		p1, _, err1 := Solve(g, Options{})
-		p2, _, err2 := core.Solve(g, core.Options{})
+		p1, _, err1 := Solve(g, dp.Options{})
+		p2, _, err2 := core.Solve(g, dp.Options{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d: dpsize err=%v dphyp err=%v", trial, err1, err2)
 		}
@@ -116,7 +117,7 @@ func TestOptimalAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 25; trial++ {
 		g := randomHypergraph(rng, 3+rng.Intn(4))
-		p, _, err := Solve(g, Options{})
+		p, _, err := Solve(g, dp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,13 +134,13 @@ func TestOptimalAgainstBruteForce(t *testing.T) {
 func TestDisconnectedFails(t *testing.T) {
 	g := hypergraph.New()
 	g.AddRelations(2, "R", 10)
-	if _, _, err := Solve(g, Options{}); err == nil {
+	if _, _, err := Solve(g, dp.Options{}); err == nil {
 		t.Error("disconnected graph must fail")
 	}
 }
 
 func TestEmptyFails(t *testing.T) {
-	if _, _, err := Solve(hypergraph.New(), Options{}); err == nil {
+	if _, _, err := Solve(hypergraph.New(), dp.Options{}); err == nil {
 		t.Error("empty graph must fail")
 	}
 }
@@ -147,7 +148,7 @@ func TestEmptyFails(t *testing.T) {
 func TestSingleRelation(t *testing.T) {
 	g := hypergraph.New()
 	g.AddRelation("only", 7)
-	p, stats, err := Solve(g, Options{})
+	p, stats, err := Solve(g, dp.Options{})
 	if err != nil || !p.IsLeaf() {
 		t.Fatalf("p=%v err=%v", p, err)
 	}
@@ -160,11 +161,11 @@ func TestSingleRelation(t *testing.T) {
 // paper's complexity point in one assertion.
 func TestWastedWorkExceedsDPhyp(t *testing.T) {
 	g := starGraph(8)
-	_, sizeStats, err := Solve(g, Options{})
+	_, sizeStats, err := Solve(g, dp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hypStats, err := core.Solve(g, core.Options{})
+	_, hypStats, err := core.Solve(g, dp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

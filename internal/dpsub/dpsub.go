@@ -21,68 +21,35 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitset"
-	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/memo"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
-// Options mirrors the options of the other enumerators.
-type Options struct {
-	Model  cost.Model
-	Filter dp.Filter
-	OnEmit func(S1, S2 bitset.Set)
-	Limits dp.Limits
-	Pool   *memo.Pool
-
-	// Explain, when non-nil, receives phase spans for the run (the
-	// engine records the materialize phase; the planner wraps the whole
-	// enumeration). Unlike OnEmit it does not force the serial engine.
-	Explain *obs.Trace
-
-	// Parallelism > 1 switches to the level-synchronous parallel
-	// enumeration: relation sets are processed by ascending size
-	// instead of ascending integer value (every proper subset still
-	// precedes its supersets), and the sets of one size — whose Θ(2^|S|)
-	// partition loops are independent given the smaller sizes — are
-	// partitioned across workers. On cliques, where every subset is
-	// connected, this parallelizes essentially the entire Θ(3^n) run.
-	// 0 or 1 runs today's serial engine.
-	Parallelism int
-}
-
 // Solve runs DPsub over g.
-func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
-	e, b := dp.NewRun(opts.Pool, g, opts.Model)
-	defer opts.Pool.Put(e)
-	b.Filter = opts.Filter
-	e.OnEmit = opts.OnEmit
-	e.SetLimits(opts.Limits)
-	e.SetTrace(opts.Explain)
-	n := g.NumRels()
-	if n == 0 {
-		return nil, e.Stats, errEmpty
-	}
-	b.Init()
-
-	all := g.AllNodes()
-	// The level enumeration steps with Gosper's hack, which needs one
-	// bit of headroom above the universe; 63-relation queries are far
-	// beyond exact enumeration anyway.
-	// Filters may carry shared per-analysis state and hooks need the
-	// serial emission order, so both pin direct solver calls to the
-	// serial engine (the planner enforces the same gates).
-	if opts.Parallelism > 1 && n < 63 && opts.Filter == nil && opts.OnEmit == nil {
-		solveParallel(g, b, all, n, opts.Parallelism)
-		p, err := b.Final()
-		return p, e.Stats, err
-	}
-
-	enumerate(g, e, all)
-	p, err := b.Final()
-	return p, e.Stats, err
+//
+// With more than one worker (see dp.Options.Parallelism) it switches to
+// the level-synchronous parallel enumeration: relation sets are
+// processed by ascending size instead of ascending integer value (every
+// proper subset still precedes its supersets), and the sets of one
+// size — whose Θ(2^|S|) partition loops are independent given the
+// smaller sizes — are partitioned across workers. On cliques, where
+// every subset is connected, this parallelizes essentially the entire
+// Θ(3^n) run.
+func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
+	return dp.Run(g, opts, func(b *dp.Builder, workers int) error {
+		n, all := g.NumRels(), g.AllNodes()
+		// The level enumeration steps with Gosper's hack, which needs
+		// one bit of headroom above the universe; 63-relation queries
+		// are far beyond exact enumeration anyway.
+		if workers > 1 && n < 63 {
+			solveParallel(g, b, all, n, workers)
+		} else {
+			enumerate(g, b.Engine, all)
+		}
+		return nil
+	})
 }
 
 // enumerate is the serial DPsub loop nest (§4.1): Vance–Maier order is
@@ -190,9 +157,3 @@ func solveParallel(g *hypergraph.Graph, b *dp.Builder, all bitset.Set, n, worker
 		}
 	}
 }
-
-type solverError string
-
-func (e solverError) Error() string { return string(e) }
-
-const errEmpty = solverError("dpsub: empty hypergraph")

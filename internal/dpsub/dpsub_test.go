@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/counting"
+	"repro/internal/dp"
 	"repro/internal/hypergraph"
 )
 
@@ -50,7 +51,7 @@ func TestEmitsExactPairSet(t *testing.T) {
 		cycleGraph(6), hypergraph.PaperExampleGraph(),
 	} {
 		var got []counting.Pair
-		if _, _, err := Solve(g, Options{OnEmit: func(s1, s2 bitset.Set) {
+		if _, _, err := Solve(g, dp.Options{OnEmit: func(s1, s2 bitset.Set) {
 			got = append(got, counting.Normalize(s1, s2))
 		}}); err != nil {
 			t.Fatal(err)
@@ -79,7 +80,7 @@ func TestEmitsExactPairSet(t *testing.T) {
 func TestDPOrder(t *testing.T) {
 	g := cycleGraph(6)
 	var pairs []counting.Pair
-	if _, _, err := Solve(g, Options{OnEmit: func(s1, s2 bitset.Set) {
+	if _, _, err := Solve(g, dp.Options{OnEmit: func(s1, s2 bitset.Set) {
 		pairs = append(pairs, counting.Pair{S1: s1, S2: s2})
 	}}); err != nil {
 		t.Fatal(err)
@@ -101,8 +102,8 @@ func TestAgreesWithDPhyp(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 40; trial++ {
 		g := randomHypergraph(rng, 3+rng.Intn(6))
-		p1, s1, err1 := Solve(g, Options{})
-		p2, s2, err2 := core.Solve(g, core.Options{})
+		p1, s1, err1 := Solve(g, dp.Options{})
+		p2, s2, err2 := core.Solve(g, dp.Options{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d: dpsub err=%v dphyp err=%v", trial, err1, err2)
 		}
@@ -122,13 +123,13 @@ func TestDisconnectedFails(t *testing.T) {
 	g := hypergraph.New()
 	g.AddRelations(3, "R", 10)
 	g.AddSimpleEdge(0, 1, 0.5)
-	if _, _, err := Solve(g, Options{}); err == nil {
+	if _, _, err := Solve(g, dp.Options{}); err == nil {
 		t.Error("disconnected graph must fail")
 	}
 }
 
 func TestEmptyFails(t *testing.T) {
-	if _, _, err := Solve(hypergraph.New(), Options{}); err == nil {
+	if _, _, err := Solve(hypergraph.New(), dp.Options{}); err == nil {
 		t.Error("empty graph must fail")
 	}
 }
@@ -136,7 +137,7 @@ func TestEmptyFails(t *testing.T) {
 func TestSingleRelation(t *testing.T) {
 	g := hypergraph.New()
 	g.AddRelation("only", 7)
-	p, _, err := Solve(g, Options{})
+	p, _, err := Solve(g, dp.Options{})
 	if err != nil || !p.IsLeaf() {
 		t.Fatalf("p=%v err=%v", p, err)
 	}

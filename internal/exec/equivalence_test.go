@@ -8,6 +8,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/dp"
 	"repro/internal/dpsize"
 	"repro/internal/dpsub"
 	"repro/internal/hypergraph"
@@ -175,19 +176,19 @@ func checkSolvers(t *testing.T, tr *optree.Tree, db *DB, ref *Rel, ctx string) {
 		}
 	}
 
-	p1, _, err1 := core.Solve(gTES, core.Options{})
+	p1, _, err1 := core.Solve(gTES, dp.Options{})
 	run("dphyp", p1, gTES, err1)
 
-	p2, _, err2 := dpsize.Solve(gTES, dpsize.Options{})
+	p2, _, err2 := dpsize.Solve(gTES, dp.Options{})
 	run("dpsize", p2, gTES, err2)
 
-	p3, _, err3 := dpsub.Solve(gTES, dpsub.Options{})
+	p3, _, err3 := dpsub.Solve(gTES, dp.Options{})
 	run("dpsub", p3, gTES, err3)
 
-	p4, _, err4 := topdown.Solve(gTES, topdown.Options{})
+	p4, _, err4 := topdown.Solve(gTES, dp.Options{})
 	run("topdown", p4, gTES, err4)
 
-	p5, _, err5 := core.Solve(gSES, core.Options{Filter: tr.Filter(gSES)})
+	p5, _, err5 := core.Solve(gSES, dp.Options{Filter: tr.Filter(gSES)})
 	run("dphyp-generate-and-test", p5, gSES, err5)
 }
 
@@ -239,7 +240,7 @@ func TestDependentJoinEquivalence(t *testing.T) {
 		}
 
 		g := tr.Hypergraph(optree.TESEdges)
-		p, _, err := core.Solve(g, core.Options{})
+		p, _, err := core.Solve(g, dp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

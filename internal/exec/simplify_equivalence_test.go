@@ -8,6 +8,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/dp"
 	"repro/internal/optree"
 	"repro/internal/simplify"
 )
@@ -106,7 +107,7 @@ func TestSimplifyThenOptimizeEquivalence(t *testing.T) {
 					t.Fatalf("mix %d rep %d: %v", mi, rep, err)
 				}
 				g := tr.Hypergraph(optree.TESEdges)
-				p, _, err := core.Solve(g, core.Options{})
+				p, _, err := core.Solve(g, dp.Options{})
 				if err != nil {
 					t.Fatalf("mix %d rep %d rule %v: %v", mi, rep, rule, err)
 				}

@@ -50,15 +50,15 @@ func graphRunner(g *hypergraph.Graph, alg string) Runner {
 	switch alg {
 	case "dphyp":
 		return func(ctx context.Context) (*plan.Node, dp.Stats, error) {
-			return core.Solve(g, core.Options{Limits: dp.Limits{Ctx: ctx}})
+			return core.Solve(g, dp.Options{Limits: dp.Limits{Ctx: ctx}})
 		}
 	case "dpsize":
 		return func(ctx context.Context) (*plan.Node, dp.Stats, error) {
-			return dpsize.Solve(g, dpsize.Options{Limits: dp.Limits{Ctx: ctx}})
+			return dpsize.Solve(g, dp.Options{Limits: dp.Limits{Ctx: ctx}})
 		}
 	case "dpsub":
 		return func(ctx context.Context) (*plan.Node, dp.Stats, error) {
-			return dpsub.Solve(g, dpsub.Options{Limits: dp.Limits{Ctx: ctx}})
+			return dpsub.Solve(g, dp.Options{Limits: dp.Limits{Ctx: ctx}})
 		}
 	}
 	panic("experiments: unknown algorithm " + alg)
@@ -136,13 +136,13 @@ func antijoinSeries(n int) Series {
 			case "dphyp-hypernodes":
 				g := tr.Hypergraph(optree.TESEdges)
 				return func(ctx context.Context) (*plan.Node, dp.Stats, error) {
-					return core.Solve(g, core.Options{Limits: dp.Limits{Ctx: ctx}})
+					return core.Solve(g, dp.Options{Limits: dp.Limits{Ctx: ctx}})
 				}
 			case "dphyp-tes":
 				g := tr.Hypergraph(optree.SESEdges)
 				f := tr.Filter(g)
 				return func(ctx context.Context) (*plan.Node, dp.Stats, error) {
-					return core.Solve(g, core.Options{Filter: f, Limits: dp.Limits{Ctx: ctx}})
+					return core.Solve(g, dp.Options{Filter: f, Limits: dp.Limits{Ctx: ctx}})
 				}
 			}
 			panic("experiments: unknown algorithm " + alg)

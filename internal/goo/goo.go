@@ -15,53 +15,29 @@
 package goo
 
 import (
+	"errors"
+
 	"repro/internal/algebra"
 	"repro/internal/bitset"
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/memo"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
-// Options mirrors the options of the exact enumerators.
-type Options struct {
-	Model  cost.Model
-	Filter dp.Filter
-	OnEmit func(S1, S2 bitset.Set)
-	Limits dp.Limits
-	Pool   *memo.Pool
-
-	// Explain, when non-nil, receives phase spans for the run (the
-	// engine records the materialize phase; the planner wraps the whole
-	// enumeration).
-	Explain *obs.Trace
-}
+// Options is dp.Options under the name cmd/planbench uses.
+type Options = dp.Options
 
 // Solve runs greedy operator ordering over g.
-func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
-	e, b := dp.NewRun(opts.Pool, g, opts.Model)
-	defer opts.Pool.Put(e)
-	b.Filter = opts.Filter
-	e.OnEmit = opts.OnEmit
-	e.SetLimits(opts.Limits)
-	e.SetTrace(opts.Explain)
-	n := g.NumRels()
-	if n == 0 {
-		return nil, e.Stats, errEmpty
-	}
-	b.Init()
-
-	comps := make([]bitset.Set, n)
-	for i := 0; i < n; i++ {
-		comps[i] = bitset.Single(i)
-	}
-	if err := greedy(g, e, comps); err != nil {
-		return nil, e.Stats, err
-	}
-	p, err := b.Final()
-	return p, e.Stats, err
+func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
+	return dp.Run(g, opts, func(b *dp.Builder, _ int) error {
+		comps := make([]bitset.Set, g.NumRels())
+		for i := range comps {
+			comps[i] = bitset.Single(i)
+		}
+		return greedy(g, b.Engine, comps)
+	})
 }
 
 // greedy repeatedly merges the component pair with the smallest
@@ -124,12 +100,7 @@ func greedy(g *hypergraph.Graph, e *memo.Engine, comps []bitset.Set) error {
 	return nil
 }
 
-type solverError string
-
-func (e solverError) Error() string { return string(e) }
-
-const (
-	errEmpty        = solverError("goo: empty hypergraph")
-	errDisconnected = solverError("goo: hypergraph is disconnected")
-	errRejected     = solverError("goo: greedy choice rejected; no plan")
+var (
+	errDisconnected = errors.New("goo: hypergraph is disconnected")
+	errRejected     = errors.New("goo: greedy choice rejected; no plan")
 )

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/workload"
 )
@@ -18,7 +19,7 @@ func TestGreedyFindsValidPlans(t *testing.T) {
 		workload.Clique(7, cfg),
 		hypergraph.PaperExampleGraph(),
 	} {
-		p, _, err := Solve(g, Options{})
+		p, _, err := Solve(g, dp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,11 +39,11 @@ func TestGreedyNeverBeatsOptimal(t *testing.T) {
 	cfg := workload.DefaultConfig()
 	for trial := 0; trial < 40; trial++ {
 		g := workload.RandomHyper(rng, 3+rng.Intn(7), rng.Intn(3), cfg)
-		greedy, _, err := Solve(g, Options{})
+		greedy, _, err := Solve(g, dp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, _, err := core.Solve(g, core.Options{})
+		opt, _, err := core.Solve(g, dp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestGreedyNeverBeatsOptimal(t *testing.T) {
 // Greedy handles sizes far beyond exact DP.
 func TestGreedyScales(t *testing.T) {
 	g := workload.Chain(60, workload.DefaultConfig())
-	p, _, err := Solve(g, Options{})
+	p, _, err := Solve(g, dp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +66,12 @@ func TestGreedyScales(t *testing.T) {
 }
 
 func TestGreedyErrors(t *testing.T) {
-	if _, _, err := Solve(hypergraph.New(), Options{}); err == nil {
+	if _, _, err := Solve(hypergraph.New(), dp.Options{}); err == nil {
 		t.Error("empty graph must fail")
 	}
 	g := hypergraph.New()
 	g.AddRelations(2, "R", 10)
-	if _, _, err := Solve(g, Options{}); err == nil {
+	if _, _, err := Solve(g, dp.Options{}); err == nil {
 		t.Error("disconnected graph must fail")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/counting"
+	"repro/internal/dp"
 	"repro/internal/plan"
 )
 
@@ -260,13 +261,13 @@ func TestGenerateAndTestEquivalence(t *testing.T) {
 		tr := mustAnalyze(t, root, rels, Conservative)
 
 		gHyper := tr.Hypergraph(TESEdges)
-		pHyper, sHyper, err := core.Solve(gHyper, core.Options{})
+		pHyper, sHyper, err := core.Solve(gHyper, dp.Options{})
 		if err != nil {
 			t.Fatalf("config %d hyper: %v", ci, err)
 		}
 
 		gSES := tr.Hypergraph(SESEdges)
-		pSES, sSES, err := core.Solve(gSES, core.Options{Filter: tr.Filter(gSES)})
+		pSES, sSES, err := core.Solve(gSES, dp.Options{Filter: tr.Filter(gSES)})
 		if err != nil {
 			t.Fatalf("config %d ses: %v", ci, err)
 		}
@@ -290,12 +291,12 @@ func TestSearchSpaceReduction(t *testing.T) {
 	tr := mustAnalyze(t, root, rels, Conservative)
 
 	gHyper := tr.Hypergraph(TESEdges)
-	_, sHyper, err := core.Solve(gHyper, core.Options{})
+	_, sHyper, err := core.Solve(gHyper, dp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gSES := tr.Hypergraph(SESEdges)
-	_, sSES, err := core.Solve(gSES, core.Options{Filter: tr.Filter(gSES)})
+	_, sSES, err := core.Solve(gSES, dp.Options{Filter: tr.Filter(gSES)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestDependentRelationFlow(t *testing.T) {
 	if !g.FreeTables(bitset.New(1)).Equal(bitset.New(0)) {
 		t.Fatalf("free tables = %v", g.FreeTables(bitset.New(1)))
 	}
-	p, _, err := core.Solve(g, core.Options{})
+	p, _, err := core.Solve(g, dp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestOperatorRecovery(t *testing.T) {
 	root, rels := leftDeepStar([]algebra.Op{algebra.SemiJoin, algebra.LeftOuter, algebra.Join})
 	tr := mustAnalyze(t, root, rels, Conservative)
 	g := tr.Hypergraph(TESEdges)
-	p, _, err := core.Solve(g, core.Options{})
+	p, _, err := core.Solve(g, dp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,25 +36,25 @@ var exactSolvers = []struct {
 	needsSimple bool
 }{
 	{"dphyp", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
-		return core.Solve(g, core.Options{Model: m})
+		return core.Solve(g, dp.Options{Model: m})
 	}, false},
 	{"dpsize", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
-		return dpsize.Solve(g, dpsize.Options{Model: m})
+		return dpsize.Solve(g, dp.Options{Model: m})
 	}, false},
 	{"dpsub", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
-		return dpsub.Solve(g, dpsub.Options{Model: m})
+		return dpsub.Solve(g, dp.Options{Model: m})
 	}, false},
 	{"dpccp", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
-		return dpccp.Solve(g, dpccp.Options{Model: m})
+		return dpccp.Solve(g, dp.Options{Model: m})
 	}, true},
 	{"topdown", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
-		return topdown.Solve(g, topdown.Options{Model: m})
+		return topdown.Solve(g, dp.Options{Model: m})
 	}, false},
 	{"dphyp-par3", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
-		return core.Solve(g, core.Options{Model: m, Parallelism: 3})
+		return core.Solve(g, dp.Options{Model: m, Parallelism: 3})
 	}, false},
 	{"dpsub-par3", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
-		return dpsub.Solve(g, dpsub.Options{Model: m, Parallelism: 3})
+		return dpsub.Solve(g, dp.Options{Model: m, Parallelism: 3})
 	}, false},
 }
 
@@ -167,7 +167,7 @@ func TestDifferentialSolversAgainstOracle(t *testing.T) {
 				}
 				checkSolver(t, tag, g, m, s.name, s.solve, optimal)
 			}
-			gp, _, err := goo.Solve(g, goo.Options{Model: m})
+			gp, _, err := goo.Solve(g, dp.Options{Model: m})
 			if err != nil {
 				t.Errorf("%s: greedy/%s failed: %v", tag, m.Name(), err)
 			} else if err := gp.Validate(); err != nil {
@@ -248,7 +248,7 @@ func TestPhysicalAnnotationsPresent(t *testing.T) {
 		})
 	}
 	// Logical models leave nodes unannotated.
-	p, _, err := core.Solve(g, core.Options{Model: cost.Cout{}})
+	p, _, err := core.Solve(g, dp.Options{Model: cost.Cout{}})
 	if err != nil {
 		t.Fatal(err)
 	}

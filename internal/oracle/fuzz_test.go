@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/dp"
 	"repro/internal/goo"
 )
 
@@ -38,7 +39,7 @@ func FuzzSolverEquivalence(f *testing.F) {
 				}
 				checkSolver(t, tag, g, m, s.name, s.solve, optimal)
 			}
-			gp, _, err := goo.Solve(g, goo.Options{Model: m})
+			gp, _, err := goo.Solve(g, dp.Options{Model: m})
 			if err != nil {
 				t.Fatalf("greedy/%s failed: %v", m.Name(), err)
 			}

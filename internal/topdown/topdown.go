@@ -19,50 +19,25 @@ package topdown
 
 import (
 	"repro/internal/bitset"
-	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/memo"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
-// Options mirrors the options of the other enumerators.
-type Options struct {
-	Model  cost.Model
-	Filter dp.Filter
-	OnEmit func(S1, S2 bitset.Set)
-	Limits dp.Limits
-	Pool   *memo.Pool
-
-	// Explain, when non-nil, receives phase spans for the run (the
-	// engine records the materialize phase; the planner wraps the whole
-	// enumeration).
-	Explain *obs.Trace
-}
-
 // Solve runs top-down memoization over g.
-func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
-	e, b := dp.NewRun(opts.Pool, g, opts.Model)
-	defer opts.Pool.Put(e)
-	b.Filter = opts.Filter
-	e.OnEmit = opts.OnEmit
-	e.SetLimits(opts.Limits)
-	e.SetTrace(opts.Explain)
-	n := g.NumRels()
-	if n == 0 {
-		return nil, e.Stats, errEmpty
-	}
-	b.Init()
-
-	// done marks sets whose partitions have all been explored, whether or
-	// not a plan was found (failure memoization matters: disconnected
-	// sets are re-encountered exponentially often otherwise). It lives in
-	// the engine's scratch table so its storage is pooled across runs.
-	s := solver{g: g, e: e, done: e.Scratch(1 << uint(min(n, 12)))}
-	s.solve(g.AllNodes())
-	p, err := b.Final()
-	return p, e.Stats, err
+func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
+	return dp.Run(g, opts, func(b *dp.Builder, _ int) error {
+		// done marks sets whose partitions have all been explored,
+		// whether or not a plan was found (failure memoization matters:
+		// disconnected sets are re-encountered exponentially often
+		// otherwise). It lives in the engine's scratch table so its
+		// storage is pooled across runs.
+		e := b.Engine
+		s := solver{g: g, e: e, done: e.Scratch(1 << uint(min(g.NumRels(), 12)))}
+		s.solve(g.AllNodes())
+		return nil
+	})
 }
 
 // solver carries the recursion state of one top-down run, so the
@@ -110,16 +85,3 @@ func (s *solver) solve(S bitset.Set) bool {
 	}
 	return s.e.Contains(S)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-type solverError string
-
-func (e solverError) Error() string { return string(e) }
-
-const errEmpty = solverError("topdown: empty hypergraph")

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/counting"
+	"repro/internal/dp"
 	"repro/internal/hypergraph"
 )
 
@@ -41,8 +42,8 @@ func TestAgreesWithDPhyp(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	for trial := 0; trial < 40; trial++ {
 		g := randomHypergraph(rng, 3+rng.Intn(6))
-		p1, _, err1 := Solve(g, Options{})
-		p2, _, err2 := core.Solve(g, core.Options{})
+		p1, _, err1 := Solve(g, dp.Options{})
+		p2, _, err2 := core.Solve(g, dp.Options{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d: topdown err=%v dphyp err=%v", trial, err1, err2)
 		}
@@ -60,7 +61,7 @@ func TestNoDuplicatePairs(t *testing.T) {
 	g := hypergraph.PaperExampleGraph()
 	seen := map[string]bool{}
 	dups := 0
-	if _, _, err := Solve(g, Options{OnEmit: func(a, b bitset.Set) {
+	if _, _, err := Solve(g, dp.Options{OnEmit: func(a, b bitset.Set) {
 		p := counting.Normalize(a, b)
 		if seen[p.Key()] {
 			dups++
@@ -82,13 +83,13 @@ func TestNoDuplicatePairs(t *testing.T) {
 func TestDisconnectedFails(t *testing.T) {
 	g := hypergraph.New()
 	g.AddRelations(2, "R", 10)
-	if _, _, err := Solve(g, Options{}); err == nil {
+	if _, _, err := Solve(g, dp.Options{}); err == nil {
 		t.Error("disconnected graph must fail")
 	}
 }
 
 func TestEmptyFails(t *testing.T) {
-	if _, _, err := Solve(hypergraph.New(), Options{}); err == nil {
+	if _, _, err := Solve(hypergraph.New(), dp.Options{}); err == nil {
 		t.Error("empty graph must fail")
 	}
 }
@@ -96,7 +97,7 @@ func TestEmptyFails(t *testing.T) {
 func TestSingleRelation(t *testing.T) {
 	g := hypergraph.New()
 	g.AddRelation("only", 7)
-	p, _, err := Solve(g, Options{})
+	p, _, err := Solve(g, dp.Options{})
 	if err != nil || !p.IsLeaf() {
 		t.Fatalf("p=%v err=%v", p, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/optree"
 )
@@ -135,7 +136,7 @@ func TestAllSplitStagesSolvable(t *testing.T) {
 			CycleHyper(8, splits, cfg()),
 			StarHyper(8, splits, cfg()),
 		} {
-			p, _, err := core.Solve(g, core.Options{})
+			p, _, err := core.Solve(g, dp.Options{})
 			if err != nil {
 				t.Fatalf("splits=%d: %v", splits, err)
 			}
@@ -152,7 +153,7 @@ func TestSplitsGrowSearchSpace(t *testing.T) {
 	prev := -1
 	for splits := 0; splits <= 3; splits++ {
 		g := CycleHyper(8, splits, cfg())
-		_, stats, err := core.Solve(g, core.Options{})
+		_, stats, err := core.Solve(g, dp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +184,7 @@ func TestStarTreeShape(t *testing.T) {
 		t.Error("remaining operators must be inner joins")
 	}
 	g := tr.Hypergraph(optree.TESEdges)
-	if _, _, err := core.Solve(g, core.Options{}); err != nil {
+	if _, _, err := core.Solve(g, dp.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -205,7 +206,7 @@ func TestCycleTreeClosingPredicate(t *testing.T) {
 		}
 	}
 	g := tr.Hypergraph(optree.TESEdges)
-	if _, _, err := core.Solve(g, core.Options{}); err != nil {
+	if _, _, err := core.Solve(g, dp.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -221,7 +222,7 @@ func TestAntijoinsShrinkSearchSpace(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := tr.Hypergraph(optree.TESEdges)
-		_, stats, err := core.Solve(g, core.Options{})
+		_, stats, err := core.Solve(g, dp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func TestAntijoinsShrinkSearchSpace(t *testing.T) {
 	// Fully antijoined: exactly n-1 pairs (§5.7's O(n)).
 	root, rels := StarTree(8, 7, cfg())
 	tr, _ := optree.Analyze(root, rels, optree.Conservative)
-	_, stats, err := core.Solve(tr.Hypergraph(optree.TESEdges), core.Options{})
+	_, stats, err := core.Solve(tr.Hypergraph(optree.TESEdges), dp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,20 +19,20 @@ import (
 // the session's memo pool, so the tier's per-subproblem setup cost is a
 // table memclr, not an allocation. The Budget limits apply to each
 // subproblem individually (the engine resets its counters per run);
-// cancellation through o.ctx applies to the whole tier, clustering
-// loops included.
+// cancellation through the limits' context applies to the whole tier,
+// clustering loops included.
 //
 // Graphs the tier cannot handle (non-inner operators, dependent
 // relations, graphs held together only by wide hyperedges) fail with an
 // error wrapping ErrBudgetExhausted, which the Planner's standard
 // fallback policy turns into a Greedy (GOO) plan.
-func runIterDP(g *Graph, o options, limits dp.Limits) (*PlanNode, Stats, error) {
+func runIterDP(g *Graph, clusterSize int, run dp.Options) (*PlanNode, Stats, error) {
 	exact := func(sub *hypergraph.Graph) (*plan.Node, dp.Stats, error) {
 		sub.Freeze()
-		return core.Solve(sub, core.Options{
-			Model:       o.model,
-			Limits:      limits,
-			Pool:        o.pool,
+		return core.Solve(sub, dp.Options{
+			Model:       run.Model,
+			Limits:      run.Limits,
+			Pool:        run.Pool,
 			Parallelism: 1,
 		})
 	}
@@ -41,10 +41,10 @@ func runIterDP(g *Graph, o options, limits dp.Limits) (*PlanNode, Stats, error) 
 	// spans would blow the trace's fixed capacity. The tier records one
 	// span per compression round instead.
 	return iterdp.Solve(g, iterdp.Options{
-		ClusterSize: o.clusterSize,
-		Model:       o.model,
-		Ctx:         o.ctx,
+		ClusterSize: clusterSize,
+		Model:       run.Model,
+		Ctx:         run.Limits.Ctx,
 		Exact:       exact,
-		Explain:     o.explain,
+		Explain:     run.Explain,
 	})
 }

@@ -77,22 +77,25 @@ func (q *QueryJSON) Validate() error {
 	return nil
 }
 
-// OptimizeJSON analyzes and optimizes a decoded query via the default
-// Planner (see DefaultPlanner).
-func OptimizeJSON(q *QueryJSON, opts ...Option) (*Result, error) {
-	return DefaultPlanner().PlanJSON(context.Background(), q, opts...)
-}
-
 // PlanJSON analyzes and optimizes a decoded QueryJSON document under
-// the planner's policy: a hypergraph document is (re)paired for
-// connectivity and enumerated, a tree document goes through conflict
-// analysis first. Cancellation, budgets, the plan cache, and the Greedy
-// fallback all apply as in Plan.
+// the planner's policy. The document must pass Validate. A hypergraph
+// document is repaired for connectivity and enumerated; a tree document
+// goes through conflict analysis first, as sent: unlike PlanTree,
+// PlanJSON does not run the §5.2 simplification pass. Cancellation,
+// budgets, the plan cache, and the Greedy fallback all apply as in
+// Plan.
 func (p *Planner) PlanJSON(ctx context.Context, q *QueryJSON, opts ...Option) (*Result, error) {
+	if err := q.Validate(); err != nil {
+		return nil, p.fail(err)
+	}
 	if q.Tree != nil {
 		return p.planJSONTree(ctx, q, opts)
 	}
-	return p.planJSONGraph(ctx, q, opts)
+	qq, err := q.BuildQuery()
+	if err != nil {
+		return nil, p.fail(err)
+	}
+	return p.Plan(ctx, qq, opts...)
 }
 
 // BuildQuery materializes a hypergraph document as a *Query, ready for
@@ -138,17 +141,9 @@ func (q *QueryJSON) BuildQuery() (*Query, error) {
 	return &Query{g: g}, nil
 }
 
-func (p *Planner) planJSONGraph(ctx context.Context, q *QueryJSON, opts []Option) (*Result, error) {
-	qq, err := q.BuildQuery()
-	if err != nil {
-		return nil, p.fail(err)
-	}
-	return p.Plan(ctx, qq, opts...)
-}
-
 func (p *Planner) planJSONTree(ctx context.Context, q *QueryJSON, opts []Option) (*Result, error) {
-	o := p.merged(opts)
-	o.ctx = ctx
+	o := p.merged(ctx, opts)
+	o.noSimplify = true // documents are planned as sent; see PlanJSON
 	rels := make([]optree.RelInfo, len(q.Relations))
 	for i, r := range q.Relations {
 		rels[i] = optree.RelInfo{Name: r.Name, Card: r.Card, Free: bitset.New(r.Free...)}
@@ -157,15 +152,11 @@ func (p *Planner) planJSONTree(ctx context.Context, q *QueryJSON, opts []Option)
 	if err != nil {
 		return nil, p.fail(err)
 	}
-	tr, err := optree.Analyze(root, rels, o.rule)
+	g, filter, err := deriveGraph(root, rels, o)
 	if err != nil {
 		return nil, p.fail(err)
 	}
-	if o.genAndTest {
-		g := tr.Hypergraph(optree.SESEdges)
-		return p.planGraph(ctx, g, o, tr.Filter(g))
-	}
-	return p.planGraph(ctx, tr.Hypergraph(optree.TESEdges), o, nil)
+	return p.planGraph(ctx, g, o, filter)
 }
 
 func buildTreeJSON(n *TreeJSON) (*optree.Node, error) {

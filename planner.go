@@ -23,8 +23,7 @@ const DefaultPlanCacheSize = 256
 // Planner is a long-lived planning session: it is constructed once with
 // a cost model, conflict rule, and policy (algorithm, enumeration
 // Budget, fallback behavior), and is then safe for concurrent use from
-// any number of goroutines. Compared to the one-shot Optimize entry
-// points, a Planner adds three things a server needs:
+// any number of goroutines. It gives a server three things:
 //
 //   - Cancellation: every Plan* method takes a context.Context that is
 //     polled inside the enumeration loops of all algorithms, so hostile
@@ -208,13 +207,15 @@ func (p *Planner) Metrics() PlannerMetrics {
 	return m
 }
 
-// merged returns the planner's options overlaid with per-call options.
-func (p *Planner) merged(opts []Option) options {
+// merged returns the planner's options overlaid with per-call options,
+// for a call under ctx.
+func (p *Planner) merged(ctx context.Context, opts []Option) options {
 	o := p.base
 	for _, f := range opts {
 		f(&o)
 	}
 	o.pool = p.pool
+	o.ctx = ctx
 	return o
 }
 
@@ -230,19 +231,15 @@ func (p *Planner) Plan(ctx context.Context, q *Query, opts ...Option) (*Result, 
 		return nil, p.fail(fmt.Errorf("repro: query has no relations"))
 	}
 	q.ensureConnected()
-	o := p.merged(opts)
-	o.ctx = ctx
-	return p.planGraph(ctx, q.g, o, nil)
+	return p.planGraph(ctx, q.g, p.merged(ctx, opts), nil)
 }
 
 // PlanGraph runs the configured algorithm directly on a hypergraph. The
-// graph must not be mutated for the duration of the call; disconnected
-// graphs are not repaired (match the historical OptimizeGraph
-// semantics), so they fail unless the caller ran MakeConnected.
+// graph must not be mutated for the duration of the call. Disconnected
+// graphs are not repaired, so they fail unless the caller ran
+// MakeConnected.
 func (p *Planner) PlanGraph(ctx context.Context, g *Graph, opts ...Option) (*Result, error) {
-	o := p.merged(opts)
-	o.ctx = ctx
-	return p.planGraph(ctx, g, o, nil)
+	return p.planGraph(ctx, g, p.merged(ctx, opts), nil)
 }
 
 // PlanTree analyzes an operator tree (§5), derives the conflict-
@@ -250,8 +247,7 @@ func (p *Planner) PlanGraph(ctx context.Context, g *Graph, opts ...Option) (*Res
 // is serialized internally, so concurrent PlanTree calls on the same
 // query are safe.
 func (p *Planner) PlanTree(ctx context.Context, t *TreeQuery, root *Expr, opts ...Option) (*Result, error) {
-	o := p.merged(opts)
-	o.ctx = ctx
+	o := p.merged(ctx, opts)
 	g, filter, err := t.derive(root, o)
 	if err != nil {
 		return nil, p.fail(err)
@@ -375,8 +371,10 @@ func (p *Planner) PlanBatch(ctx context.Context, qs []*Query, opts ...Option) ([
 	return results, nil
 }
 
-// planGraph is the shared planning core: cache lookup, enumeration
-// under limits, adaptive Greedy fallback, cache fill.
+// planGraph is the planning pipeline behind every Plan* method:
+// route → cache → enumerate (with the greedy fallback) → account →
+// fill → finish. A cache hit goes from the cache stage straight to
+// finish, so hits and misses leave through the same epilogue.
 func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.Filter) (*Result, error) {
 	// A caller that already gave up gets its context error immediately —
 	// even a cache hit would be answering nobody.
@@ -394,71 +392,101 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 	// lock: afterwards the enumeration only reads the graph, which makes
 	// concurrent planning over a shared graph safe.
 	g.Freeze()
-
-	// Resolve SolverAuto to a concrete algorithm before the cache
-	// lookup: routing is a pure function of the (frozen) graph, so a
-	// routed entry is interchangeable with one planned by naming the
-	// same algorithm directly. annotate stamps the routing decision
-	// onto the Stats of whichever path produced the result.
-	// Classification costs one O(V+E) pass — the same order as the
-	// Fingerprint scan every cached call already pays.
-	annotate := func(*dp.Stats) {}
-	slo := sloState{budget: o.planBudget}
-	if o.alg == SolverAuto {
-		span := o.explain.Start(obs.PhaseRoute)
-		prof := shape.Classify(g)
-		routed := routeAuto(prof, o.workers(g, filter))
-		final := routed
-		if slo.budget > 0 {
-			// Budget-aware routing happens before the cache lookup for
-			// the same reason SolverAuto resolution does: the key must
-			// name the algorithm that actually plans, so a degraded call
-			// shares entries with direct greedy/iterdp traffic and never
-			// poisons the exact tier's entries. The budget itself stays
-			// out of the cache key — it only influences this choice.
-			final, slo.predicted, slo.degraded = p.routeBudget(prof, routed, &o)
-		}
-		o.explain.End(span)
-		o.alg = final
-		p.routed[int(final)].Add(1)
-		annotate = func(st *dp.Stats) {
-			st.AutoRouted = true
-			st.Shape = prof.Class.String()
-			st.RoutedAlgorithm = final.String()
-		}
-	}
+	rt := p.route(g, &o, filter)
 
 	// Observation hooks make a run non-reproducible from the cache (the
 	// hook would not fire on a hit), and generate-and-test filters carry
 	// per-analysis conflict state the fingerprint cannot see; bypass the
-	// cache for both.
+	// cache for both. The key is built in a stack buffer: a hit
+	// allocates no key at all, and only a miss copies it into the string
+	// the cache stores.
 	cacheable := p.cache != nil && filter == nil && o.trace == nil && o.onEmit == nil
-	// The key is built in a stack buffer: a hit allocates no key at all,
-	// and only a miss copies it into the string the cache stores.
 	var keyBuf [keyBufSize]byte
 	var key []byte
 	if cacheable {
-		span := o.explain.Start(obs.PhaseCacheLookup)
-		key = g.AppendFingerprint(append(appendConfigKey(keyBuf[:0], o), 0))
-		res, ok := p.cache.get(key)
-		o.explain.End(span)
-		if ok {
+		var res *Result
+		if key, res = p.lookup(keyBuf[:0], g, &o); res != nil {
 			res.Graph = g
-			annotate(&res.Stats)
-			// The cached Stats were stripped of their trace before
-			// storage; attach this request's own (nil when untraced).
-			o.explain.Finish()
-			res.Stats.Trace = o.explain
-			p.plans.Add(1)
-			p.cacheHits.Add(1)
-			elapsed := time.Since(start)
-			p.recordSLO(&res.Stats, slo, res.Algorithm, elapsed)
-			p.observePlan(g, &res.Stats, res.Algorithm, elapsed)
-			return res, nil
+			return p.finish(res, &rt, o.explain, start), nil
 		}
-		p.cacheMisses.Add(1)
 	}
 
+	res, err := p.enumerate(g, o, filter)
+	if err != nil {
+		return nil, p.fail(err)
+	}
+	p.account(&res.Stats)
+	// The cache entry keeps the routing-agnostic stats (the key is the
+	// routed algorithm's, so direct calls may hit it too) and never a
+	// trace — a trace is per-request state, and a cached pointer would
+	// leak one request's spans into every later hit.
+	if cacheable {
+		p.cache.add(string(key), res.Plan, res.Stats, res.Algorithm)
+	}
+	return p.finish(res, &rt, o.explain, start), nil
+}
+
+// routing is the route stage's decision, carried to finish: the shape
+// class and algorithm SolverAuto picked, stamped onto the call's Stats,
+// and the budgeted call's SLO state.
+type routing struct {
+	shape string // "" unless SolverAuto routed the call
+	alg   Algorithm
+	slo   sloState
+}
+
+// route is the first stage. It resolves the call's worker count once,
+// into o.parallelism, and SolverAuto to a concrete algorithm, into
+// o.alg. Routing happens before the cache lookup: it is a pure function
+// of the (frozen) graph, so a routed entry is interchangeable with one
+// planned by naming the same algorithm directly. Classification costs
+// one O(V+E) pass, the same order as the Fingerprint scan every cached
+// call already pays.
+func (p *Planner) route(g *Graph, o *options, filter dp.Filter) routing {
+	o.parallelism = o.workers(g, filter)
+	rt := routing{slo: sloState{budget: o.planBudget}}
+	if o.alg != SolverAuto {
+		return rt
+	}
+	span := o.explain.Start(obs.PhaseRoute)
+	prof := shape.Classify(g)
+	rt.alg = routeAuto(prof, o.parallelism)
+	if rt.slo.budget > 0 {
+		// Budget-aware routing happens before the cache lookup for the
+		// same reason SolverAuto resolution does: the key must name the
+		// algorithm that actually plans, so a degraded call shares
+		// entries with direct greedy/iterdp traffic and never poisons
+		// the exact tier's entries. The budget itself stays out of the
+		// cache key — it only influences this choice.
+		rt.alg, rt.slo.predicted, rt.slo.degraded = p.routeBudget(prof, rt.alg, o)
+	}
+	o.explain.End(span)
+	o.alg = rt.alg
+	rt.shape = prof.Class.String()
+	p.routed[int(rt.alg)].Add(1)
+	return rt
+}
+
+// lookup is the cache stage: it appends the call's cache key to buf and
+// probes the plan cache, returning the key and the cached Result, or
+// nil on a miss.
+func (p *Planner) lookup(buf []byte, g *Graph, o *options) ([]byte, *Result) {
+	span := o.explain.Start(obs.PhaseCacheLookup)
+	key := g.AppendFingerprint(append(appendConfigKey(buf, o), 0))
+	res, ok := p.cache.get(key)
+	o.explain.End(span)
+	if !ok {
+		p.cacheMisses.Add(1)
+		return key, nil
+	}
+	p.cacheHits.Add(1)
+	return key, res
+}
+
+// enumerate runs the routed algorithm. When an exact run trips its
+// budget and the call allows it, the planner degrades to GOO and
+// charges the aborted pass's work to the result.
+func (p *Planner) enumerate(g *Graph, o options, filter dp.Filter) (*Result, error) {
 	// IterDP records its own depth-0 spans (one per compression round,
 	// final enumeration, recost) — wrapping it in an enumerate span
 	// would double-count the whole tier; every other algorithm gets one
@@ -470,46 +498,53 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 	pl, st, err := runSolver(g, o, filter)
 	o.explain.Annotate(espan, int64(st.CsgCmpPairs), st.TableEntries, st.Workers, 0)
 	o.explain.End(espan)
-	if err != nil {
-		if o.noFallback || o.alg == Greedy || !errors.Is(err, dp.ErrBudgetExhausted) {
-			return nil, p.fail(err)
-		}
-		// Budget trip: degrade to GOO. The greedy pass keeps the
-		// context (cancellation still applies) but runs without a pair
-		// budget — it needs only O(n³) pair inspections.
-		og := o
-		og.alg = Greedy
-		og.budget = Budget{}
-		og.trace = nil
-		fspan := o.explain.Start(obs.PhaseFallback)
-		gp, gst, gerr := runSolver(g, og, filter)
-		o.explain.Annotate(fspan, int64(gst.CsgCmpPairs), gst.TableEntries, 1, 0)
-		o.explain.End(fspan)
-		if gerr != nil {
-			return nil, p.fail(fmt.Errorf("repro: greedy fallback after budget trip: %w", gerr))
-		}
-		// Account for the work the aborted exact pass performed. The
-		// occupancy high-water marks keep the exact pass's values when
-		// larger — the greedy table holds only ~2n-1 entries, while the
-		// aborted enumeration is what actually sized the memo.
-		gst.CsgCmpPairs += st.CsgCmpPairs
-		gst.CostedPlans += st.CostedPlans
-		gst.TableEntries = max(gst.TableEntries, st.TableEntries)
-		gst.MemoCapacity = max(gst.MemoCapacity, st.MemoCapacity)
-		gst.MemoGrows = max(gst.MemoGrows, st.MemoGrows)
-		gst.ArenaNodes = max(gst.ArenaNodes, st.ArenaNodes)
-		// The greedy pass is serial; keep the aborted exact pass's
-		// worker accounting so the trip is attributable.
-		gst.Workers = st.Workers
-		gst.WorkerPairs = st.WorkerPairs
-		gst.BudgetExhausted = true
-		gst.FallbackGreedy = true
-		p.fallbacks.Add(1)
-		pl, st, o.alg = gp, gst, Greedy
+	if err == nil {
+		return &Result{Plan: pl, Stats: st, Graph: g, Algorithm: o.alg}, nil
 	}
-	// Memo-engine session accounting: total pairs emitted (both passes of
-	// a budget-tripped run were merged into st above), whether the run
-	// reused pooled storage, and the table-occupancy high-water mark.
+	if o.noFallback || o.alg == Greedy || !errors.Is(err, dp.ErrBudgetExhausted) {
+		return nil, err
+	}
+	// Budget trip: degrade to GOO. The greedy pass keeps the context
+	// (cancellation still applies) but runs without a pair budget — it
+	// needs only O(n³) pair inspections.
+	og := o
+	og.alg = Greedy
+	og.budget = Budget{}
+	og.trace = nil
+	fspan := o.explain.Start(obs.PhaseFallback)
+	gp, gst, gerr := runSolver(g, og, filter)
+	o.explain.Annotate(fspan, int64(gst.CsgCmpPairs), gst.TableEntries, 1, 0)
+	o.explain.End(fspan)
+	if gerr != nil {
+		return nil, fmt.Errorf("repro: greedy fallback after budget trip: %w", gerr)
+	}
+	// Account for the work the aborted exact pass performed. The
+	// occupancy high-water marks keep the exact pass's values when
+	// larger — the greedy table holds only ~2n-1 entries, while the
+	// aborted enumeration is what actually sized the memo.
+	gst.CsgCmpPairs += st.CsgCmpPairs
+	gst.CostedPlans += st.CostedPlans
+	gst.TableEntries = max(gst.TableEntries, st.TableEntries)
+	gst.MemoCapacity = max(gst.MemoCapacity, st.MemoCapacity)
+	gst.MemoGrows = max(gst.MemoGrows, st.MemoGrows)
+	gst.ArenaNodes = max(gst.ArenaNodes, st.ArenaNodes)
+	// The greedy pass is serial; keep the aborted exact pass's
+	// worker accounting so the trip is attributable.
+	gst.Workers = st.Workers
+	gst.WorkerPairs = st.WorkerPairs
+	gst.BudgetExhausted = true
+	gst.FallbackGreedy = true
+	return &Result{Plan: gp, Stats: gst, Graph: g, Algorithm: Greedy}, nil
+}
+
+// account adds one enumeration to the session counters: the greedy
+// fallback, total pairs emitted (both passes of a budget-tripped run
+// are merged into st), whether the run reused pooled storage, its
+// parallel fan-out, and the table-occupancy high-water mark.
+func (p *Planner) account(st *Stats) {
+	if st.FallbackGreedy {
+		p.fallbacks.Add(1)
+	}
 	p.pairsEmitted.Add(uint64(st.CsgCmpPairs))
 	if st.ArenaReused {
 		p.arenaReuses.Add(1)
@@ -527,22 +562,26 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 			break
 		}
 	}
+}
 
-	// The cache entry keeps the routing-agnostic stats (the key is the
-	// routed algorithm's, so direct calls may hit it too) and never a
-	// trace — a trace is per-request state, and a cached pointer would
-	// leak one request's spans into every later hit.
-	if cacheable {
-		p.cache.add(string(key), pl, st, o.alg)
+// finish is the epilogue of every planned call, hit or miss. It stamps
+// the routing decision onto the Stats and attaches the call's own
+// explain trace (cached Stats carry none; nil when untraced), then
+// records the call in the session counters, the SLO accounting and the
+// latency registry.
+func (p *Planner) finish(res *Result, rt *routing, explain *obs.Trace, start time.Time) *Result {
+	if rt.shape != "" {
+		res.Stats.AutoRouted = true
+		res.Stats.Shape = rt.shape
+		res.Stats.RoutedAlgorithm = rt.alg.String()
 	}
-	annotate(&st)
-	o.explain.Finish()
-	st.Trace = o.explain
+	explain.Finish()
+	res.Stats.Trace = explain
 	p.plans.Add(1)
 	elapsed := time.Since(start)
-	p.recordSLO(&st, slo, o.alg, elapsed)
-	p.observePlan(g, &st, o.alg, elapsed)
-	return &Result{Plan: pl, Stats: st, Graph: g, Algorithm: o.alg}, nil
+	p.recordSLO(&res.Stats, rt.slo, res.Algorithm, elapsed)
+	p.observePlan(res.Graph, &res.Stats, res.Algorithm, elapsed)
+	return res
 }
 
 func (p *Planner) fail(err error) error {
@@ -567,7 +606,7 @@ const keyBufSize = 2048
 //
 // The layout, "alg/model/rule/genAndTest/maxPairs:maxPlans/noFallback/
 // clusterSize", is persisted in warm-start snapshots and must not change.
-func appendConfigKey(dst []byte, o options) []byte {
+func appendConfigKey(dst []byte, o *options) []byte {
 	dst = strconv.AppendInt(dst, int64(o.alg), 10)
 	dst = append(dst, '/')
 	dst = append(dst, o.model.Name()...)
@@ -583,19 +622,4 @@ func appendConfigKey(dst []byte, o options) []byte {
 	dst = strconv.AppendBool(dst, o.noFallback)
 	dst = append(dst, '/')
 	return strconv.AppendInt(dst, int64(o.clusterSize), 10)
-}
-
-var (
-	defaultPlannerOnce sync.Once
-	defaultPlannerInst *Planner
-)
-
-// DefaultPlanner returns the lazily-initialized process-wide Planner
-// backing the one-shot Query.Optimize, TreeQuery.Optimize,
-// OptimizeGraph, and OptimizeJSON compatibility wrappers. It uses the
-// default configuration (DPhyp, Cout, unlimited budget, shared plan
-// cache); per-call options passed to the wrappers are merged on top.
-func DefaultPlanner() *Planner {
-	defaultPlannerOnce.Do(func() { defaultPlannerInst = NewPlanner() })
-	return defaultPlannerInst
 }

@@ -306,23 +306,24 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
-// TestOptimizeIdempotent pins the satellite fix: Optimize on a
-// disconnected query repairs the graph exactly once, so repeated calls
-// (and hence cached replans) do not accrete cross edges.
+// TestOptimizeIdempotent: planning a disconnected query repairs the
+// graph exactly once, so repeated Plan calls on one *Query (and hence
+// cached replans) do not accrete cross edges.
 func TestOptimizeIdempotent(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	q := NewQuery()
 	a := q.Relation("A", 10)
 	b := q.Relation("B", 20)
 	q.Relation("C", 30)
 	q.Join(a, b, 0.1)
 
-	first, err := q.Optimize()
+	first, err := p.Plan(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	edgesAfterFirst := q.Graph().NumEdges()
 	for i := 0; i < 3; i++ {
-		res, err := q.Optimize()
+		res, err := p.Plan(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +332,7 @@ func TestOptimizeIdempotent(t *testing.T) {
 		}
 	}
 	if got := q.Graph().NumEdges(); got != edgesAfterFirst {
-		t.Errorf("repeated Optimize re-added cross edges: %d -> %d edges", edgesAfterFirst, got)
+		t.Errorf("repeated Plan re-added cross edges: %d -> %d edges", edgesAfterFirst, got)
 	}
 }
 

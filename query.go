@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -123,18 +122,6 @@ func (q *Query) ensureConnected() {
 			q.g.MakeConnected()
 		}
 	})
-}
-
-// Optimize finds the optimal bushy cross-product-free plan. If the query
-// graph is disconnected it is first repaired with selectivity-1 cross
-// hyperedges between components (§2.1); the repair happens once, so
-// calling Optimize repeatedly is idempotent.
-//
-// Optimize is a convenience wrapper over the default Planner (see
-// DefaultPlanner); servers wanting cancellation, budgets, or an isolated
-// cache should construct their own Planner and call Plan.
-func (q *Query) Optimize(opts ...Option) (*Result, error) {
-	return DefaultPlanner().Plan(context.Background(), q, opts...)
 }
 
 func (q *Query) toSet(ids []RelID) (bitset.Set, error) {

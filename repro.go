@@ -46,7 +46,7 @@ type (
 	// Graph is a query hypergraph.
 	Graph = hypergraph.Graph
 	// Trace records DPhyp traversal steps (Fig. 3 style).
-	Trace = core.Trace
+	Trace = dp.Trace
 	// PlanTrace records the phases of one planning call (routing, cache
 	// lookup, iterdp compression rounds, enumeration, materialization)
 	// with per-phase wall time and work counters. Attach one with
@@ -204,7 +204,7 @@ type options struct {
 	cacheSize   int
 	noFallback  bool
 	pool        *memo.Pool
-	parallelism int           // 0 = GOMAXPROCS, 1 = serial
+	parallelism int           // 0 = GOMAXPROCS, 1 = serial; resolved per call by the route stage
 	clusterSize int           // IterDP subproblem budget; 0 = DefaultClusterSize
 	planBudget  time.Duration // planning-time SLO for budget routing; 0 = none
 }
@@ -269,11 +269,14 @@ func WithoutGreedyFallback() Option { return func(o *options) { o.noFallback = t
 
 // WithParallelism bounds the workers one enumeration may use. The
 // default (0) is runtime.GOMAXPROCS; 1 pins every run to the serial
-// engine. Only DPhyp and DPsub enumerate in parallel, the two modes
-// measured faster than serial on the shapes SolverAuto routes to them
-// (see the package documentation); SolverAuto additionally sends
-// cliques to DPsub instead of TopDown when more than one worker is
-// allowed. Every other solver plans serially at any setting.
+// engine. Only DPhyp and DPsub enumerate in parallel; SolverAuto
+// additionally sends cliques to DPsub instead of TopDown when more than
+// one worker is allowed. Every other solver plans serially at any
+// setting. Neither mode reliably beats serial: at 2 workers on 2 CPUs,
+// parallel DPsub takes 0.62–0.66× of serial TopDown's time on
+// clique11–12 but 1.17× on clique10, and parallel DPhyp takes 0.84×
+// of serial on grid4×4 and 1.12–1.80× on stars, smaller grids and
+// hyperedge workloads (see the package documentation).
 // Parallelism never changes the plan: worker results merge under an
 // order-independent tie-break, so plans are byte-identical across
 // worker counts (and to serial), which is also why the plan cache
@@ -301,8 +304,9 @@ func WithClusterSize(n int) Option { return func(o *options) { o.clusterSize = n
 const ParallelMinRels = 10
 
 // workers resolves the effective worker count for one enumeration over
-// g. Observation hooks need the serial emission order; filters carry
-// per-analysis state the worker builders must not share.
+// g; the route stage calls it once per planning call. Observation hooks
+// need the serial emission order; filters carry per-analysis state the
+// worker builders must not share.
 func (o *options) workers(g *Graph, filter dp.Filter) int {
 	w := o.parallelism
 	if w <= 0 {
@@ -338,10 +342,10 @@ func (r *Result) Cost() float64 { return r.Plan.Cost }
 // Cardinality returns the estimated result size.
 func (r *Result) Cardinality() float64 { return r.Plan.Card }
 
-// runSolver dispatches a hypergraph to the selected algorithm. It
-// returns the enumeration statistics even on error so that the Planner
-// can account for the work an aborted exact pass performed before its
-// Greedy fallback.
+// runSolver dispatches a hypergraph to the selected algorithm under one
+// run contract (dp.Options). It returns the enumeration statistics even
+// on error so that the Planner can account for the work an aborted
+// exact pass performed before its Greedy fallback.
 func runSolver(g *Graph, o options, filter dp.Filter) (*PlanNode, Stats, error) {
 	// Fault injection: one visit per solver dispatch. An injected error
 	// fails the enumeration before it starts (wrap ErrBudgetExhausted to
@@ -351,26 +355,35 @@ func runSolver(g *Graph, o options, filter dp.Filter) (*PlanNode, Stats, error) 
 			return nil, Stats{}, err
 		}
 	}
-	limits := dp.Limits{
-		Ctx:            o.ctx,
-		MaxCsgCmpPairs: o.budget.MaxCsgCmpPairs,
-		MaxCostedPlans: o.budget.MaxCostedPlans,
+	run := dp.Options{
+		Model:  o.model,
+		Filter: filter,
+		OnEmit: o.onEmit,
+		Limits: dp.Limits{
+			Ctx:            o.ctx,
+			MaxCsgCmpPairs: o.budget.MaxCsgCmpPairs,
+			MaxCostedPlans: o.budget.MaxCostedPlans,
+		},
+		Pool:        o.pool,
+		Explain:     o.explain,
+		Parallelism: o.parallelism,
+		Trace:       o.trace,
 	}
 	switch o.alg {
 	case DPhyp:
-		return core.Solve(g, core.Options{Model: o.model, Filter: filter, Trace: o.trace, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool, Parallelism: o.workers(g, filter)})
+		return core.Solve(g, run)
 	case DPsize:
-		return dpsize.Solve(g, dpsize.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool})
+		return dpsize.Solve(g, run)
 	case DPsub:
-		return dpsub.Solve(g, dpsub.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool, Parallelism: o.workers(g, filter)})
+		return dpsub.Solve(g, run)
 	case DPccp:
-		return dpccp.Solve(g, dpccp.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool})
+		return dpccp.Solve(g, run)
 	case TopDown:
-		return topdown.Solve(g, topdown.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool})
+		return topdown.Solve(g, run)
 	case Greedy:
-		return goo.Solve(g, goo.Options{Model: o.model, Filter: filter, Explain: o.explain, OnEmit: o.onEmit, Limits: limits, Pool: o.pool})
+		return goo.Solve(g, run)
 	case IterDP:
-		return runIterDP(g, o, limits)
+		return runIterDP(g, o.clusterSize, run)
 	case SolverAuto:
 		// The Planner resolves SolverAuto to a concrete algorithm before
 		// dispatching; reaching this point is a programming error.
@@ -378,13 +391,4 @@ func runSolver(g *Graph, o options, filter dp.Filter) (*PlanNode, Stats, error) 
 	default:
 		return nil, Stats{}, fmt.Errorf("repro: unknown algorithm %v", o.alg)
 	}
-}
-
-// OptimizeGraph runs the selected algorithm directly on a hypergraph
-// through the default Planner (see DefaultPlanner). Most callers use
-// Query.Optimize or TreeQuery.Optimize instead; this entry point serves
-// tools and benchmarks that build graphs through the internal workload
-// generators.
-func OptimizeGraph(g *Graph, opts ...Option) (*Result, error) {
-	return DefaultPlanner().PlanGraph(context.Background(), g, opts...)
 }

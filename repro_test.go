@@ -24,7 +24,8 @@ func tpchish(t *testing.T) *Query {
 }
 
 func TestQueryOptimizeDefault(t *testing.T) {
-	res, err := tpchish(t).Optimize()
+	p, ctx := NewPlanner(), context.Background()
+	res, err := p.Plan(ctx, tpchish(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +44,10 @@ func TestQueryOptimizeDefault(t *testing.T) {
 }
 
 func TestAllAlgorithmsAgree(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	var costs []float64
 	for _, alg := range []Algorithm{DPhyp, DPsize, DPsub, DPccp, TopDown} {
-		res, err := tpchish(t).Optimize(WithAlgorithm(alg))
+		res, err := p.Plan(ctx, tpchish(t), WithAlgorithm(alg))
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -59,8 +61,9 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 }
 
 func TestCostModels(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	for _, m := range []CostModel{Cout, NestedLoop, Hash} {
-		res, err := tpchish(t).Optimize(WithCostModel(m))
+		res, err := p.Plan(ctx, tpchish(t), WithCostModel(m))
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
@@ -71,6 +74,7 @@ func TestCostModels(t *testing.T) {
 }
 
 func TestComplexJoinBecomesHyperedge(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	q := NewQuery()
 	var ids []RelID
 	for i := 0; i < 6; i++ {
@@ -82,7 +86,7 @@ func TestComplexJoinBecomesHyperedge(t *testing.T) {
 	q.Join(ids[4], ids[5], 0.1)
 	// The Fig. 2 predicate R1.a+R2.b+R3.c = R4.d+R5.e+R6.f.
 	q.ComplexJoin(ids[:3], ids[3:], 0.05)
-	res, err := q.Optimize()
+	res, err := p.Plan(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +96,14 @@ func TestComplexJoinBecomesHyperedge(t *testing.T) {
 }
 
 func TestFlexibleJoin(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	q := NewQuery()
 	a := q.Relation("A", 100)
 	b := q.Relation("B", 100)
 	c := q.Relation("C", 100)
 	q.Join(a, b, 0.1)
 	q.FlexibleJoin([]RelID{a}, []RelID{c}, []RelID{b}, 0.2)
-	res, err := q.Optimize()
+	res, err := p.Plan(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +113,14 @@ func TestFlexibleJoin(t *testing.T) {
 }
 
 func TestDisconnectedQueryRepaired(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	q := NewQuery()
 	a := q.Relation("A", 10)
 	b := q.Relation("B", 20)
 	c := q.Relation("C", 30)
 	q.Join(a, b, 0.1)
 	_ = c // no edge to C: cross product required
-	res, err := q.Optimize()
+	res, err := p.Plan(ctx, q)
 	if err != nil {
 		t.Fatalf("disconnected query must be repaired (§2.1): %v", err)
 	}
@@ -124,8 +130,9 @@ func TestDisconnectedQueryRepaired(t *testing.T) {
 }
 
 func TestQueryErrors(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	q := NewQuery()
-	if _, err := q.Optimize(); err == nil {
+	if _, err := p.Plan(ctx, q); err == nil {
 		t.Error("empty query must fail")
 	}
 	q2 := NewQuery()
@@ -139,8 +146,8 @@ func TestQueryErrors(t *testing.T) {
 	if q3.Err() == nil {
 		t.Error("unknown relation must fail")
 	}
-	if _, err := q3.Optimize(); err == nil {
-		t.Error("Optimize must surface builder errors")
+	if _, err := p.Plan(ctx, q3); err == nil {
+		t.Error("Plan must surface builder errors")
 	}
 }
 
@@ -209,11 +216,12 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 }
 
 func TestDependentRelationQuery(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	q := NewQuery()
 	r := q.Relation("R", 100)
 	s := q.DependentRelation("S(R)", 10, r)
 	q.Join(r, s, 0.3)
-	res, err := q.Optimize()
+	res, err := p.Plan(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +231,7 @@ func TestDependentRelationQuery(t *testing.T) {
 }
 
 func TestTreeQuery(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	tq := NewTreeQuery()
 	f := tq.Table("fact", 1_000_000)
 	d1 := tq.Table("dim1", 1000)
@@ -232,7 +241,7 @@ func TestTreeQuery(t *testing.T) {
 	if got := tq.InitialTree(expr); got != "(((R0 ⋈ R1) ▷ R2) ⟕ R3)" {
 		t.Errorf("InitialTree = %q", got)
 	}
-	res, err := tq.Optimize(expr)
+	res, err := p.PlanTree(ctx, tq, expr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,6 +258,7 @@ func TestTreeQuery(t *testing.T) {
 }
 
 func TestTreeQueryGenerateAndTest(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	build := func() (*TreeQuery, *Expr) {
 		tq := NewTreeQuery()
 		f := tq.Table("fact", 1_000_000)
@@ -257,12 +267,12 @@ func TestTreeQueryGenerateAndTest(t *testing.T) {
 		return tq, f.AntiJoin(d1, 0.001).AntiJoin(d2, 0.002)
 	}
 	tq1, e1 := build()
-	r1, err := tq1.Optimize(e1)
+	r1, err := p.PlanTree(ctx, tq1, e1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tq2, e2 := build()
-	r2, err := tq2.Optimize(e2, WithGenerateAndTest())
+	r2, err := p.PlanTree(ctx, tq2, e2, WithGenerateAndTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,6 +282,7 @@ func TestTreeQueryGenerateAndTest(t *testing.T) {
 }
 
 func TestTreeQueryConflictRules(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	build := func() (*TreeQuery, *Expr) {
 		tq := NewTreeQuery()
 		f := tq.Table("fact", 1_000_000)
@@ -280,12 +291,12 @@ func TestTreeQueryConflictRules(t *testing.T) {
 		return tq, f.AntiJoin(d1, 0.001).AntiJoin(d2, 0.002)
 	}
 	tq1, e1 := build()
-	cons, err := tq1.Optimize(e1)
+	cons, err := p.PlanTree(ctx, tq1, e1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tq2, e2 := build()
-	pub, err := tq2.Optimize(e2, WithPublishedConflictRule())
+	pub, err := p.PlanTree(ctx, tq2, e2, WithPublishedConflictRule())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,9 +311,10 @@ func TestTreeQueryConflictRules(t *testing.T) {
 }
 
 func TestTreeQueryErrors(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	tq := NewTreeQuery()
 	a := tq.Table("A", 10)
-	if _, err := tq.Optimize(a.Join(a, 0.5)); err == nil {
+	if _, err := p.PlanTree(ctx, tq, a.Join(a, 0.5)); err == nil {
 		t.Error("self-join of the same expression must fail")
 	}
 	other := NewTreeQuery()
@@ -310,11 +322,11 @@ func TestTreeQueryErrors(t *testing.T) {
 	tq2 := NewTreeQuery()
 	a2 := tq2.Table("A", 10)
 	a2.Join(b, 0.5)
-	if _, err := tq2.Optimize(a2); err == nil {
+	if _, err := p.PlanTree(ctx, tq2, a2); err == nil {
 		t.Error("mixing queries must fail")
 	}
 	tq3 := NewTreeQuery()
-	if _, err := tq3.Optimize(nil); err == nil {
+	if _, err := p.PlanTree(ctx, tq3, nil); err == nil {
 		t.Error("nil root must fail")
 	}
 }
@@ -349,9 +361,10 @@ func TestParseAlgorithm(t *testing.T) {
 }
 
 func TestTraceOption(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	tr := &Trace{}
 	q := tpchish(t)
-	if _, err := q.Optimize(WithTrace(tr)); err != nil {
+	if _, err := p.Plan(ctx, q, WithTrace(tr)); err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Steps) == 0 {
@@ -360,6 +373,7 @@ func TestTraceOption(t *testing.T) {
 }
 
 func TestJSONGraphRoundTrip(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	doc := []byte(`{
 		"relations": [
 			{"name": "A", "card": 100},
@@ -375,7 +389,7 @@ func TestJSONGraphRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OptimizeJSON(q)
+	res, err := p.PlanJSON(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,6 +399,7 @@ func TestJSONGraphRoundTrip(t *testing.T) {
 }
 
 func TestJSONTree(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	doc := []byte(`{
 		"relations": [
 			{"name": "F", "card": 100000},
@@ -406,7 +421,7 @@ func TestJSONTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OptimizeJSON(q)
+	res, err := p.PlanJSON(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,6 +437,7 @@ func TestJSONTree(t *testing.T) {
 }
 
 func TestJSONErrors(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	cases := []string{
 		`{`,
 		`{"relations": []}`,
@@ -438,20 +454,44 @@ func TestJSONErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OptimizeJSON(q); err == nil {
+	if _, err := p.PlanJSON(ctx, q); err == nil {
 		t.Error("bogus op must fail")
+	}
+
+	// PlanJSON validates documents that did not come through ParseQuery:
+	// one with both edges and a tree must not plan the tree and drop the
+	// edges, and a relation alone is not a query.
+	r0, r1 := 0, 1
+	invalid := map[string]*QueryJSON{
+		"edges and tree": {
+			Relations: []RelationJSON{{Name: "A", Card: 10}, {Name: "B", Card: 20}},
+			Edges:     []EdgeJSON{{Left: []int{0}, Right: []int{1}, Sel: 0.5}},
+			Tree: &TreeJSON{Op: "join", Left: &TreeJSON{Rel: &r0}, Right: &TreeJSON{Rel: &r1},
+				Pred: []int{0, 1}, Sel: 0.01},
+		},
+		"neither edges nor tree": {Relations: []RelationJSON{{Name: "A", Card: 10}}},
+	}
+	failures := p.Metrics().Failures
+	for name, doc := range invalid {
+		if res, err := p.PlanJSON(ctx, doc); err == nil {
+			t.Errorf("%s: planned (card %g), want a validation error", name, res.Cardinality())
+		}
+	}
+	if got := p.Metrics().Failures - failures; got != uint64(len(invalid)) {
+		t.Errorf("Failures rose by %d, want %d", got, len(invalid))
 	}
 }
 
 func TestGreedyAlgorithm(t *testing.T) {
-	res, err := tpchish(t).Optimize(WithAlgorithm(Greedy))
+	p, ctx := NewPlanner(), context.Background()
+	res, err := p.Plan(ctx, tpchish(t), WithAlgorithm(Greedy))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Plan.Relations() != 4 {
 		t.Error("incomplete greedy plan")
 	}
-	opt, err := tpchish(t).Optimize()
+	opt, err := p.Plan(ctx, tpchish(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,9 +507,10 @@ func TestGreedyAlgorithm(t *testing.T) {
 // every DP variant memoizes exactly the connected subgraphs, so the
 // final table sizes must be identical.
 func TestMemoryRequirementsIdentical(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	var entries []int
 	for _, alg := range []Algorithm{DPhyp, DPsize, DPsub, DPccp, TopDown} {
-		res, err := tpchish(t).Optimize(WithAlgorithm(alg))
+		res, err := p.Plan(ctx, tpchish(t), WithAlgorithm(alg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,6 +524,7 @@ func TestMemoryRequirementsIdentical(t *testing.T) {
 }
 
 func TestWithoutSimplification(t *testing.T) {
+	p, ctx := NewPlanner(), context.Background()
 	// (A ⟕ B) ⋈ C with the join referencing B: simplification converts
 	// the outer join; without it the outer join must survive analysis.
 	build := func() (*TreeQuery, *Expr) {
@@ -493,7 +535,7 @@ func TestWithoutSimplification(t *testing.T) {
 		return tq, a.LeftOuterJoin(b, 0.1).Join(c, 0.1, On(b, c))
 	}
 	tq1, e1 := build()
-	simplified, err := tq1.Optimize(e1)
+	simplified, err := p.PlanTree(ctx, tq1, e1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +552,7 @@ func TestWithoutSimplification(t *testing.T) {
 		t.Error("simplification must have removed the refuted outer join")
 	}
 	tq2, e2 := build()
-	raw, err := tq2.Optimize(e2, WithoutSimplification())
+	raw, err := p.PlanTree(ctx, tq2, e2, WithoutSimplification())
 	if err != nil {
 		t.Fatal(err)
 	}

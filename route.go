@@ -35,12 +35,14 @@ const autoMaxGreedyRels = 64
 //     connectivity-failing pair.
 //   - Stars go to DPhyp (Fig. 7: DPhyp ≪ DPsub < DPsize, with the gap
 //     growing exponentially in the number of relations).
-//   - Chains go to DPsize: on chains the size-paired enumeration wastes
-//     almost nothing (§4.2 shows all three DP variants within small
-//     factors there) and its tight loops have the smallest constant.
+//   - Chains go to DPsize: §4.2 shows all three DP variants within small
+//     factors there. Measured on this code (Planner, serial, cache off,
+//     7 interleaved pairs per cell), serial DPhyp takes 0.36–0.67× of
+//     DPsize's time on chains of 8–24 relations and 1.05× at chain4, so
+//     this route is kept only until routing is calibrated.
 //   - Cycles go to DPccp, the simple-graph specialization of the
-//     csg-cmp-pair enumeration — exact and allocation-light on sparse
-//     simple graphs.
+//     csg-cmp-pair enumeration; on cycles of 4–24 relations it takes
+//     0.90–1.00× of serial DPhyp's time.
 //   - Cliques go to TopDown: on a clique every subset is connected, so
 //     the failing connectivity tests that sink DPsize/DPsub vanish and
 //     the memoizing partition search enumerates exactly the csg-cmp
@@ -57,10 +59,11 @@ const autoMaxGreedyRels = 64
 // workers is the effective parallelism of the call. It only matters in
 // one place: cliques at or above the parallel crossover route to the
 // level-parallel DPsub instead of TopDown, which has no parallel mode.
-// This is a measured choice against serial TopDown: on a clique every
-// subset is connected, so both solvers walk the same Θ(3ⁿ) partition
-// space, and at 2 workers on 2 CPUs parallel DPsub takes 0.59–0.78× of
-// serial TopDown's time on clique10–12. Below the crossover (and at
+// On a clique every subset is connected, so both solvers walk the same
+// Θ(3ⁿ) partition space. At 2 workers on 2 CPUs (SolverAuto, cache off,
+// 15 interleaved pairs per cell), parallel DPsub takes 0.62–0.66× of
+// serial TopDown's time on clique11–12, winning 9 and 15 of 15 pairs,
+// but 1.17× on clique10, winning 2 of 15. Below the crossover (and at
 // workers == 1) the serial routing is unchanged, so small queries never
 // pay fork/join overhead.
 func routeAuto(p shape.Profile, workers int) Algorithm {

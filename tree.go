@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -170,15 +169,34 @@ func (t *TreeQuery) Analyze(root *Expr, opts ...Option) (*Graph, error) {
 	return g, err
 }
 
-// derive runs conflict analysis and builds the query hypergraph — plus,
-// in generate-and-test mode, the late TES filter — under the query's
-// lock. The returned graph and filter hold no references to the mutable
-// tree state, so enumeration can proceed concurrently with other
+// derive runs deriveGraph over the query's tree under the query's lock.
+// The returned graph and filter hold no references to the mutable tree
+// state, so enumeration can proceed concurrently with other
 // derivations.
 func (t *TreeQuery) derive(root *Expr, o options) (*Graph, dp.Filter, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tr, _, err := t.analyze(root, o)
+	if t.err != nil {
+		return nil, nil, t.err
+	}
+	if root == nil || root.q != t {
+		return nil, nil, fmt.Errorf("repro: root expression does not belong to this query")
+	}
+	return deriveGraph(root.node, t.rels, o)
+}
+
+// deriveGraph is the one SES/TES derivation behind PlanTree and
+// PlanJSON. Unless o.noSimplify is set it first runs the §5.2
+// simplification pass, which rewrites root in place: outer joins
+// refuted by strong predicates above them are degraded before conflict
+// analysis. It then analyzes the tree and builds the query hypergraph:
+// the TES graph, or under WithGenerateAndTest the SES graph plus the
+// late TES filter (§5.8).
+func deriveGraph(root *optree.Node, rels []optree.RelInfo, o options) (*Graph, dp.Filter, error) {
+	if !o.noSimplify {
+		simplify.Simplify(root)
+	}
+	tr, err := optree.Analyze(root, rels, o.rule)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -187,37 +205,6 @@ func (t *TreeQuery) derive(root *Expr, o options) (*Graph, dp.Filter, error) {
 		return g, tr.Filter(g), nil
 	}
 	return tr.Hypergraph(optree.TESEdges), nil, nil
-}
-
-// analyze must be called with t.mu held.
-func (t *TreeQuery) analyze(root *Expr, o options) (*optree.Tree, *optree.Node, error) {
-	if t.err != nil {
-		return nil, nil, t.err
-	}
-	if root == nil || root.q != t {
-		return nil, nil, fmt.Errorf("repro: root expression does not belong to this query")
-	}
-	if !o.noSimplify {
-		// §5.2 precondition: outer joins refuted by strong predicates
-		// above them are degraded before conflict analysis.
-		simplify.Simplify(root.node)
-	}
-	tr, err := optree.Analyze(root.node, t.rels, o.rule)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, root.node, nil
-}
-
-// Optimize computes TESs for the initial tree, derives the query
-// hypergraph (§5.7), and runs the selected algorithm. With
-// WithGenerateAndTest the SES graph plus a late TES filter is used
-// instead (§5.8's slower alternative).
-//
-// Optimize is a convenience wrapper over the default Planner (see
-// DefaultPlanner); use Planner.PlanTree for cancellation and budgets.
-func (t *TreeQuery) Optimize(root *Expr, opts ...Option) (*Result, error) {
-	return DefaultPlanner().PlanTree(context.Background(), t, root, opts...)
 }
 
 // InitialTree renders the initial operator tree (for documentation and
