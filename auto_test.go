@@ -26,13 +26,16 @@ func autoShapes() []struct {
 		shape  string
 		routed Algorithm
 	}{
-		{"chain8", workload.Chain(8, cfg), "chain", DPsize},
+		// Every graph without hyperedges goes to DPccp; a clique goes to
+		// DPsub only when more than one worker plans it.
+		{"chain8", workload.Chain(8, cfg), "chain", DPccp},
 		{"cycle8", workload.Cycle(8, cfg), "cycle", DPccp},
-		{"star8", workload.Star(8, cfg), "star", DPhyp},
-		{"clique6", workload.Clique(6, cfg), "clique", TopDown},
-		{"grid3x3", workload.Grid(3, 3, cfg), "grid", DPhyp},
-		// Hyperedges override the per-class table: DPhyp is the only
-		// enumerator that never generates failing pairs on them.
+		{"star8", workload.Star(8, cfg), "star", DPccp},
+		{"clique6", workload.Clique(6, cfg), "clique", DPccp},
+		{"grid3x3", workload.Grid(3, 3, cfg), "grid", DPccp},
+		// Hyperedges go to DPhyp: DPccp does not accept them, and DPhyp
+		// is the only enumerator that never generates failing pairs on
+		// them.
 		{"cyclehyper", workload.CycleHyper(8, 1, cfg), "cycle", DPhyp},
 		// Beyond the exact cutoffs the router degrades to Greedy up
 		// front.
@@ -122,9 +125,9 @@ func TestSolverAutoBudgetFallback(t *testing.T) {
 	if !st.AutoRouted || st.Shape != "star" {
 		t.Errorf("routing not recorded: %+v", st)
 	}
-	if st.RoutedAlgorithm != DPhyp.String() {
+	if st.RoutedAlgorithm != DPccp.String() {
 		t.Errorf("RoutedAlgorithm = %q, want %q (the router's pick must survive the fallback)",
-			st.RoutedAlgorithm, DPhyp)
+			st.RoutedAlgorithm, DPccp)
 	}
 	if !st.BudgetExhausted || !st.FallbackGreedy {
 		t.Errorf("budget trip not recorded: exhausted=%t fallback=%t", st.BudgetExhausted, st.FallbackGreedy)
@@ -223,13 +226,13 @@ func TestSolverAutoCacheHit(t *testing.T) {
 	if !second.Stats.CacheHit {
 		t.Error("second auto call missed the cache")
 	}
-	if !second.Stats.AutoRouted || second.Stats.Shape != "star" || second.Stats.RoutedAlgorithm != DPhyp.String() {
+	if !second.Stats.AutoRouted || second.Stats.Shape != "star" || second.Stats.RoutedAlgorithm != DPccp.String() {
 		t.Errorf("cache hit lost routing annotation: %+v", second.Stats)
 	}
 
-	// A direct DPhyp call shares the entry (routing is deterministic)
+	// A direct DPccp call shares the entry (routing is deterministic)
 	// but must not look auto-routed.
-	direct, err := p.PlanGraph(ctx, g, WithAlgorithm(DPhyp))
+	direct, err := p.PlanGraph(ctx, g, WithAlgorithm(DPccp))
 	if err != nil {
 		t.Fatal(err)
 	}

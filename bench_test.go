@@ -18,8 +18,6 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/core"
-	"repro/internal/dp"
 	"repro/internal/experiments"
 	"repro/internal/hypergraph"
 	"repro/internal/memo"
@@ -163,6 +161,9 @@ func BenchmarkAblationCostModels(b *testing.B) {
 // csg-cmp-pairs dominates, versus plans of a mid-size clique served from
 // the fingerprint cache — the repeated-traffic path a server lives on.
 // The enumerate-pooled graphs are lib-cold's costliest cells by shape.
+// enumerate-auto plans one cell per route through SolverAuto at 2
+// workers, the serving configuration on 2 CPUs, so a route change
+// shows as a time change there.
 func BenchmarkPlannerSession(b *testing.B) {
 	cfg := workload.DefaultConfig()
 	g := workload.Clique(8, cfg)
@@ -178,6 +179,26 @@ func BenchmarkPlannerSession(b *testing.B) {
 	} {
 		b.Run("enumerate-pooled/"+c.name, func(b *testing.B) {
 			p := NewPlanner(WithPlanCacheSize(0), WithParallelism(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.PlanGraph(ctx, c.g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"grid4x4", workload.Grid(4, 4, cfg)},
+		{"star14", workload.Star(14, cfg)},
+		{"chain20", workload.Chain(20, cfg)},
+		{"clique10", workload.Clique(10, cfg)},
+		{"cycle-hyper12-5", workload.CycleHyper(12, 5, cfg)},
+	} {
+		b.Run("enumerate-auto/"+c.name, func(b *testing.B) {
+			p := NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0), WithParallelism(2))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.PlanGraph(ctx, c.g); err != nil {
@@ -314,100 +335,30 @@ func BenchmarkMemo(b *testing.B) {
 			}
 		}
 	})
-
-	// deferred-buckets measures the steady state of the pooled
-	// deferred-pricing cycle the parallel DPhyp spine runs per query:
-	// record pairs into the per-worker pooled buffers, fold the collect
-	// barrier, assemble the pooled size buckets, and price every bucket
-	// level through the merged barriers. After warmup the whole cycle is
-	// allocation-free. Two per-run costs are hoisted out because they are
-	// per-run by design, not per-pair: the Stats.WorkerPairs header
-	// (deliberately freshly allocated by Engine.Parallel — it escapes
-	// into Results) and PriceLevels' goroutine fork/join (pricing runs
-	// inline here).
-	b.Run("deferred-buckets", func(b *testing.B) {
-		g := workload.Star(12, workload.DefaultConfig())
-		var recs []dp.PairRec
-		if _, _, err := core.Solve(g, dp.Options{OnEmit: func(S1, S2 bitset.Set) {
-			recs = append(recs, dp.PairRec{S1: S1, S2: S2})
-		}}); err != nil {
-			b.Fatal(err)
-		}
-		const workers = 3
-		n := g.NumRels()
-		e, bld := dp.NewRun(nil, g, nil)
-		bld.Init()
-		pr := dp.NewParRun(bld, workers)
-		wp := e.Stats.WorkerPairs
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Reset(n)
-			e.Stats.Workers = workers
-			e.Stats.WorkerPairs = wp
-			bld.Init()
-			for _, wb := range pr.Bs {
-				wb.ResetPairs()
-			}
-			pr.Par.StartLevel()
-			for j, r := range recs {
-				wb := pr.Bs[j%workers]
-				if wb.Engine.EmitDeferred(r.S1, r.S2) {
-					wb.DeferPair(r.S1, r.S2)
-				}
-			}
-			pr.Par.FinishLevel(memo.LevelCollected)
-			buckets := pr.Buckets(n)
-			for s := 2; s < len(buckets); s++ {
-				if len(buckets[s]) == 0 {
-					continue
-				}
-				pr.Par.StartLevel()
-				for j, r := range buckets[s] {
-					pr.Bs[j%workers].Engine.BuildDeferred(r.S1, r.S2)
-				}
-				pr.Par.FinishLevel(memo.LevelPriced)
-			}
-			if e.Entries() == 0 {
-				b.Fatal("no memo entries after pricing")
-			}
-		}
-	})
 }
 
-// BenchmarkParallel measures the tentpole of the parallel-enumeration
-// work: cold-cache exact planning of the hardest §4 shapes, serial
-// engine versus 4 memo workers. CI diffs clique12 against the PR base
-// with benchstat (non-gating). On a single-core runner the parallel
-// variant shows only the fork/join + merge overhead; the speedup needs
-// real cores.
+// BenchmarkParallel measures SolverAuto's clique12 route with the cache
+// off: the serial route (DPccp) versus 4 memo workers (parallel DPsub).
+// CI diffs it against the PR base with benchstat (non-gating) and gates
+// the speedup on runners with at least 4 CPUs. On fewer cores the
+// parallel variant shows mostly the fork/join + merge overhead.
 func BenchmarkParallel(b *testing.B) {
 	ctx := context.Background()
-	cfg := workload.DefaultConfig()
-	cases := []struct {
-		name string
-		g    *Graph
-		alg  Algorithm
-	}{
-		{"clique12", workload.Clique(12, cfg), SolverAuto},
-		{"star12", workload.Star(12, cfg), SolverAuto},
-	}
-	for _, c := range cases {
-		for _, par := range []int{1, 4} {
-			name := fmt.Sprintf("%s/serial", c.name)
-			if par > 1 {
-				name = fmt.Sprintf("%s/parallel%d", c.name, par)
-			}
-			b.Run(name, func(b *testing.B) {
-				p := NewPlanner(WithAlgorithm(c.alg), WithPlanCacheSize(0), WithParallelism(par))
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.PlanGraph(ctx, c.g); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+	g := workload.Clique(12, workload.DefaultConfig())
+	for _, par := range []int{1, 4} {
+		name := "clique12/serial"
+		if par > 1 {
+			name = fmt.Sprintf("clique12/parallel%d", par)
 		}
+		b.Run(name, func(b *testing.B) {
+			p := NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0), WithParallelism(par))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.PlanGraph(ctx, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -69,7 +69,9 @@ func TestPlanCacheKeyGolden(t *testing.T) {
 // Stats.WorkerPairs must change neither the next hit nor the other
 // nodes of the same plan.
 func TestCacheHitIsolation(t *testing.T) {
-	p := NewPlanner(WithParallelism(2))
+	// SolverAuto plans a clique of ParallelMinRels relations with
+	// parallel DPsub when it has two workers.
+	p := NewPlanner(WithAlgorithm(SolverAuto), WithParallelism(2))
 	ctx := context.Background()
 	q := cliqueQuery(ParallelMinRels)
 

@@ -154,54 +154,40 @@
 // # Parallel planning
 //
 // WithParallelism(n) lets one exact enumeration use up to n memo
-// workers (default GOMAXPROCS; 1 pins the serial engine). Only DPhyp
-// and DPsub have a parallel mode; every other solver plans serially at
-// any setting. The engine parallelizes level-synchronously: workers
-// claim work units dynamically off an atomic counter, build into
+// workers (default GOMAXPROCS; 1 pins the serial engine). Only DPsub
+// has a parallel mode, and SolverAuto sends cliques of ParallelMinRels
+// or more relations to it whenever more than one worker is allowed;
+// every other solver plans serially at any setting. DPsub parallelizes
+// level-synchronously: per set size, workers claim chunks of the
+// Gosper-enumerated same-size sets off an atomic counter, run each
+// set's (*)-test partition loop and price its pairs in place into
 // private memo views (per-worker open-addressing table + arena over the
-// read-only merged levels), and barriers fold the per-worker winners
-// back into the main memo. What is partitioned differs per solver:
+// read-only merged levels), and a barrier folds the per-worker winners
+// back into the main memo.
 //
-//   - DPsub partitions its (*)-test loop directly — Gosper-enumerated
-//     same-size subset chunks — and prices pairs in place within the
-//     level. SolverAuto sends cliques of ParallelMinRels or more
-//     relations to it whenever more than one worker is allowed.
-//   - DPhyp partitions the connected-subgraph expansion itself across
-//     start vertices: each worker runs the full csg-cmp-pair expansion
-//     for the start vertices it claims, using structural connectivity
-//     (hypergraph reachability, cached per worker) as the
-//     subgraph-membership oracle in place of the serial DP table —
-//     valid because in this mode every admitted pair stores a plan, so
-//     "present in the serial table" and "connected" coincide. Emitted
-//     pairs are recorded, not priced; a single barrier collects them
-//     and a level-parallel pricing sweep (ascending result-set size)
-//     builds the plans.
-//
-// A mode is kept only where it beats serial at 2 workers on a shape
+// The mode stays because it beats serial planning on the cliques
 // SolverAuto routes to it. Measured through SolverAuto with the plan
 // cache off, 2 workers on 2 CPUs, median of 15 interleaved
-// serial/parallel pairs per cell (a clique's serial route is TopDown),
-// before and after the plan builder began pricing a pair in one edge
-// pass, which made a pair 1.8–2.9× cheaper on lib-cold's routes:
+// serial/parallel pairs per cell (a clique's serial route is DPccp):
 //
-//	shape            parallel route  parallel ÷ serial time, before → after
-//	clique10         DPsub           1.38 → 1.17 (parallel won 2 of 15 pairs after)
-//	clique11–12      DPsub           0.51–0.58 → 0.62–0.66 (won 9 and 15 of 15)
-//	grid4×4          DPhyp           0.65 → 0.84 (won 8 of 15)
-//	grid3×4          DPhyp           0.73 → 1.80 (won 0 of 15)
-//	star10–16        DPhyp           0.75–1.21 → 1.12–1.55 (won 0–5 of 15)
-//	cycle-hyper12/5  DPhyp           0.66 → 1.13 (won 4 of 15)
-//	star-hyper10/3   DPhyp           0.85 → 1.68 (won 0 of 15)
+//	shape      parallel ÷ serial time
+//	clique10   1.26 (parallel won 0 of 15 pairs)
+//	clique11   0.83 (won 9 of 15)
+//	clique12   0.71 (won 13 of 15)
 //
-// DPsize's and DPccp's parallel modes took 1.03–2.08× serial's time on
-// chains and cycles of 10–18 relations and won only at 20–24, by 2–17%
-// in 9–13 of 15 pairs; TopDown's was unreachable because parallel
-// cliques route to DPsub. All three were deleted. Greedy is inherently
-// sequential. Since one-pass pricing, DPhyp's mode wins only on
-// grid4×4, and narrowly: its deferred collect phase now costs more than
-// the pricing it spreads across workers on smaller queries. The mode
-// and ParallelMinRels stay until routing selects parallel runs by the
+// It loses on clique10, the smallest clique ParallelMinRels lets it
+// take; the crossover stays until routing selects parallel runs by the
 // work a query needs rather than by its relation count.
+//
+// No other solver has a parallel mode. DPsize's and DPccp's took
+// 1.03–2.08× serial's time on chains and cycles of 10–18 relations, and
+// TopDown's was unreachable because parallel cliques route to DPsub.
+// DPhyp's, which enumerated first and priced the collected pairs level
+// by level, took 1.12–1.80× serial's time on stars, grid3×4 and the
+// hyperedge workloads once the plan builder priced a pair in one edge
+// pass, and won only on grid4×4 (0.84, 8 of 15 pairs); SolverAuto now
+// plans grid4×4 with serial DPccp, at 0.93× of serial DPhyp's time.
+// Greedy is inherently sequential.
 //
 // Parallelism never changes the answer. Equal-cost ties are broken
 // order-independently (the lexicographically lowest (left, right)
@@ -218,15 +204,9 @@
 // serially: an exact enumeration at that size costs tens of
 // microseconds and fork/join would only add overhead. Traced and
 // observed runs (WithTrace, OnEmit, generate-and-test filters) are
-// also pinned serial. DPhyp admits graphs with dependent relations
-// through a cost-free precheck (dp.ParallelSafe): exactly one
-// dependent relation whose incident edges are all inner joins is
-// provably orientation-safe and plans parallel; more than one
-// dependent relation, or a dependent relation under a non-inner
-// operator, falls back to serial, where the builder's full §5.6
-// dependency analysis applies. DPsub's parallel mode requires fewer
-// than 63 relations (Gosper's hack needs a spare bit). Stats.Workers
-// and Stats.WorkerPairs record the fan-out per run;
+// also pinned serial. DPsub's parallel mode requires fewer than 63
+// relations (Gosper's hack needs a spare bit). Stats.Workers and
+// Stats.WorkerPairs record the fan-out per run;
 // PlannerMetrics.ParallelRuns and ParallelPairs (exported at /metrics
 // as planner_parallel_runs_total and planner_parallel_pairs_total)
 // aggregate it per session.
@@ -404,32 +384,39 @@
 // depends on the query's shape. WithAlgorithm(SolverAuto) acts on it:
 // before enumeration the planner classifies the hypergraph's topology
 // (internal/shape — chain, cycle, star, clique, grid, or mixed, in
-// O(edges) and invariant under relation relabeling) and routes per the
-// §4 crossover data:
+// O(edges) and invariant under relation relabeling) and routes it to
+// one of three exact solvers, each route backed by a measured ratio:
 //
 //   - hyperedges present → DPhyp (Figs. 5/6: lowest on every hyperedge
-//     workload)
-//   - star → DPhyp (Fig. 7: DPhyp ≪ DPsub < DPsize)
-//   - chain → DPsize, cycle → DPccp (on cycles of 4–24 relations DPccp
-//     takes 0.90–1.00× of serial DPhyp's time; on chains of 8–24,
-//     serial DPhyp takes 0.36–0.67× of DPsize's, so the chain route is
-//     a measured loss awaiting a calibrated route table)
-//   - clique → TopDown (every subset is connected, so the failing
-//     connectivity tests that dominate elsewhere vanish)
-//   - grid/mixed → DPhyp (the overall winner)
+//     workload; DPccp does not accept hyperedges)
+//   - a clique planned with more than one worker → DPsub's parallel
+//     mode, which at 2 workers on 2 CPUs takes 0.71–0.83× of serial
+//     DPccp's time on clique11–12 and 1.26× on clique10 (see Parallel
+//     planning)
+//   - every other graph → DPccp. Without hyperedges it emits the same
+//     csg-cmp-pairs as DPhyp (§4.4) and needs no DP-table membership
+//     test. Serially it takes 0.80–0.94× of DPhyp's time on stars,
+//     grids, cycles and chains, 0.14–0.48× of DPsize's on chains of
+//     8–24 and 0.94–0.98× of TopDown's on clique10–14
 //   - beyond per-shape size cutoffs → Greedy up front (cliques emit
 //     Θ(3ⁿ) csg-cmp-pairs, stars Θ(n·2ⁿ); exact enumeration leaves the
 //     interactive regime in the mid-teens)
 //   - beyond 64 relations → IterDP, the large-query simplification
 //     tier (see "Large queries" below)
 //
+// The ratios were measured through the Planner with the plan cache off,
+// 15 interleaved pairs per cell on 2 CPUs, medians. DPsize and TopDown
+// serve no route: they stay for the §4 experiments and for direct
+// WithAlgorithm calls.
+//
 // The decision is observable: Stats.Shape and Stats.RoutedAlgorithm
 // record what the router saw and picked, and Result.Algorithm reports
 // what actually ran (Greedy after a budget trip, with the routed
 // algorithm still in Stats.RoutedAlgorithm). Routing never changes the
-// returned plan's cost among the exact solvers — they explore the same
-// bushy cross-product-free space — so SolverAuto trades only time,
-// never quality, until a size cutoff or budget degrades to Greedy.
+// plan: the exact solvers price the same csg-cmp-pairs through the same
+// plan builder under the same order-independent tie-break, so SolverAuto
+// trades only time, never quality, until a size cutoff or budget
+// degrades to Greedy.
 //
 // # SLOs and degradation
 //

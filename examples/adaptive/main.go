@@ -1,8 +1,9 @@
 // Command adaptive demonstrates the adaptive planning layer: one
-// Planner in SolverAuto mode routes queries of different topologies to
-// different enumeration algorithms (per the §4 crossover data), and the
-// Physical cost model annotates every join with the physical operator
-// it chose (hash join, sort-merge join, or index nested-loop).
+// Planner in SolverAuto mode classifies each query's topology and routes
+// it to an enumeration algorithm (DPhyp when a predicate spans more than
+// two relations, DPccp for the simple graphs below), and the Physical
+// cost model annotates every join with the physical operator it chose
+// (hash join, sort-merge join, or index nested-loop).
 package main
 
 import (
@@ -51,6 +52,19 @@ func clique(n int) *repro.Query {
 	return q
 }
 
+// hyper is a chain of three relations plus one predicate over all of
+// them, a hyperedge ({R0,R1},{R2}).
+func hyper() *repro.Query {
+	q := repro.NewQuery()
+	r0 := q.Relation("R0", 10_000)
+	r1 := q.Relation("R1", 2_000)
+	r2 := q.Relation("R2", 500)
+	q.Join(r0, r1, 0.001)
+	q.Join(r1, r2, 0.01)
+	q.ComplexJoin([]repro.RelID{r0, r1}, []repro.RelID{r2}, 0.5)
+	return q
+}
+
 func main() {
 	// One planner, shared by all queries: SolverAuto picks the
 	// enumeration algorithm per query shape, the Physical model picks
@@ -68,6 +82,7 @@ func main() {
 		{"chain of 8", chain(8)},
 		{"star with 7 dimensions", star(8)},
 		{"clique of 6", clique(6)},
+		{"three-way predicate", hyper()},
 	}
 	for _, c := range queries {
 		res, err := planner.Plan(ctx, c.q)

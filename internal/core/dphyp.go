@@ -29,14 +29,10 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/bitset"
 	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/memo"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -45,19 +41,11 @@ type Options = dp.Options
 
 // solver runs DPhyp over one hypergraph. It is a pure enumerator: all
 // memoization, budget accounting, and plan construction route through
-// the memo engine (e) and its dp.Builder backend (b).
+// the memo engine (e) and its dp.Builder backend.
 type solver struct {
 	g     *hypergraph.Graph
 	e     *memo.Engine
-	b     *dp.Builder
 	trace *dp.Trace
-
-	// emit and contains are the enumeration's two memo touch points.
-	// In the serial mode they are the engine's EmitPair/Contains; the
-	// parallel mode redirects them to a pair recorder backed by a
-	// membership-only table.
-	emit     func(S1, S2 bitset.Set)
-	contains func(S bitset.Set) bool
 
 	// sc is the reusable neighborhood candidate buffer; together with
 	// the incrementally maintained simple-neighbor unions it removes
@@ -67,27 +55,17 @@ type solver struct {
 
 // Solve runs DPhyp (the Solve routine of §3.1) on g and returns the
 // optimal bushy plan without cross products. The graph must stay
-// unmodified during the run.
-//
-// With more than one worker (see dp.Options.Parallelism) and a graph
-// that passes the dp.ParallelSafe admissibility precheck, the csg-cmp
-// enumeration itself is partitioned across workers by start vertex
-// (see runParallel); other graphs run the serial engine.
+// unmodified during the run. It enumerates serially at any worker
+// count.
 func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
-	return dp.Run(g, opts, func(b *dp.Builder, workers int) error {
-		s := &solver{g: g, e: b.Engine, b: b, trace: opts.Trace}
-		if workers > 1 && dp.ParallelSafe(g) {
-			s.runParallel(workers, opts.Explain)
-			return nil
-		}
-		s.emit = s.e.EmitPair
-		s.contains = s.e.Contains
+	return dp.Run(g, opts, func(b *dp.Builder, _ int) error {
+		s := &solver{g: g, e: b.Engine, trace: opts.Trace}
 		s.enumerate()
 		return nil
 	})
 }
 
-// enumerate drives the §3.1 outer loop, feeding pairs to s.emit.
+// enumerate drives the §3.1 outer loop.
 //
 //dp:hotpath
 func (s *solver) enumerate() {
@@ -99,90 +77,6 @@ func (s *solver) enumerate() {
 		s.trace.Add(dp.StepStartNode, S, bitset.Empty)
 		s.emitCsg(S, su)
 		s.enumerateCsgRec(S, bitset.BelowEq(v), su)
-	}
-}
-
-// runParallel is the parallel spine: the csg-cmp enumeration itself is
-// partitioned across workers. Workers claim start vertices dynamically
-// (descending, matching the serial seeding order); each runs the full
-// §3 member-function body for its vertices with the two memo touch
-// points redirected — emit records pairs into the worker's deferred
-// bucket, and contains answers with a structural Definition-3
-// connectivity test (hypergraph.ConnectedSet) cached in the worker's
-// scratch table.
-//
-// Why structural connectivity is the correct membership oracle: under
-// dp.ParallelSafe every admitted pair stores a plan, so the serial DP
-// table holds S iff S is a connected csg. Queries with min(S) equal to
-// the worker's own start vertex concern csgs the worker grows itself;
-// queries with a smaller min concern vertices another worker owns —
-// the serial order would have completed them already, and connectivity
-// is exactly the answer the finished table would give. The partitioned
-// enumeration therefore admits the same pair set as the serial order,
-// and the order-independent barrier merge makes the final plan
-// byte-identical at any worker count.
-//
-// After the single collect barrier (memo.LevelCollected folds the
-// workers' pair counters; their tables carry no plans), the recorded
-// pairs are bucketed by result-set size through the pooled
-// dp.ParRun.Buckets and priced level-by-level across the same workers.
-// The collect and price phases are recorded as spans into explain.
-func (s *solver) runParallel(workers int, explain *obs.Trace) {
-	n := s.g.NumRels()
-	pr := dp.NewParRun(s.b, workers)
-	pr.Par.StartLevel()
-	collect := explain.Start(obs.PhaseCollect)
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := range pr.Bs {
-		wb := pr.Bs[w]
-		we := wb.Engine
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn := we.Scratch(1 << uint(min(n, 12)))
-			var cs hypergraph.ConnScratch
-			col := &solver{g: s.g, e: we, b: wb}
-			col.emit = func(S1, S2 bitset.Set) {
-				if we.EmitDeferred(S1, S2) {
-					wb.DeferPair(S1, S2)
-				}
-			}
-			col.contains = func(S bitset.Set) bool {
-				if v, ok := conn.Get(S); ok {
-					return v != 0
-				}
-				var v int32
-				if s.g.ConnectedSet(S, &cs) {
-					v = 1
-				}
-				conn.Put(S, v)
-				return v != 0
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || we.Aborted() != nil {
-					return
-				}
-				v := n - 1 - i
-				S := bitset.Single(v)
-				su := s.g.SimpleNeighborUnion(S)
-				col.emitCsg(S, su)
-				col.enumerateCsgRec(S, bitset.BelowEq(v), su)
-			}
-		}()
-	}
-	wg.Wait()
-	pr.Par.FinishLevel(memo.LevelCollected)
-	explain.Annotate(collect, int64(s.e.Stats.CsgCmpPairs), 0, workers, 0)
-	explain.End(collect)
-	if pr.Par.Aborted() == nil {
-		price := explain.Start(obs.PhasePrice)
-		pr.PriceLevels(pr.Buckets(n))
-		explain.Annotate(price, 0, s.e.Entries(), workers, 0)
-		explain.End(price)
 	}
 }
 
@@ -208,7 +102,7 @@ func (s *solver) enumerateCsgRec(S1, X, su bitset.Set) {
 			return
 		}
 		next := S1.Union(n)
-		if s.contains(next) {
+		if s.e.Contains(next) {
 			s.trace.Add(dp.StepCsg, next, bitset.Empty)
 			s.emitCsg(next, su.Union(s.g.SimpleNeighborUnion(n)))
 		}
@@ -249,7 +143,7 @@ func (s *solver) emitCsg(S1, su bitset.Set) {
 		// connect (§3.3's step 20: no edge between {R1,R2,R3} and {R4}).
 		if s.g.ConnectsTo(S1, S2) {
 			s.trace.Add(dp.StepCmp, S1, S2)
-			s.emit(S1, S2)
+			s.e.EmitPair(S1, S2)
 		}
 		// Forbid the smaller-ordered neighbors while growing this seed so
 		// each complement is produced from its ≺-minimal seed only (the
@@ -287,9 +181,9 @@ func (s *solver) enumerateCmpRec(S1, S2, X, su bitset.Set) {
 		}
 		next := S2.Union(n)
 		// "if dpTable[S2 ∪ N] ≠ ∅ ∧ ∃(u,v) ∈ E : u ⊆ S1 ∧ v ⊆ S2 ∪ N"
-		if s.contains(next) && s.g.ConnectsTo(S1, next) {
+		if s.e.Contains(next) && s.g.ConnectsTo(S1, next) {
 			s.trace.Add(dp.StepCmp, S1, next)
-			s.emit(S1, next)
+			s.e.EmitPair(S1, next)
 		}
 		if n.Equal(N) {
 			break

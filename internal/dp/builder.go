@@ -21,8 +21,6 @@ package dp
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/bitset"
@@ -84,15 +82,6 @@ type Builder struct {
 	connBuf []EdgeRef
 	flipBuf []EdgeRef
 	edgeBuf []int
-
-	// Deferred-pair storage for the enumerate-first parallel modes:
-	// recs is this builder's collection buffer (each worker Builder
-	// collects into its own), buckets is the size-keyed assembly the
-	// main Builder hands to PriceLevels. Both keep their backing arrays
-	// across pool round-trips, so steady-state deferred pricing
-	// allocates nothing (see BenchmarkMemo/deferred-buckets).
-	recs    []PairRec
-	buckets [][]PairRec
 }
 
 // NewRun obtains an engine (recycled from pool when possible), resets it
@@ -135,9 +124,8 @@ func (b *Builder) indexGraph() {
 // dependency checks, costing — runs lock-free on every worker: the
 // scratch buffers the Builder reuses are private to its view.
 type ParRun struct {
-	Par  *memo.Par
-	Bs   []*Builder
-	main *Builder
+	Par *memo.Par
+	Bs  []*Builder
 }
 
 // NewParRun prepares n parallel worker views over b's engine. Like the
@@ -154,153 +142,16 @@ func NewParRun(b *Builder, n int) *ParRun {
 		}
 		wb.G, wb.Model, wb.Filter, wb.Engine = b.G, b.Model, b.Filter, w
 		wb.edgeNodes, wb.dependent = b.edgeNodes, b.dependent
-		wb.ResetPairs()
 		bs[i] = wb
 	}
-	return &ParRun{Par: par, Bs: bs, main: b}
+	return &ParRun{Par: par, Bs: bs}
 }
 
-// DeferPair records an admitted csg-cmp-pair for deferred pricing into
-// this builder's pooled buffer. Callers gate on Engine.EmitDeferred
-// first, so budget and emission accounting happen exactly once.
-//
-//dp:hotpath
-func (b *Builder) DeferPair(S1, S2 bitset.Set) {
-	//nolint:hotpathalloc // append into a pooled buffer: capacity survives pool round-trips, so steady state does not grow
-	b.recs = append(b.recs, PairRec{S1: S1, S2: S2})
-}
-
-// ResetPairs truncates the deferred-pair buffer, keeping its storage.
-func (b *Builder) ResetPairs() { b.recs = b.recs[:0] }
-
-// Buckets groups every worker-collected deferred pair by result-set
-// size into the main Builder's pooled buckets, ready for PriceLevels.
-// Bucket-internal order (worker index, then collection order) does not
-// affect the outcome: pairs within a level are independent and the
-// engine's Improve tie-break is order-independent, so plans stay
-// byte-identical at any worker count. The bucket storage is recycled
-// through the pool, so steady-state assembly allocates nothing.
-func (pr *ParRun) Buckets(n int) [][]PairRec {
-	b := pr.main
-	if cap(b.buckets) < n+1 {
-		b.buckets = make([][]PairRec, n+1)
-	}
-	b.buckets = b.buckets[:n+1]
-	for i := range b.buckets {
-		b.buckets[i] = b.buckets[i][:0]
-	}
-	for _, wb := range pr.Bs {
-		for _, p := range wb.recs {
-			s := p.S1.Union(p.S2).Len()
-			b.buckets[s] = append(b.buckets[s], p)
-		}
-	}
-	return b.buckets
-}
-
-// PairRec is one csg-cmp-pair whose pricing was deferred: DPhyp's
-// enumerate-first parallel mode collects the pairs its per-start-vertex
-// enumeration admits, then prices them level-synchronously with
-// PriceLevels.
-type PairRec struct {
-	S1, S2 bitset.Set
-}
-
-// priceChunk bounds the deferred pairs per parallel work unit. Pricing
-// a pair costs one O(|E|) edge scan plus the cost model, so even
-// small chunks amortize the atomic claim while keeping skewed levels
-// (a star's hub level holds almost everything) balanced.
-const priceChunk = 128
-
-// PriceLevels prices deferred pairs level-by-level: buckets[s] holds
-// the pairs whose result set has s relations, and all pairs within a
-// bucket are independent given the merged smaller levels, so workers
-// claim fixed chunks of each bucket dynamically. Emission was already
-// counted when the pairs were collected, so the per-level merges add
-// only per-worker built counts, not run totals. On abort (budget or
-// cancellation) the remaining levels are skipped; the main engine
-// carries the cause.
-func (pr *ParRun) PriceLevels(buckets [][]PairRec) {
-	for s := 2; s < len(buckets); s++ {
-		bucket := buckets[s]
-		if len(bucket) == 0 {
-			continue
-		}
-		pr.Par.StartLevel()
-		var (
-			next atomic.Int64
-			wg   sync.WaitGroup
-		)
-		for w := range pr.Bs {
-			we := pr.Bs[w].Engine
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					lo := (int(next.Add(1)) - 1) * priceChunk
-					if lo >= len(bucket) || we.Aborted() != nil {
-						return
-					}
-					for _, p := range bucket[lo:min(lo+priceChunk, len(bucket))] {
-						if !we.Step() {
-							return
-						}
-						we.BuildDeferred(p.S1, p.S2)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		pr.Par.FinishLevel(memo.LevelPriced)
-		if pr.Par.Aborted() != nil {
-			return
-		}
-	}
-}
-
-// ParallelSafe reports whether g admits DPhyp's enumerate-first
-// parallel mode. Deferred pricing requires that every admitted pair
-// actually produces a memo entry — otherwise a later level would price
-// against a missing subplan, and the parallel spine could not
-// substitute a structural connectivity test for mid-level DP-table
-// membership. Plans are only rejected after admission by
-// dependency constraints (§5.6), which need free variables, so graphs
-// without dependent relations qualify outright.
-//
-// The admissibility precheck extends this to one class of dependent
-// graphs, cost-free (it inspects only relation Free sets and edge
-// operators): when at most ONE relation carries free variables and
-// every edge operator is the commutative inner join, BuildPair always
-// stores at least one orientation. Proof sketch: for a pair (S1,S2)
-// with the dependent relation in S1, FreeTables(S2) is empty, so the
-// orientation (S2,S1) passes the left-references-right rejection; if
-// S1's free tables overlap S2 that orientation becomes Join's
-// dependent variant (DepJoin), which is valid. Two dependent relations
-// can reference each other across the pair and reject both
-// orientations, and a non-commutative operator pins the orientation so
-// only one is ever tried — both cases stay serial. (The
-// generate-and-test Filter rejects after admission too; the planner
-// and the solvers keep filtered runs serial.)
-func ParallelSafe(g *hypergraph.Graph) bool {
-	dependent := 0
-	for i := 0; i < g.NumRels(); i++ {
-		if !g.Relation(i).Free.IsEmpty() {
-			dependent++
-		}
-	}
-	if dependent == 0 {
-		return true
-	}
-	if dependent > 1 {
-		return false
-	}
-	for i := 0; i < g.NumEdges(); i++ {
-		if g.Edge(i).Op != algebra.Join {
-			return false
-		}
-	}
-	return true
-}
+// MayReject reports whether pricing a csg-cmp-pair can leave its
+// relation set without a plan: a generate-and-test filter, or a
+// dependency constraint (§5.6) when some relation has free variables,
+// may reject both orientations.
+func (b *Builder) MayReject() bool { return b.Filter != nil || b.dependent }
 
 // NewBuilder returns a Builder over g with a fresh engine, for tests and
 // tooling that drive plan construction directly. Production runs go
@@ -322,10 +173,6 @@ func (b *Builder) Release() {
 	b.connBuf = b.connBuf[:0]
 	b.flipBuf = b.flipBuf[:0]
 	b.edgeBuf = b.edgeBuf[:0]
-	b.recs = b.recs[:0]
-	for i := range b.buckets {
-		b.buckets[i] = b.buckets[i][:0]
-	}
 }
 
 // Init seeds the DP table with access plans for single relations

@@ -48,7 +48,7 @@ type Options struct {
 	// orchestrating goroutine, never by workers.
 	Explain *obs.Trace
 
-	// Parallelism > 1 lets a solver with a parallel mode (DPhyp, DPsub)
+	// Parallelism > 1 lets DPsub, the one solver with a parallel mode,
 	// use that many workers; 0 or 1 runs the serial engine. Filter,
 	// OnEmit and Trace pin the serial engine: filters may carry shared
 	// per-analysis state, and the hooks need the serial emission order.

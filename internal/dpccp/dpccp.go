@@ -14,10 +14,13 @@
 // and neighborhood subsets are generated with the bitset.SubsetsOf
 // iterator.
 //
-// Solve panics if the graph contains hyperedges; use DPhyp for those.
+// Solve fails with ErrHyperedge if the graph contains hyperedges; use
+// DPhyp for those.
 package dpccp
 
 import (
+	"errors"
+
 	"repro/internal/bitset"
 	"repro/internal/dp"
 	"repro/internal/hypergraph"
@@ -25,20 +28,29 @@ import (
 	"repro/internal/plan"
 )
 
+// ErrHyperedge is returned for a graph with a hyperedge.
+var ErrHyperedge = errors.New("dpccp: hyperedge in input graph; DPccp handles simple graphs only")
+
 type solver struct {
 	g *hypergraph.Graph
 	e *memo.Engine
+
+	// member is set when pricing may leave a connected set without a
+	// plan (dp.Builder.MayReject). The enumeration then emits only pairs
+	// whose sides are memoed, as DPhyp's membership test does; otherwise
+	// every connected set has a plan and no test is needed.
+	member bool
 }
 
 // Solve runs DPccp over the simple graph g.
 func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
 	for i := 0; i < g.NumEdges(); i++ {
 		if !g.Edge(i).Simple() {
-			panic("dpccp: hyperedge in input graph; DPccp handles simple graphs only")
+			return nil, dp.Stats{}, ErrHyperedge
 		}
 	}
 	return dp.Run(g, opts, func(b *dp.Builder, _ int) error {
-		s := &solver{g: g, e: b.Engine}
+		s := &solver{g: g, e: b.Engine, member: b.MayReject()}
 		for v := g.NumRels() - 1; v >= 0 && s.e.Aborted() == nil; v-- {
 			S := bitset.Single(v)
 			s.emitCmp(S)
@@ -79,7 +91,7 @@ func (s *solver) enumerateCsgRec(S1, X bitset.Set) {
 //
 //dp:hotpath
 func (s *solver) emitCmp(S1 bitset.Set) {
-	if !s.e.Step() {
+	if !s.e.Step() || s.member && !s.e.Contains(S1) {
 		return
 	}
 	X := S1.Union(bitset.BelowEq(S1.Min()))
@@ -95,7 +107,7 @@ func (s *solver) emitCmp(S1 bitset.Set) {
 }
 
 // growCmp extends the complement S2; every grown set remains connected
-// and adjacent to S1, so every subset is emitted unconditionally.
+// and adjacent to S1, so every subset with a plan is emitted.
 //
 //dp:hotpath
 func (s *solver) growCmp(S1, S2, X bitset.Set) {
@@ -110,7 +122,9 @@ func (s *solver) growCmp(S1, S2, X bitset.Set) {
 		if !s.e.Step() {
 			return
 		}
-		s.e.EmitPair(S1, S2.Union(n))
+		if next := S2.Union(n); !s.member || s.e.Contains(next) {
+			s.e.EmitPair(S1, next)
+		}
 	}
 	newX := X.Union(N)
 	for n := range N.SubsetsOf() {

@@ -1,6 +1,7 @@
 package dpccp
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -83,14 +84,14 @@ func TestMeetsLowerBound(t *testing.T) {
 	}
 }
 
-func TestPanicsOnHyperedge(t *testing.T) {
+// TestHyperedgeFails: a graph with a hyperedge is wrong input, answered
+// with ErrHyperedge rather than a panic a caller could not recover in a
+// worker goroutine.
+func TestHyperedgeFails(t *testing.T) {
 	g := hypergraph.PaperExampleGraph()
-	defer func() {
-		if recover() == nil {
-			t.Error("hyperedge input must panic")
-		}
-	}()
-	Solve(g, dp.Options{})
+	if _, _, err := Solve(g, dp.Options{}); !errors.Is(err, ErrHyperedge) {
+		t.Fatalf("err = %v, want ErrHyperedge", err)
+	}
 }
 
 func TestEmptyFails(t *testing.T) {

@@ -151,7 +151,7 @@ func solveParallel(g *hypergraph.Graph, b *dp.Builder, all bitset.Set, n, worker
 			}()
 		}
 		wg.Wait()
-		pr.Par.FinishLevel(memo.LevelBuilt)
+		pr.Par.FinishLevel()
 		if pr.Par.Aborted() != nil {
 			return
 		}

@@ -611,131 +611,6 @@ func (g *Graph) IsConnected(S bitset.Set) bool {
 	return res
 }
 
-// ConnScratch holds the reusable union-find state of ConnectedSet so
-// repeated tests are allocation-free after the first call. Each
-// goroutine owns its own scratch; the zero value is ready to use.
-type ConnScratch struct {
-	comp []int32
-}
-
-// ConnectedSet reports whether S is connected in the Definition-3 sense,
-// agreeing with IsConnected on every input (property-tested), but
-// iteratively and in polynomial time: a simple-edge BFS from min(S)
-// decides simple graphs outright, and a union-find fixpoint over the
-// edges induced in S handles hyperedges. A hyperedge (u,v,w) may merge
-// two components A and B only when u lies within A, v within B, and w
-// within A ∪ B — exactly the condition under which the edge witnesses a
-// Definition-3 partition of A ∪ B, so every component the fixpoint forms
-// is Definition-3 connected and no false positives arise. It is the
-// structural membership test of the parallel enumeration spines, which
-// cannot consult the DP table mid-level: under the dp.ParallelSafe
-// admissibility precheck, table membership is equivalent to Definition-3
-// connectivity.
-//
-// Safe for concurrent readers of a frozen graph; unlike IsConnected it
-// takes no lock and builds no memo (callers cache results per worker).
-//
-//dp:hotpath
-func (g *Graph) ConnectedSet(S bitset.Set, sc *ConnScratch) bool {
-	if S.IsEmpty() {
-		return false
-	}
-	if S.IsSingleton() {
-		return true
-	}
-	g.ensureIndex()
-
-	// Fast path: grow the component of min(S) along simple edges. On
-	// simple graphs Definition 3 degenerates to ordinary graph
-	// connectivity, so this alone decides the answer.
-	C := S.MinSet()
-	for {
-		nb := g.SimpleNeighborUnion(C).Intersect(S).Minus(C)
-		if nb.IsEmpty() {
-			break
-		}
-		C = C.Union(nb)
-	}
-	if C.Equal(S) {
-		return true
-	}
-	if len(g.complexEdges) == 0 {
-		return false
-	}
-	return g.connectedSetHyper(S, C, sc)
-}
-
-// connectedSetHyper is ConnectedSet's general case: union-find to
-// fixpoint, seeded with the simple-edge component C of min(S). Only
-// edges fully inside S participate (Definition 3 restricts partition
-// witnesses to the induced sub-hypergraph).
-//
-//dp:coldpath runs only on graphs with complex edges, and the parallel spines cache the verdict per worker so each set pays it once; the union-find closures stay off the simple-graph hot path
-func (g *Graph) connectedSetHyper(S, C bitset.Set, sc *ConnScratch) bool {
-	n := len(g.rels)
-	if cap(sc.comp) < n {
-		sc.comp = make([]int32, n)
-	}
-	comp := sc.comp[:n]
-	S.ForEach(func(i int) { comp[i] = int32(i) })
-	root := int32(C.Min())
-	C.ForEach(func(i int) { comp[i] = root })
-	comps := S.Len() - C.Len() + 1
-
-	find := func(x int32) int32 {
-		for comp[x] != x {
-			comp[x] = comp[comp[x]] // path halving
-			x = comp[x]
-		}
-		return x
-	}
-	// sameComp reports whether every node of hypernode h currently lies
-	// in one component, returning its root.
-	sameComp := func(h bitset.Set) (int32, bool) {
-		r := find(int32(h.Min()))
-		ok := true
-		h.ForEach(func(x int) {
-			if find(int32(x)) != r {
-				ok = false
-			}
-		})
-		return r, ok
-	}
-
-	for changed := true; changed && comps > 1; {
-		changed = false
-		for i := range g.edges {
-			e := &g.edges[i]
-			if !e.U.SubsetOf(S) || !e.V.SubsetOf(S) || !e.W.SubsetOf(S) {
-				continue
-			}
-			ra, ok := sameComp(e.U)
-			if !ok {
-				continue
-			}
-			rb, ok := sameComp(e.V)
-			if !ok || ra == rb {
-				continue
-			}
-			if !e.W.IsEmpty() {
-				wok := true
-				e.W.ForEach(func(x int) {
-					if r := find(int32(x)); r != ra && r != rb {
-						wok = false
-					}
-				})
-				if !wok {
-					continue
-				}
-			}
-			comp[rb] = ra
-			comps--
-			changed = true
-		}
-	}
-	return comps == 1
-}
-
 // Components partitions the node set into reachability components, where
 // an edge links every node it touches (U ∪ V ∪ W). Two nodes in different
 // components are certainly not connected in the Definition-3 sense; this

@@ -22,7 +22,7 @@
 // itself the iteration that must poll.
 //
 // Emitters are matched by method/function name rather than by resolved
-// callee because several solvers emit through function-typed fields
+// callee because a solver may emit through a function-typed field
 // (s.emit(...)), which no static resolver can follow; the names are
 // specific enough that false positives name a function the reader
 // should rename anyway.
@@ -58,11 +58,9 @@ var pkgSuffixes = []string{
 // emitNames are the calls that count as emitting work; pollNames the
 // calls that count as a cancellation poll.
 var emitNames = map[string]bool{
-	"EmitPair":      true,
-	"EmitBase":      true,
-	"EmitDeferred":  true,
-	"BuildDeferred": true,
-	"emit":          true,
+	"EmitPair": true,
+	"EmitBase": true,
+	"emit":     true,
 }
 
 var pollNames = map[string]bool{

@@ -11,7 +11,7 @@ import (
 func TestHotPathAlloc(t *testing.T) {
 	diags := analysistest.RunFull(t, "testdata/src", hotpathalloc.Analyzer)
 
-	// The pooled-bucket idiom (collector.deferPair): one append finding
+	// The pooled-buffer idiom (collector.deferPair): one append finding
 	// silenced by //nolint:hotpathalloc with a justification — it must
 	// register as suppressed, not active, and carry its reason.
 	var suppressed int

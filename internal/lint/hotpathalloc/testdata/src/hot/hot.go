@@ -147,12 +147,12 @@ func traced(e *enum, t *recorder, now int64) {
 	t.end(h, now)
 }
 
-// pairRec mirrors the deferred-pricing record: collected on the hot
-// emission path, priced later at a level barrier.
+// pairRec is a record collected on the hot emission path for later
+// processing.
 type pairRec struct{ s1, s2 uint64 }
 
-// collector is the pooled-bucket idiom (internal/dp.Builder.DeferPair):
-// the record buffer is recycled through a pool, so its capacity
+// collector is the pooled-buffer idiom of the memo engine's arena
+// appends: the buffer is recycled through a pool, so its capacity
 // survives across runs and append growth is a warmup cost, not a
 // steady-state allocation. The analyzer cannot see pool lifetimes, so
 // the site carries a //nolint with a written justification — the

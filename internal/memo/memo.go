@@ -397,38 +397,6 @@ func pairBudgetErr(n, max int) error {
 	return fmt.Errorf("%w: %d csg-cmp-pairs emitted (limit %d)", ErrBudgetExhausted, n, max)
 }
 
-// EmitDeferred admits the csg-cmp-pair (S1, S2) for later pricing: it
-// enforces the pair budget and counts the emission exactly like
-// EmitPair, but does not build a plan. The parallel DPhyp path uses it
-// while collecting pairs into level buckets; BuildDeferred
-// prices them afterwards. It reports whether the run may continue.
-//
-//dp:hotpath
-func (e *Engine) EmitDeferred(S1, S2 bitset.Set) bool {
-	if e.abortErr != nil {
-		return false
-	}
-	if !e.chargePair() {
-		return false
-	}
-	e.Stats.CsgCmpPairs++
-	return true
-}
-
-// BuildDeferred prices a pair previously admitted with EmitDeferred on
-// this (worker) view. The emission was already counted, so only the
-// per-worker built-pairs counter moves; merge accounting knows not to
-// re-add it to the run total.
-//
-//dp:hotpath
-func (e *Engine) BuildDeferred(S1, S2 bitset.Set) {
-	if e.abortErr != nil {
-		return
-	}
-	e.Stats.CsgCmpPairs++
-	e.backend.BuildPair(S1, S2)
-}
-
 // ChargePlan accounts for one candidate plan about to be priced and
 // reports whether the costed-plans budget allows it. On a trip the run
 // is aborted with ErrBudgetExhausted. Worker views charge the shared

@@ -146,24 +146,6 @@ func (e *entSorter) Len() int           { return len(e.s) }
 func (e *entSorter) Swap(i, j int)      { e.s[i], e.s[j] = e.s[j], e.s[i] }
 func (e *entSorter) Less(i, j int) bool { return e.s[i].S.Less(e.s[j].S) }
 
-// LevelKind tells FinishLevel how to attribute the workers' CsgCmpPairs
-// counters, so emissions and plan builds each count exactly once even
-// in the two-phase (collect, then price) solver modes.
-type LevelKind int
-
-const (
-	// LevelBuilt: the workers emitted and priced pairs in place
-	// (DPsub). Counts toward the run total and WorkerPairs.
-	LevelBuilt LevelKind = iota
-	// LevelCollected: the workers only recorded pairs for deferred
-	// pricing (parallel DPhyp's enumeration phase). Counts toward the
-	// run total; WorkerPairs waits for the pricing phase.
-	LevelCollected
-	// LevelPriced: the workers built plans for pairs already counted at
-	// collection time (PriceLevels). Counts toward WorkerPairs only.
-	LevelPriced
-)
-
 // FinishLevel is the level barrier: it folds every worker's private
 // entries into the main table and arena and accumulates the workers'
 // counters into the main Stats. Duplicate relation sets (the same S
@@ -172,7 +154,7 @@ const (
 // does not depend on how candidates were partitioned. Entries are
 // installed in ascending relation-set order, which makes the main
 // engine's slot layout — and ForEach order — independent of scheduling.
-func (p *Par) FinishLevel(kind LevelKind) {
+func (p *Par) FinishLevel() {
 	m := p.Main
 	ents := p.ents[:0]
 	for i, w := range p.Workers() {
@@ -180,12 +162,8 @@ func (p *Par) FinishLevel(kind LevelKind) {
 			ents = append(ents, mergeEnt{S: S, w: w, h: h - w.base})
 		})
 		st := &w.Stats
-		if kind != LevelPriced {
-			m.Stats.CsgCmpPairs += st.CsgCmpPairs
-		}
-		if kind != LevelCollected {
-			m.Stats.WorkerPairs[i] += st.CsgCmpPairs
-		}
+		m.Stats.CsgCmpPairs += st.CsgCmpPairs
+		m.Stats.WorkerPairs[i] += st.CsgCmpPairs
 		m.Stats.CostedPlans += st.CostedPlans
 		m.Stats.FilterReject += st.FilterReject
 		m.Stats.InvalidReject += st.InvalidReject

@@ -78,7 +78,7 @@ func runMergeScenario(t *testing.T, nw int, assign [][][2]bitset.Set, cost func(
 	}
 	wg.Wait()
 	before := e.Entries()
-	p.FinishLevel(LevelBuilt)
+	p.FinishLevel()
 	if added := e.Entries() - before; added != 1 {
 		t.Fatalf("merge added %d entries, want only %v", added, bitset.Full(4))
 	}
@@ -197,7 +197,7 @@ func TestParallelBudgetSharedAcrossWorkers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	p.FinishLevel(LevelBuilt)
+	p.FinishLevel()
 	if err := e.Aborted(); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("Aborted() = %v, want ErrBudgetExhausted", err)
 	}
@@ -228,7 +228,7 @@ func TestParallelCancellationPropagates(t *testing.T) {
 	if w.Aborted() == nil {
 		t.Fatal("worker did not observe cancellation")
 	}
-	p.FinishLevel(LevelBuilt)
+	p.FinishLevel()
 	if !errors.Is(e.Aborted(), context.Canceled) {
 		t.Fatalf("main Aborted() = %v, want context.Canceled", e.Aborted())
 	}
@@ -252,7 +252,7 @@ func TestParallelPoolRecycle(t *testing.T) {
 		p.StartLevel()
 		p.Workers()[0].EmitPair(bitset.New(0), bitset.New(1))
 		p.Workers()[1].EmitPair(bitset.New(2), bitset.New(3))
-		p.FinishLevel(LevelBuilt)
+		p.FinishLevel()
 		for _, S := range []bitset.Set{bitset.New(0, 1), bitset.New(2, 3)} {
 			if _, ok := e.Lookup(S); !ok {
 				t.Fatalf("level did not merge %v", S)

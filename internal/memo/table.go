@@ -75,9 +75,9 @@ func (t *Table) Reset(hint int) (kept bool) {
 
 // Clear empties the table while keeping its backing storage regardless
 // of size. The levels of one parallel run alternate between large and
-// tiny (a deferred-pricing sweep visits every bucket size, and the top
-// level always holds one set), so per-level shrinking would realloc and
-// regrow constantly; shrink hygiene is a run-boundary concern handled
+// tiny (DPsub's sweep visits every set size, and the top level always
+// holds one set), so per-level shrinking would realloc and regrow
+// constantly; shrink hygiene is a run-boundary concern handled
 // by Reset.
 //
 //dp:coldpath runs once per parallel level at the barrier

@@ -43,8 +43,6 @@ const (
 	PhaseCluster           // one iterdp compression round (cluster, sub-solve, compress)
 	PhaseRecost            // iterdp's bottom-up recost against the original graph
 	PhaseMaterialize       // arena → *plan.Node materialization of the winner
-	PhaseCollect           // parallel spine: partitioned enumeration collecting deferred pairs
-	PhasePrice             // parallel spine: level-synchronous pricing of collected pairs
 )
 
 var phaseNames = [...]string{
@@ -56,8 +54,6 @@ var phaseNames = [...]string{
 	PhaseCluster:     "iterdp_round",
 	PhaseRecost:      "recost",
 	PhaseMaterialize: "materialize",
-	PhaseCollect:     "collect",
-	PhasePrice:       "price",
 }
 
 // String returns the stable wire name of the phase (e.g. "iterdp_round").

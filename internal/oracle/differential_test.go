@@ -25,10 +25,10 @@ import (
 type solverFn func(*hypergraph.Graph, cost.Model) (*plan.Node, dp.Stats, error)
 
 // exactSolvers are the five enumerators that must return cost-optimal
-// plans, plus the parallel modes of DPhyp and DPsub (run at three
-// workers to exercise partitioning, merging, and the order-independent
-// tie-break even on the suite's small graphs — the internal solvers
-// apply no size crossover). needsSimple marks solvers restricted to
+// plans, plus DPsub's parallel mode (run at three workers to exercise
+// partitioning, merging, and the order-independent tie-break even on
+// the suite's small graphs — the internal solvers apply no size
+// crossover). needsSimple marks solvers restricted to
 // simple graphs.
 var exactSolvers = []struct {
 	name        string
@@ -49,9 +49,6 @@ var exactSolvers = []struct {
 	}, true},
 	{"topdown", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
 		return topdown.Solve(g, dp.Options{Model: m})
-	}, false},
-	{"dphyp-par3", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
-		return core.Solve(g, dp.Options{Model: m, Parallelism: 3})
 	}, false},
 	{"dpsub-par3", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
 		return dpsub.Solve(g, dp.Options{Model: m, Parallelism: 3})

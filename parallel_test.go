@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -42,9 +43,8 @@ func detGraph(i int) *Graph {
 // over 200 random graphs, the plan JSON produced with parallel
 // enumeration is byte-identical to the serial plan at every worker
 // count, and the csg-cmp-pair counts (the §2.2 effort yardstick) agree
-// exactly. SolverAuto exercises the routed mix (serial DPsize on
-// chains and DPccp on cycles, DPsub on parallel cliques, DPhyp
-// elsewhere).
+// exactly. SolverAuto exercises the routed mix (DPsub on parallel
+// cliques, DPhyp on hyperedges, DPccp elsewhere).
 func TestParallelPlansDeterministic(t *testing.T) {
 	graphs := 200
 	if testing.Short() {
@@ -90,10 +90,8 @@ func TestParallelPlansDeterministic(t *testing.T) {
 }
 
 // depGraph derives the i-th dependent-relation graph: a join-only shape
-// with exactly one relation marked dependent on relation 0 — the class
-// the dp.ParallelSafe admissibility precheck admits (every emitted pair
-// keeps at least one valid orientation, so memo membership stays purely
-// structural).
+// with exactly one relation marked dependent on relation 0, so pricing
+// takes the dependency checks and the dependent join variants.
 func depGraph(i int) *Graph {
 	seed := int64(9000 + i)
 	rng := rand.New(rand.NewSource(seed))
@@ -114,70 +112,95 @@ func depGraph(i int) *Graph {
 	return g
 }
 
-// TestNewParallelModesDeterministic pins the parallel DPhyp enumeration
-// spine to the byte-identical contract at workers ∈ {1,2,4}. Half the
-// graphs carry one dependent relation — previously blanket-rejected by
-// dp.ParallelSafe, now admitted by the precheck — and every parallel
-// run must actually engage its workers (Stats.Workers), not silently
-// fall back to serial.
-func TestNewParallelModesDeterministic(t *testing.T) {
+// TestRoutingKeepsPlan: SolverAuto's choice of solver never changes the
+// plan. Every exact solver prices the same csg-cmp-pairs through the
+// same builder, so over the determinism corpus, half of it with a
+// dependent relation, the plan routed at 1 and at 2 workers renders
+// byte-identically to serial DPhyp's, with equal pair and costed-plan
+// counts. Two further inputs can leave a connected set without a plan,
+// where DPhyp's membership test skips the set: generate-and-test runs
+// over operator trees, whose filter rejects plans, and relations that
+// reference each other, whose join the dependency check rejects both
+// ways.
+func TestRoutingKeepsPlan(t *testing.T) {
 	graphs := 200
 	if testing.Short() {
 		graphs = 20
 	}
 	ctx := context.Background()
-	serial := NewPlanner(WithAlgorithm(DPhyp), WithPlanCacheSize(0), WithParallelism(1))
-	par := []struct {
+	ref := NewPlanner(WithAlgorithm(DPhyp), WithPlanCacheSize(0), WithParallelism(1))
+	routed := []struct {
 		workers int
 		p       *Planner
 	}{
-		{2, NewPlanner(WithAlgorithm(DPhyp), WithPlanCacheSize(0), WithParallelism(2))},
-		{4, NewPlanner(WithAlgorithm(DPhyp), WithPlanCacheSize(0), WithParallelism(4))},
+		{1, NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0), WithParallelism(1))},
+		{2, NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0), WithParallelism(2))},
 	}
-	for i := 0; i < graphs; i++ {
-		var g *Graph
-		if i%2 == 0 {
-			g = detGraph(i)
-		} else {
-			g = depGraph(i)
+	check := func(name string, plan func(p *Planner) (*Result, error)) {
+		t.Helper()
+		rs, err := plan(ref)
+		var want []byte
+		if err == nil {
+			want, err = json.Marshal(rs.Plan)
 		}
-		rs, err := serial.PlanGraph(ctx, g)
-		if err != nil {
-			t.Fatalf("graph %d serial: %v", i, err)
-		}
-		want, err := json.Marshal(rs.Plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pp := range par {
-			rp, err := pp.p.PlanGraph(ctx, g)
-			if err != nil {
-				t.Fatalf("graph %d workers=%d: %v", i, pp.workers, err)
+		for _, r := range routed {
+			rp, rerr := plan(r.p)
+			if (rerr == nil) != (err == nil) {
+				t.Errorf("%s workers=%d: error %v, DPhyp's %v", name, r.workers, rerr, err)
+				continue
 			}
-			if rp.Stats.Workers != pp.workers {
-				t.Errorf("graph %d: ran with %d workers, want %d (parallel mode did not engage)",
-					i, rp.Stats.Workers, pp.workers)
-			}
-			got, err := json.Marshal(rp.Plan)
 			if err != nil {
-				t.Fatal(err)
+				continue
+			}
+			got, jerr := json.Marshal(rp.Plan)
+			if jerr != nil {
+				t.Fatal(jerr)
 			}
 			if string(got) != string(want) {
-				t.Errorf("graph %d workers=%d: plan differs from serial\nserial:   %s\nparallel: %s",
-					i, pp.workers, want, got)
+				t.Errorf("%s workers=%d (routed %s): plan differs from DPhyp's\ndphyp:  %s\nrouted: %s",
+					name, r.workers, rp.Stats.RoutedAlgorithm, want, got)
 			}
-			if rp.Stats.CsgCmpPairs != rs.Stats.CsgCmpPairs {
-				t.Errorf("graph %d workers=%d: csg-cmp-pairs %d != serial %d",
-					i, pp.workers, rp.Stats.CsgCmpPairs, rs.Stats.CsgCmpPairs)
+			if rp.Stats.CsgCmpPairs != rs.Stats.CsgCmpPairs || rp.Stats.CostedPlans != rs.Stats.CostedPlans {
+				t.Errorf("%s workers=%d (routed %s): pairs %d, costed %d; DPhyp's %d, %d",
+					name, r.workers, rp.Stats.RoutedAlgorithm, rp.Stats.CsgCmpPairs, rp.Stats.CostedPlans,
+					rs.Stats.CsgCmpPairs, rs.Stats.CostedPlans)
 			}
 		}
 	}
+	for i := 0; i < graphs; i++ {
+		g := detGraph(i)
+		if i%2 == 1 {
+			g = depGraph(i)
+		}
+		check(fmt.Sprintf("graph %d", i), func(p *Planner) (*Result, error) { return p.PlanGraph(ctx, g) })
+	}
+
+	cfg := workload.DefaultConfig()
+	for _, tc := range []struct {
+		name string
+		doc  *QueryJSON
+	}{
+		{"star-antijoin10/5", treeJSON(workload.StarTree(10, 5, cfg))},
+		{"star-antijoin12/11", treeJSON(workload.StarTree(12, 11, cfg))},
+		{"cycle-outer10/5", treeJSON(workload.CycleTree(10, 5, cfg))},
+	} {
+		check(tc.name+" generate-and-test", func(p *Planner) (*Result, error) {
+			return p.PlanJSON(ctx, tc.doc, WithGenerateAndTest())
+		})
+	}
+
+	// R1 and R2 reference each other, so no join of a side holding R1
+	// with a side holding R2 is valid: {R1,R2} has no plan, and neither
+	// has the query. Every route must fail as DPhyp does.
+	mutual := workload.Chain(10, cfg)
+	mutual.SetFree(1, bitset.New(2))
+	mutual.SetFree(2, bitset.New(1))
+	check("chain10 mutual dependents", func(p *Planner) (*Result, error) { return p.PlanGraph(ctx, mutual) })
 }
 
 // TestParallelWorkerStats: a parallel run records its worker count and
 // per-worker built-pair counts (summing exactly to the run's pair
-// total in the direct and the deferred modes alike), and the planner's
-// session metrics see the run.
+// total), and the planner's session metrics see the run.
 func TestParallelWorkerStats(t *testing.T) {
 	cases := []struct {
 		name string
@@ -185,7 +208,6 @@ func TestParallelWorkerStats(t *testing.T) {
 		g    *Graph
 	}{
 		{"dpsub-direct", DPsub, workload.Clique(10, workload.DefaultConfig())},
-		{"dphyp-deferred", DPhyp, workload.Star(11, workload.DefaultConfig())},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -222,7 +244,7 @@ func TestParallelWorkerStats(t *testing.T) {
 // TestParallelSmallQueriesStaySerial: the serial engine runs even when
 // parallelism was requested below the crossover — fork/join overhead
 // must not regress small queries — and for every solver without a
-// parallel mode (only DPhyp and DPsub have one).
+// parallel mode (only DPsub has one).
 func TestParallelSmallQueriesStaySerial(t *testing.T) {
 	cfg := workload.DefaultConfig()
 	cases := []struct {

@@ -153,14 +153,13 @@ type PlannerMetrics struct {
 
 	// Parallel-enumeration counters. ParallelRuns counts enumerations
 	// that ran on worker views (Stats.Workers > 1); ParallelPairs sums
-	// the csg-cmp-pairs those workers processed (built or, in the
-	// deferred modes, collected), so average per-run fan-out is
-	// ParallelPairs / ParallelRuns.
+	// the csg-cmp-pairs those workers built, so average per-run fan-out
+	// is ParallelPairs / ParallelRuns.
 	ParallelRuns  uint64
 	ParallelPairs uint64
 
 	// AutoRouted counts SolverAuto routing decisions keyed by the
-	// algorithm name the topology router picked (e.g. "dpsize"). Nil
+	// algorithm name the topology router picked (e.g. "dpccp"). Nil
 	// when no call has been routed.
 	AutoRouted map[string]uint64
 

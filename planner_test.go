@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dpccp"
 	"repro/internal/workload"
 )
 
@@ -430,6 +431,29 @@ func TestPlanBatchPoisonedQuery(t *testing.T) {
 	cancel()
 	if _, err := p.PlanBatch(cctx, qs[:3]); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled batch: got %v, want context.Canceled", err)
+	}
+}
+
+// TestPlanBatchDPccpHyperedge: a query with a complex edge, which DPccp
+// does not accept, fails as its own BatchError entry. It must not panic
+// inside the batch's worker goroutine, where no caller could recover.
+func TestPlanBatchDPccpHyperedge(t *testing.T) {
+	hyper := NewQuery()
+	a, b, c := hyper.Relation("a", 10), hyper.Relation("b", 20), hyper.Relation("c", 30)
+	hyper.Join(a, b, 0.1)
+	hyper.ComplexJoin([]RelID{a, b}, []RelID{c}, 0.1)
+	qs := []*Query{cliqueQuery(4), hyper}
+
+	results, err := NewPlanner(WithAlgorithm(DPccp)).PlanBatch(context.Background(), qs)
+	var be *BatchError
+	if !errors.As(err, &be) {
+		t.Fatalf("error %v, want *BatchError", err)
+	}
+	if results[0] == nil || be.Errs[0] != nil {
+		t.Errorf("simple query 0: result %v, err %v", results[0], be.Errs[0])
+	}
+	if results[1] != nil || !errors.Is(be.Errs[1], dpccp.ErrHyperedge) {
+		t.Errorf("hyperedge query 1: result %v, err %v, want dpccp.ErrHyperedge", results[1], be.Errs[1])
 	}
 }
 

@@ -104,8 +104,8 @@ func pricingCorpus(t *testing.T) []pricingCase {
 		cases = append(cases, pricingCase{name: f.name, doc: f.doc, algs: algs, workers: []int{1, 2}})
 	}
 
-	// One dependent relation under inner joins plans in parallel (see
-	// dp.ParallelSafe); two dependent relations stay serial and reject
+	// Dependent relations take the dependency checks and the dependent
+	// join variants: one under inner joins, and two, which reject
 	// orientations in both directions.
 	dep1 := workload.Star(10, cfg)
 	dep1.SetFree(4, bitset.New(0))

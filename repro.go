@@ -269,14 +269,11 @@ func WithoutGreedyFallback() Option { return func(o *options) { o.noFallback = t
 
 // WithParallelism bounds the workers one enumeration may use. The
 // default (0) is runtime.GOMAXPROCS; 1 pins every run to the serial
-// engine. Only DPhyp and DPsub enumerate in parallel; SolverAuto
-// additionally sends cliques to DPsub instead of TopDown when more than
-// one worker is allowed. Every other solver plans serially at any
-// setting. Neither mode reliably beats serial: at 2 workers on 2 CPUs,
-// parallel DPsub takes 0.62–0.66× of serial TopDown's time on
-// clique11–12 but 1.17× on clique10, and parallel DPhyp takes 0.84×
-// of serial on grid4×4 and 1.12–1.80× on stars, smaller grids and
-// hyperedge workloads (see the package documentation).
+// engine. Only DPsub enumerates in parallel, and SolverAuto sends
+// cliques to it when more than one worker is allowed. Every other
+// solver plans serially at any setting. At 2 workers on 2 CPUs,
+// parallel DPsub takes 0.71–0.83× of serial DPccp's time on
+// clique11–12 but 1.26× on clique10 (see the package documentation).
 // Parallelism never changes the plan: worker results merge under an
 // order-independent tie-break, so plans are byte-identical across
 // worker counts (and to serial), which is also why the plan cache

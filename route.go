@@ -26,46 +26,30 @@ const (
 // budget where GOO's cubic scan would not.
 const autoMaxGreedyRels = 64
 
-// routeAuto maps a topology profile to the enumeration algorithm,
-// following the crossover data of the paper's evaluation (§4):
+// routeAuto maps a topology profile to the enumeration algorithm.
+// Every exact solver prices the same csg-cmp-pairs through the same
+// plan builder and the same order-independent tie-break, so routing
+// never changes the plan, only the time to find it. The ratios below
+// were measured on 2 CPUs (Planner, cache off, 15 interleaved pairs
+// per cell; medians):
 //
-//   - Any query with hyperedges goes to DPhyp: Figures 5 and 6 show it
-//     lowest on every hyperedge workload, often by orders of magnitude,
-//     because it is the only enumerator that never generates a
-//     connectivity-failing pair.
-//   - Stars go to DPhyp (Fig. 7: DPhyp ≪ DPsub < DPsize, with the gap
-//     growing exponentially in the number of relations).
-//   - Chains go to DPsize: §4.2 shows all three DP variants within small
-//     factors there. Measured on this code (Planner, serial, cache off,
-//     7 interleaved pairs per cell), serial DPhyp takes 0.36–0.67× of
-//     DPsize's time on chains of 8–24 relations and 1.05× at chain4, so
-//     this route is kept only until routing is calibrated.
-//   - Cycles go to DPccp, the simple-graph specialization of the
-//     csg-cmp-pair enumeration; on cycles of 4–24 relations it takes
-//     0.90–1.00× of serial DPhyp's time.
-//   - Cliques go to TopDown: on a clique every subset is connected, so
-//     the failing connectivity tests that sink DPsize/DPsub vanish and
-//     the memoizing partition search enumerates exactly the csg-cmp
-//     pairs top-down.
-//   - Everything else (grids, irregular graphs) goes to DPhyp, the
-//     paper's overall winner.
+//   - Any query with hyperedges goes to DPhyp, the only enumerator that
+//     handles them without generating connectivity-failing pairs
+//     (Figures 5 and 6).
+//   - Cliques planned with more than one worker go to DPsub's
+//     level-parallel mode. At 2 workers it takes 0.71–0.83× of serial
+//     DPccp's time on clique11–12, but 1.26× on clique10.
+//   - Every other graph goes to DPccp. On a graph without hyperedges it
+//     emits the same pairs as DPhyp (§4.4) and needs no DP-table
+//     membership test: serial DPccp takes 0.80–0.94× of DPhyp's time
+//     on stars, grids, cycles and chains, 0.14–0.48× of DPsize's on
+//     chains of 8–24, and 0.94–0.98× of TopDown's on clique10–14.
 //
 // Queries whose class/size combination is beyond the exact cutoffs
 // degrade to Greedy up front rather than tripping a budget mid-flight.
-// Every routed exact solver explores the same bushy cross-product-free
-// space, so routing never changes the cost of the returned plan — only
-// the time to find it.
 //
-// workers is the effective parallelism of the call. It only matters in
-// one place: cliques at or above the parallel crossover route to the
-// level-parallel DPsub instead of TopDown, which has no parallel mode.
-// On a clique every subset is connected, so both solvers walk the same
-// Θ(3ⁿ) partition space. At 2 workers on 2 CPUs (SolverAuto, cache off,
-// 15 interleaved pairs per cell), parallel DPsub takes 0.62–0.66× of
-// serial TopDown's time on clique11–12, winning 9 and 15 of 15 pairs,
-// but 1.17× on clique10, winning 2 of 15. Below the crossover (and at
-// workers == 1) the serial routing is unchanged, so small queries never
-// pay fork/join overhead.
+// workers is the effective parallelism of the call; options.workers
+// already returns 1 below ParallelMinRels relations.
 func routeAuto(p shape.Profile, workers int) Algorithm {
 	limit := autoMaxDenseRels
 	switch p.Class {
@@ -85,17 +69,8 @@ func routeAuto(p shape.Profile, workers int) Algorithm {
 	if p.HyperEdges > 0 {
 		return DPhyp
 	}
-	switch p.Class {
-	case shape.Chain:
-		return DPsize
-	case shape.Cycle:
-		return DPccp
-	case shape.Clique:
-		if workers > 1 && p.Rels >= ParallelMinRels {
-			return DPsub
-		}
-		return TopDown
-	default: // Star, Grid, Mixed
-		return DPhyp
+	if p.Class == shape.Clique && workers > 1 {
+		return DPsub
 	}
+	return DPccp
 }

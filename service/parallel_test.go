@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,23 @@ import (
 
 	"repro"
 )
+
+// cliqueDoc is an n-relation clique whose first relation has card
+// first.
+func cliqueDoc(n int, first float64) *repro.QueryJSON {
+	doc := &repro.QueryJSON{}
+	for i := 0; i < n; i++ {
+		card := float64(100 * (i + 1))
+		if i == 0 {
+			card = first
+		}
+		doc.Relations = append(doc.Relations, repro.RelationJSON{Name: fmt.Sprintf("r%d", i), Card: card})
+		for j := 0; j < i; j++ {
+			doc.Edges = append(doc.Edges, repro.EdgeJSON{Left: []int{j}, Right: []int{i}, Sel: 0.1})
+		}
+	}
+	return doc
+}
 
 // TestParallelPlannerThroughWorkerPool is the parallel-inside-parallel
 // scenario: the server's worker pool admits several requests at once,
@@ -31,7 +49,7 @@ func TestParallelPlannerThroughWorkerPool(t *testing.T) {
 	const (
 		clients  = 8
 		requests = 4
-		rels     = 11 // above the parallel crossover
+		rels     = 10 // a clique at the parallel crossover routes to parallel DPsub
 	)
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -40,9 +58,9 @@ func TestParallelPlannerThroughWorkerPool(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for r := 0; r < requests; r++ {
-				// Unique hub cardinality per (client, request): every
+				// Unique first cardinality per (client, request): every
 				// request has its own fingerprint and must enumerate.
-				doc := starDoc(rels, float64(10_000+100*c+r))
+				doc := cliqueDoc(rels, float64(10_000+100*c+r))
 				code, body, err := tryPostPlan(srv.Client(), srv.URL, PlanRequest{
 					Query: doc, Algorithm: "auto",
 				})
@@ -73,6 +91,9 @@ func TestParallelPlannerThroughWorkerPool(t *testing.T) {
 	}
 
 	pm := planner.Metrics()
+	if pm.AutoRouted["dpsub"] != clients*requests {
+		t.Errorf("AutoRouted = %v, want every request routed to dpsub", pm.AutoRouted)
+	}
 	if want := uint64(clients * requests); pm.ParallelRuns != want {
 		t.Errorf("ParallelRuns = %d, want %d", pm.ParallelRuns, want)
 	}

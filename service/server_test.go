@@ -33,6 +33,18 @@ func starDoc(n int, centerCard float64) *repro.QueryJSON {
 	return doc
 }
 
+// hyperDoc is a valid three-relation document with the complex edge
+// ({0,1},{2}), which DPccp does not accept.
+func hyperDoc() *repro.QueryJSON {
+	return &repro.QueryJSON{
+		Relations: []repro.RelationJSON{{Name: "a", Card: 10}, {Name: "b", Card: 20}, {Name: "c", Card: 30}},
+		Edges: []repro.EdgeJSON{
+			{Left: []int{0}, Right: []int{1}, Sel: 0.1},
+			{Left: []int{0, 1}, Right: []int{2}, Sel: 0.1},
+		},
+	}
+}
+
 // overflowDoc is a valid, finite document whose estimates overflow
 // float64: 100 relations of 1e30 rows chained with selectivity 1.
 func overflowDoc() *repro.QueryJSON {
@@ -147,8 +159,8 @@ func TestPlanRoundTrip(t *testing.T) {
 	if resp.Plan == nil || resp.Cost <= 0 {
 		t.Fatalf("degenerate response: %+v", resp)
 	}
-	if resp.Stats.Shape != "star" || resp.Stats.RoutedAlgorithm != "dphyp" {
-		t.Errorf("routing: shape=%q routed=%q, want star/dphyp", resp.Stats.Shape, resp.Stats.RoutedAlgorithm)
+	if resp.Stats.Shape != "star" || resp.Stats.RoutedAlgorithm != "dpccp" {
+		t.Errorf("routing: shape=%q routed=%q, want star/dpccp", resp.Stats.Shape, resp.Stats.RoutedAlgorithm)
 	}
 
 	// The served cost matches planning the same document directly.
@@ -276,6 +288,14 @@ func TestBadRequests(t *testing.T) {
 		if code != http.StatusUnprocessableEntity || json.Unmarshal(out, &e) != nil || e.Error == "" {
 			t.Errorf("overflowing plan (algorithm %q): %d %q, want 422 with a JSON error", alg, code, out)
 		}
+	}
+
+	// DPccp plans simple graphs only: a complex edge is the client's
+	// mistake, refused with a JSON error rather than a server panic.
+	code, out := postPlan(t, client, srv.URL, PlanRequest{Query: hyperDoc(), Algorithm: "dpccp"})
+	var e ErrorResponse
+	if code != http.StatusUnprocessableEntity || json.Unmarshal(out, &e) != nil || !strings.Contains(e.Error, "hyperedge") {
+		t.Errorf("dpccp with a complex edge: %d %q, want 422 with the hyperedge error", code, out)
 	}
 
 	resp, err := client.Get(srv.URL + "/plan")
@@ -648,6 +668,24 @@ func TestBatchEndpoint(t *testing.T) {
 	if out.Results[3].Error != errNonFinitePlan.Error() || out.Results[3].PlanResponse != nil {
 		t.Errorf("overflowing query 3: %+v, want the item error %q", out.Results[3], errNonFinitePlan)
 	}
+
+	// A query DPccp does not accept fails alone, as an item error.
+	body, _ = json.Marshal(BatchRequest{Queries: []*repro.QueryJSON{starDoc(4, 1000), hyperDoc()}, Algorithm: "dpccp"})
+	resp2, err := srv.Client().Post(srv.URL+"/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("POST /batch with algorithm dpccp: %d", resp2.StatusCode)
+	}
+	out = BatchResponse{}
+	if err := json.NewDecoder(resp2.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 2 || out.Results[0].Error != "" || !strings.Contains(out.Results[1].Error, "hyperedge") {
+		t.Errorf("dpccp batch: %+v, want a plan then the hyperedge item error", out.Results)
+	}
 }
 
 // TestMetricsEndpoint: the exposition carries server and planner series
@@ -680,7 +718,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"planner_cache_hits_total 2",
 		"planner_cache_misses_total 1",
 		// Routing happens before the cache lookup, so hits count too.
-		`planner_auto_routed_total{algorithm="dphyp"} 3`,
+		`planner_auto_routed_total{algorithm="dpccp"} 3`,
 		`dpserved_http_requests_total{path="/plan",code="200"} 3`,
 		"dpserved_request_duration_seconds_count 3",
 		"dpserved_workers",
