@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -66,6 +67,50 @@ func TestSolverAutoRouting(t *testing.T) {
 		}
 		if res.Algorithm != c.routed {
 			t.Errorf("%s: Result.Algorithm = %v, want %v", c.name, res.Algorithm, c.routed)
+		}
+	}
+}
+
+// TestSolverAutoTracedCallsUseDPhyp: only DPhyp records the Fig. 3
+// steps, so SolverAuto routes a traced exact call to it. The trace must
+// equal a direct DPhyp call's and the plan an untraced call's; a call
+// routed to Greedy stays there and records nothing.
+func TestSolverAutoTracedCallsUseDPhyp(t *testing.T) {
+	p := NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0))
+	ctx := context.Background()
+	for _, c := range autoShapes() {
+		var auto, direct Trace
+		res, err := p.PlanGraph(ctx, c.g, WithTrace(&auto))
+		if err != nil {
+			t.Fatalf("%s traced: %v", c.name, err)
+		}
+		plain, err := p.PlanGraph(ctx, c.g)
+		if err != nil {
+			t.Fatalf("%s untraced: %v", c.name, err)
+		}
+		got, _ := json.Marshal(res.Plan)
+		want, _ := json.Marshal(plain.Plan)
+		if string(got) != string(want) {
+			t.Errorf("%s: traced plan\n%s\nuntraced\n%s", c.name, got, want)
+		}
+		routed := DPhyp
+		if c.routed == Greedy {
+			routed = Greedy
+		}
+		if res.Algorithm != routed {
+			t.Errorf("%s: traced call ran %v, want %v", c.name, res.Algorithm, routed)
+		}
+		if routed == Greedy {
+			if len(auto.Steps) != 0 {
+				t.Errorf("%s: greedy call recorded %d steps", c.name, len(auto.Steps))
+			}
+			continue
+		}
+		if _, err := p.PlanGraph(ctx, c.g, WithAlgorithm(DPhyp), WithTrace(&direct)); err != nil {
+			t.Fatalf("%s direct: %v", c.name, err)
+		}
+		if len(auto.Steps) == 0 || auto.String() != direct.String() {
+			t.Errorf("%s: SolverAuto recorded %d steps, direct DPhyp %d", c.name, len(auto.Steps), len(direct.Steps))
 		}
 	}
 }

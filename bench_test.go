@@ -160,8 +160,9 @@ func BenchmarkAblationCostModels(b *testing.B) {
 // serial DPhyp enumeration with pooled scratch reuse, where pricing the
 // csg-cmp-pairs dominates, versus plans of a mid-size clique served from
 // the fingerprint cache — the repeated-traffic path a server lives on.
-// The enumerate-pooled graphs are lib-cold's costliest cells by shape.
-// enumerate-auto plans one cell per route through SolverAuto at 2
+// The enumerate-pooled graphs are lib-cold's costliest cells by shape,
+// plus a 64-relation LargeConfig chain, the exact path's long-query
+// case. enumerate-auto plans one cell per route through SolverAuto at 2
 // workers, the serving configuration on 2 CPUs, so a route change
 // shows as a time change there.
 func BenchmarkPlannerSession(b *testing.B) {
@@ -176,6 +177,7 @@ func BenchmarkPlannerSession(b *testing.B) {
 		{"grid4x4", workload.Grid(4, 4, cfg)},
 		{"star12", workload.Star(12, cfg)},
 		{"cycle-hyper12-5", workload.CycleHyper(12, 5, cfg)},
+		{"chain64-large", workload.Chain(64, workload.LargeConfig())},
 	} {
 		b.Run("enumerate-pooled/"+c.name, func(b *testing.B) {
 			p := NewPlanner(WithPlanCacheSize(0), WithParallelism(1))

@@ -137,11 +137,19 @@
 //     estimates cardinalities, prices candidates under the configured
 //     cost model, and finally materializes the winning tree out of the
 //     arena into the pointer-based PlanNode form callers consume. It
-//     prices a pair in one pass over the edges, reading each edge's
-//     node set from a table built once per run, before any parallel
-//     worker starts, and shared read-only by all of them. The pass
-//     visits edges in ascending index, so the selectivities of the
-//     applied edges multiply in the same order whatever the pair's
+//     prices a pair from the edges both sides touch. An edge applied at
+//     the join of disjoint S1 and S2 touches both, so it lies in
+//     inc(S1) ∩ inc(S2), where inc(S) is the set of edges touching S;
+//     an edge in that intersection is applied iff S1 ∪ S2 covers it.
+//     The builder keeps an edge-incidence matrix (one bit per edge and
+//     relation, in plain words) and each edge's node set, built once per
+//     run before any parallel worker starts and shared read-only by all
+//     of them. Each memo entry's inc(S) is derived from the matrix at
+//     most once per run and cached by arena handle. Every worker owns
+//     its cache and skips entries private to its current level, whose
+//     handles the next level reuses. The walk visits inc(S1) ∩ inc(S2)
+//     in ascending edge index, so the selectivities of the applied
+//     edges multiply in the same order whatever the pair's
 //     orientation, solver or worker count, and estimates stay
 //     bit-identical.
 //
@@ -165,19 +173,21 @@
 // read-only merged levels), and a barrier folds the per-worker winners
 // back into the main memo.
 //
-// The mode stays because it beats serial planning on the cliques
-// SolverAuto routes to it. Measured through SolverAuto with the plan
-// cache off, 2 workers on 2 CPUs, median of 15 interleaved
-// serial/parallel pairs per cell (a clique's serial route is DPccp):
+// The mode stays because it beats serial planning on clique12; below
+// that it is no faster. Measured through SolverAuto with warm planners
+// and the plan cache off, 2 workers on 2 CPUs, medians of 15
+// interleaved serial/parallel pairs per cell, five probe runs (a
+// clique's serial route is DPccp):
 //
 //	shape      parallel ÷ serial time
-//	clique10   1.26 (parallel won 0 of 15 pairs)
-//	clique11   0.83 (won 9 of 15)
-//	clique12   0.71 (won 13 of 15)
+//	clique10   0.96–1.49 (parallel won 2–11 of 15 pairs)
+//	clique11   0.86–1.61 (won 2–13 of 15)
+//	clique12   0.81–0.90 (won 12–14 of 15)
 //
-// It loses on clique10, the smallest clique ParallelMinRels lets it
-// take; the crossover stays until routing selects parallel runs by the
-// work a query needs rather than by its relation count.
+// On 2 CPUs a parallel run needs the second CPU idle, so its ratio
+// swings between probe runs. The crossover stays until routing selects
+// parallel runs by the work a query needs rather than by its relation
+// count.
 //
 // No other solver has a parallel mode. DPsize's and DPccp's took
 // 1.03–2.08× serial's time on chains and cycles of 10–18 relations, and
@@ -389,10 +399,12 @@
 //
 //   - hyperedges present → DPhyp (Figs. 5/6: lowest on every hyperedge
 //     workload; DPccp does not accept hyperedges)
+//   - a traced call (WithTrace) → DPhyp, the one solver that records the
+//     Fig. 3 steps; the plan is the same
 //   - a clique planned with more than one worker → DPsub's parallel
-//     mode, which at 2 workers on 2 CPUs takes 0.71–0.83× of serial
-//     DPccp's time on clique11–12 and 1.26× on clique10 (see Parallel
-//     planning)
+//     mode, which at 2 workers on 2 CPUs takes 0.81–0.90× of serial
+//     DPccp's time on clique12 and is no faster on clique10–11
+//     (0.86–1.61×; see Parallel planning)
 //   - every other graph → DPccp. Without hyperedges it emits the same
 //     csg-cmp-pairs as DPhyp (§4.4) and needs no DP-table membership
 //     test. Serially it takes 0.80–0.94× of DPhyp's time on stars,

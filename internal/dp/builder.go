@@ -14,6 +14,17 @@
 // cardinalities, and costing both orientations of commutative operators
 // — and materializes the winning plan tree out of the engine's arena.
 //
+// A pair is priced from the edges both of its sides touch, never from a
+// scan over every edge. An edge applied at the join of disjoint S1 and
+// S2 touches both sides, so it lies in inc(S1) ∩ inc(S2), where inc(S)
+// is the set of edges touching S; an edge in that intersection is
+// applied iff S1 ∪ S2 covers it. Each run builds an edge-incidence
+// matrix, and each memo entry's inc(S) is derived from it at most once
+// per run and cached by arena handle; a worker view's level-local
+// handles, which the next level reuses, are never cached. The walk is
+// in ascending edge index, so estimates are bit-identical across
+// solvers, orientations and worker counts.
+//
 // The package also holds the run contract the solvers share: Options
 // configures any of them, and Run does the set-up and epilogue of every
 // run, so a solver contributes only its enumeration order.
@@ -21,6 +32,8 @@ package dp
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/bitset"
@@ -72,12 +85,27 @@ type Builder struct {
 	// Engine is the memo this run stores plans into.
 	Engine *memo.Engine
 
-	// edgeNodes[i] is U ∪ V ∪ W of edge i, and dependent reports whether
-	// some relation has free variables (§5.6). NewRun derives both from
-	// the graph once per run; NewParRun hands them to the worker Builders
-	// before any worker starts, and nothing writes them during the run.
+	// The per-run graph index. edgeNodes[i] is U ∪ V ∪ W of edge i.
+	// incRows is the edge-incidence matrix, words uint64 words per
+	// relation: bit i of relation r's row is set iff edge i touches r.
+	// dependent reports whether some relation has free variables (§5.6).
+	// NewRun derives all of it from the graph once per run; NewParRun
+	// hands it to the worker Builders before any worker starts, and
+	// nothing writes it during the run.
 	edgeNodes []bitset.Set
+	incRows   []uint64
+	words     int
 	dependent bool
+
+	// The incidence cache: incCache[h*words:(h+1)*words] holds inc(S), the
+	// edges touching S, for the memo entry at arena handle h, and is valid
+	// iff incStamp[h] equals incRun, which changes every run. Every Builder
+	// owns its cache, so workers never share one. incTmp holds the rows of
+	// level-local sides, which are never cached (see incidence).
+	incCache []uint64
+	incStamp []uint32
+	incRun   uint32
+	incTmp   []uint64
 
 	connBuf []EdgeRef
 	flipBuf []EdgeRef
@@ -104,8 +132,11 @@ func NewRun(pool *memo.Pool, g *hypergraph.Graph, m cost.Model) (*memo.Engine, *
 	return e, b
 }
 
-// indexGraph builds the per-run edge table BuildPair reads in place of
-// recomputing each edge's node set for every pair.
+// indexGraph builds the per-run graph index BuildPair reads: each edge's
+// node set and the edge-incidence matrix. The rows are plain words, not
+// bitset.Set: a row has one bit per edge, Greedy plans cliques of up to
+// 64 relations (2016 edges), and Set operations allocate above 64
+// elements and stop at 1024.
 func (b *Builder) indexGraph() {
 	g := b.G
 	nodes := b.edgeNodes[:0]
@@ -113,9 +144,77 @@ func (b *Builder) indexGraph() {
 		nodes = append(nodes, g.Edge(i).Nodes())
 	}
 	b.edgeNodes = nodes
+	b.words = (len(nodes) + 63) / 64
+	size := g.NumRels() * b.words
+	rows := slices.Grow(memo.Recycle(b.incRows, size), size)[:size]
+	clear(rows)
+	for i, ns := range nodes {
+		for r := ns.NextElem(0); r >= 0; r = ns.NextElem(r + 1) {
+			rows[r*b.words+i/64] |= 1 << uint(i%64)
+		}
+	}
+	b.incRows = rows
 	b.dependent = false
 	for i := 0; i < g.NumRels() && !b.dependent; i++ {
 		b.dependent = !g.Relation(i).Free.IsEmpty()
+	}
+	b.resetIncCache()
+}
+
+// resetIncCache empties the incidence cache for a new run by moving to
+// the next run stamp, keeping the storage under memo's shrink policy.
+func (b *Builder) resetIncCache() {
+	hint := memo.EntryHint(b.G.NumRels())
+	b.incStamp = memo.Recycle(b.incStamp, hint)
+	b.incCache = memo.Recycle(b.incCache, hint*b.words)
+	b.incTmp = slices.Grow(memo.Recycle(b.incTmp, 2*b.words), 2*b.words)[:2*b.words]
+	b.incRun++
+	if b.incRun == 0 {
+		// The stamp wrapped: a row stamped 2^32 runs ago would read as
+		// valid.
+		clear(b.incStamp[:cap(b.incStamp)])
+		b.incRun = 1
+	}
+}
+
+// growIncCache extends the incidence cache to cover arena handle h,
+// doubling so a run grows it O(log entries) times. Exposed stamps are
+// zero or from an earlier run, so the new rows read as not derived.
+//
+//dp:coldpath amortized growth, O(log entries) calls per run
+func (b *Builder) growIncCache(h int) {
+	n := max(h+1, 2*len(b.incStamp), 64)
+	b.incStamp = slices.Grow(b.incStamp, n-len(b.incStamp))[:n]
+	b.incCache = slices.Grow(b.incCache, n*b.words-len(b.incCache))[:n*b.words]
+}
+
+// incidence returns inc(S), the edges touching S, for the memo entry at
+// arena handle h, which the cache must already cover. The row is derived
+// from the relation rows the first time the entry is asked for in the
+// run. A worker view's level-local handles name other sets in the next
+// level, so their rows are derived into tmp and never cached.
+func (b *Builder) incidence(h int32, S bitset.Set, tmp []uint64) []uint64 {
+	if b.Engine.LevelLocal(h) {
+		b.deriveInc(tmp, S)
+		return tmp
+	}
+	w := b.words
+	row := b.incCache[int(h)*w : int(h)*w+w]
+	if b.incStamp[h] != b.incRun {
+		b.deriveInc(row, S)
+		b.incStamp[h] = b.incRun
+	}
+	return row
+}
+
+// deriveInc writes inc(S), the union of S's relation rows, into row.
+func (b *Builder) deriveInc(row []uint64, S bitset.Set) {
+	w := b.words
+	clear(row)
+	for r := S.NextElem(0); r >= 0; r = S.NextElem(r + 1) {
+		for i, x := range b.incRows[r*w : r*w+w] {
+			row[i] |= x
+		}
 	}
 }
 
@@ -141,7 +240,8 @@ func NewParRun(b *Builder, n int) *ParRun {
 			w.SetBackend(wb)
 		}
 		wb.G, wb.Model, wb.Filter, wb.Engine = b.G, b.Model, b.Filter, w
-		wb.edgeNodes, wb.dependent = b.edgeNodes, b.dependent
+		wb.edgeNodes, wb.incRows, wb.words, wb.dependent = b.edgeNodes, b.incRows, b.words, b.dependent
+		wb.resetIncCache()
 		bs[i] = wb
 	}
 	return &ParRun{Par: par, Bs: bs}
@@ -209,74 +309,24 @@ func (b *Builder) Final() (*plan.Node, error) {
 // in Engine.EmitPair.
 //
 // Everything that does not depend on the orientation is done once per
-// pair: one pass over the edges, in ascending index, yields the applied
-// edges and their selectivity product, the connecting edges and the
-// operator; each child is looked up once; and the free tables of each
-// side are computed once, only when the graph has dependent relations.
-// The ascending order multiplies the selectivities in the same order
-// for every pair and orientation, so estimates are bit-identical
-// however the pair was enumerated.
+// pair: both children are looked up, one walk over the edges both sides
+// touch yields the applied edges and their selectivity product, the
+// connecting edges and the operator, and the free tables of each side
+// are computed only when the graph has dependent relations.
 //
 //dp:hotpath
 func (b *Builder) BuildPair(S1, S2 bitset.Set) {
-	// Predicate application (§3.5): a predicate is evaluated at the first
-	// node that covers all relations it references. For simple edges this
-	// is the join separating the two endpoints, but a hyperedge can
-	// become fully covered at a join that splits its hypernodes across
-	// sides in a way that never satisfies u ⊆ S1 ∧ v ⊆ S2; its
-	// selectivity must still be charged exactly once. We therefore apply
-	// every edge covered by S = S1 ∪ S2 but by neither side alone, which
-	// keeps cardinality estimates independent of the join order.
-	//
-	// Operator recovery (§5.4): every hyperedge carries the operator it
-	// was derived from. Simple predicate edges carry the inner join. At
-	// most one connecting edge should be non-inner for TES-derived
-	// graphs; if several are, the latest wins and the event is counted.
-	S := S1.Union(S2)
-	sel := 1.0
-	applied := b.edgeBuf[:0]
-	conn := b.connBuf[:0]
-	op := algebra.Join
-	leftIsS1 := true
-	nonInner := 0
-	for i, nodes := range b.edgeNodes {
-		if !nodes.SubsetOf(S) || nodes.SubsetOf(S1) || nodes.SubsetOf(S2) {
-			continue
-		}
-		ed := b.G.Edge(i)
-		sel *= ed.Sel
-		applied = append(applied, i)
-		// A connecting edge (u ⊆ S1, v ⊆ S2, w ⊆ S, or flipped) has its
-		// hypernodes on opposite sides, so it is always applied too.
-		var flipped bool
-		switch {
-		case ed.U.SubsetOf(S1) && ed.V.SubsetOf(S2):
-		case ed.U.SubsetOf(S2) && ed.V.SubsetOf(S1):
-			flipped = true
-		default:
-			continue
-		}
-		conn = append(conn, EdgeRef{Idx: i, Flipped: flipped})
-		if ed.Op != algebra.Join {
-			nonInner++
-			op = ed.Op
-			leftIsS1 = !flipped
-		}
-	}
-	b.edgeBuf, b.connBuf = applied, conn
-	if len(conn) == 0 {
-		// Not a csg-cmp-pair; callers are expected to have checked, so
-		// this indicates an enumeration bug.
-		panic(fmt.Sprintf("dp: EmitPair(%v,%v) without connecting edge", S1, S2))
-	}
-	if nonInner > 1 {
-		b.Engine.Stats.AmbiguousOps++
-	}
-
 	lh, lok := b.Engine.Lookup(S1)
 	rh, rok := b.Engine.Lookup(S2)
 	if !lok || !rok {
 		panic(fmt.Sprintf("dp: missing subplan for %v or %v", S1, S2))
+	}
+	S := S1.Union(S2)
+	sel, op, leftIsS1 := b.pairEdges(S1, S2, S, lh, rh)
+	if len(b.connBuf) == 0 {
+		// Not a csg-cmp-pair; callers are expected to have checked, so
+		// this indicates an enumeration bug.
+		panic(fmt.Sprintf("dp: EmitPair(%v,%v) without connecting edge", S1, S2))
 	}
 	l, r := side{rels: S1, h: lh}, side{rels: S2, h: rh}
 	if b.dependent {
@@ -293,6 +343,75 @@ func (b *Builder) BuildPair(S1, S2 bitset.Set) {
 	} else {
 		b.tryBuild(S, &r, &l, op, sel, true)
 	}
+}
+
+// pairEdges finds the edges of the pair (S1, S2) over S = S1 ∪ S2, whose
+// memo entries sit at arena handles lh and rh. It leaves the applied
+// edges in edgeBuf and the connecting edges in connBuf, and returns the
+// applied edges' selectivity product, the operator and whether S1 is
+// that operator's left argument.
+//
+// Predicate application (§3.5): a predicate is evaluated at the first
+// node that covers all relations it references. For simple edges this
+// is the join separating the two endpoints, but a hyperedge can become
+// fully covered at a join that splits its hypernodes across sides in a
+// way that never satisfies u ⊆ S1 ∧ v ⊆ S2; its selectivity must still
+// be charged exactly once. So every edge covered by S but by neither
+// side alone is applied, which keeps cardinality estimates independent
+// of the join order. Such an edge touches both disjoint sides, so it
+// lies in inc(S1) ∩ inc(S2); conversely an edge in that intersection
+// is applied iff S covers it. The walk therefore visits only inc(S1) ∩
+// inc(S2), in ascending edge index: the selectivities multiply in the
+// same order for every pair and orientation, so estimates are
+// bit-identical however the pair was enumerated.
+//
+// Operator recovery (§5.4): every hyperedge carries the operator it was
+// derived from. Simple predicate edges carry the inner join. At most
+// one connecting edge should be non-inner for TES-derived graphs; if
+// several are, the latest wins and the event is counted.
+func (b *Builder) pairEdges(S1, S2, S bitset.Set, lh, rh int32) (sel float64, op algebra.Op, leftIsS1 bool) {
+	if hi := int(max(lh, rh)); hi >= len(b.incStamp) {
+		b.growIncCache(hi)
+	}
+	w := b.words
+	inc1, inc2 := b.incidence(lh, S1, b.incTmp[:w]), b.incidence(rh, S2, b.incTmp[w:])
+	sel, op, leftIsS1 = 1.0, algebra.Join, true
+	applied := b.edgeBuf[:0]
+	conn := b.connBuf[:0]
+	nonInner := 0
+	for k, x := range inc1 {
+		for x &= inc2[k]; x != 0; x &= x - 1 {
+			i := k*64 + bits.TrailingZeros64(x)
+			if !b.edgeNodes[i].SubsetOf(S) {
+				continue
+			}
+			ed := b.G.Edge(i)
+			sel *= ed.Sel
+			applied = append(applied, i)
+			// A connecting edge (u ⊆ S1, v ⊆ S2, w ⊆ S, or flipped) has
+			// its hypernodes on opposite sides, so it is always applied
+			// too.
+			var flipped bool
+			switch {
+			case ed.U.SubsetOf(S1) && ed.V.SubsetOf(S2):
+			case ed.U.SubsetOf(S2) && ed.V.SubsetOf(S1):
+				flipped = true
+			default:
+				continue
+			}
+			conn = append(conn, EdgeRef{Idx: i, Flipped: flipped})
+			if ed.Op != algebra.Join {
+				nonInner++
+				op = ed.Op
+				leftIsS1 = !flipped
+			}
+		}
+	}
+	b.edgeBuf, b.connBuf = applied, conn
+	if nonInner > 1 {
+		b.Engine.Stats.AmbiguousOps++
+	}
+	return sel, op, leftIsS1
 }
 
 // side is one argument of a csg-cmp-pair: its relations, the arena

@@ -200,8 +200,9 @@ func TestHyperedgeSelectivityChargedOnce(t *testing.T) {
 }
 
 // TestBuildPairAllocs pins the per-pair price stage allocation-free: on
-// a warmed builder, pricing a pair — edge pass, child lookups, free
-// tables, dependency checks, filter and Improve — allocates nothing.
+// a warmed builder, pricing a pair — child lookups, the walk over the
+// edges both sides touch, free tables, dependency checks, filter and
+// Improve — allocates nothing, with incidence rows of one word or two.
 func TestBuildPairAllocs(t *testing.T) {
 	g := hypergraph.New()
 	g.AddRelations(4, "R", 10)
@@ -211,6 +212,15 @@ func TestBuildPairAllocs(t *testing.T) {
 	g.AddEdge(hypergraph.Edge{U: bitset.New(0, 2), V: bitset.New(1, 3), Sel: 0.1})
 	dep := g.Clone()
 	dep.SetFree(3, bitset.New(0))
+	gen := g.Clone()
+	gen.AddEdge(hypergraph.Edge{U: bitset.New(1), V: bitset.New(3), W: bitset.New(0, 2), Sel: 0.2, Op: algebra.SemiJoin})
+	clique := hypergraph.New()
+	clique.AddRelations(12, "R", 10)
+	for i := 0; i < 12; i++ {
+		for j := i + 1; j < 12; j++ {
+			clique.AddSimpleEdge(i, j, 0.5)
+		}
+	}
 	for _, c := range []struct {
 		name   string
 		g      *hypergraph.Graph
@@ -219,6 +229,8 @@ func TestBuildPairAllocs(t *testing.T) {
 		{"plain", g, nil},
 		{"dependent", dep, nil},
 		{"filter", g, func(_, _ bitset.Set, conn []EdgeRef) bool { return len(conn) > 0 }},
+		{"generalized", gen, nil},
+		{"clique12", clique, nil}, // 66 edges: two words per incidence row
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			b := NewBuilder(c.g, cost.Cout{})

@@ -219,40 +219,37 @@ func NewEngine() *Engine { return &Engine{} }
 // pool and the table kept its arrays (a pooled engine whose table had to
 // be reallocated for a larger query does not count as a reuse).
 func (e *Engine) Reset(n int) {
-	hint := 64
-	if n > 0 {
-		// A connected query of n relations has between n + (n-1) memo
-		// entries (chain) and 2^n - 1 (clique). Size for the dense end so
-		// cliques never rehash mid-run — sparse shapes pay a slightly
-		// larger memclr, dense ones avoid O(entries) rehash copies — and
-		// cap the pre-size at 4096 entries, beyond which growth takes
-		// over (doubling from a 4096-entry table amortizes fine).
-		if n < 12 {
-			hint = 1 << uint(n)
-		} else {
-			hint = 1 << 12
-		}
-	}
+	hint := EntryHint(n)
 	kept := e.table.Reset(hint)
 	// Arena storage follows the same shrink policy as the table: one
 	// huge run must not pin its node and edge arrays on a pooled engine
 	// forever.
-	if cap(e.nodes) > hint*shrinkFactor {
-		e.nodes = nil
-	} else {
-		e.nodes = e.nodes[:0]
-	}
-	if cap(e.edges) > hint*shrinkFactor {
-		e.edges = nil
-	} else {
-		e.edges = e.edges[:0]
-	}
+	e.nodes = Recycle(e.nodes, hint)
+	e.edges = Recycle(e.edges, hint)
 	e.Stats = Stats{ArenaReused: e.warm && kept}
 	e.OnEmit = nil
 	e.limits = Limits{}
 	e.trace = nil
 	e.steps = 0
 	e.abortErr = nil
+}
+
+// EntryHint is the number of memo entries Reset sizes a run over n
+// relations for. A connected query of n relations has between n + (n-1)
+// entries (chain) and 2^n - 1 (clique). The hint is the dense end, so
+// cliques never rehash mid-run — sparse shapes pay a slightly larger
+// memclr, dense ones avoid O(entries) rehash copies — capped at 4096
+// entries, beyond which growth takes over (doubling from a 4096-entry
+// table amortizes fine).
+func EntryHint(n int) int {
+	switch {
+	case n <= 0:
+		return 64
+	case n < 12:
+		return 1 << uint(n)
+	default:
+		return 1 << 12
+	}
 }
 
 // SetBackend attaches the plan-construction backend.
@@ -463,6 +460,13 @@ func (e *Engine) Lookup(S bitset.Set) (int32, bool) {
 	}
 	return 0, false
 }
+
+// LevelLocal reports whether arena handle h names an entry private to
+// this worker view's current level. The next level hands such handles
+// out again, for other sets, so a backend must not key per-run state by
+// them. On a serial engine every handle names one set for the whole run
+// and LevelLocal is false.
+func (e *Engine) LevelLocal(h int32) bool { return e.parent != nil && h >= e.base }
 
 // nodeAt resolves an arena handle against this view: handles below the
 // view's base live in the parent's (merged, frozen) arena, the rest in

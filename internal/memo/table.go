@@ -47,6 +47,18 @@ type Table struct {
 // the memory would stay pinned for the process lifetime.
 const shrinkFactor = 8
 
+// Recycle returns s emptied for a run expecting about hint elements. It
+// keeps the storage unless that is more than shrinkFactor times larger,
+// in which case it returns nil and the run grows fresh storage. The
+// arena and the backend's per-run caches follow this policy, so one
+// huge run does not pin its storage on a pooled engine.
+func Recycle[T any](s []T, hint int) []T {
+	if cap(s) > hint*shrinkFactor {
+		return nil
+	}
+	return s[:0]
+}
+
 // Reset prepares the table for a run expecting roughly hint entries. The
 // backing arrays are kept when they are already large enough — but not
 // more than shrinkFactor times too large — so the arena-reuse fast path

@@ -10,9 +10,10 @@ import (
 
 // runIterDP dispatches a hypergraph to the large-query simplification
 // tier (internal/iterdp), supplying DPhyp as the exact solver for the
-// compressed subproblems: subgraphs may contain hyperedges after
-// compression rounds, and DPhyp is the paper's overall winner on every
-// shape at subproblem scale.
+// subproblems. A first-round subproblem is a cluster of the original
+// graph and keeps the hyperedges that lie inside it, which DPccp does
+// not accept; compression turns every later round's edges into simple
+// edges.
 //
 // Subproblems run serially — at ClusterSize ≤ 20 relations each
 // enumeration is microseconds, below the parallel crossover — and share

@@ -449,7 +449,7 @@ func (p *Planner) route(g *Graph, o *options, filter dp.Filter) routing {
 	}
 	span := o.explain.Start(obs.PhaseRoute)
 	prof := shape.Classify(g)
-	rt.alg = routeAuto(prof, o.parallelism)
+	rt.alg = routeAuto(prof, o.parallelism, o.trace != nil)
 	if rt.slo.budget > 0 {
 		// Budget-aware routing happens before the cache lookup for the
 		// same reason SolverAuto resolution does: the key must name the

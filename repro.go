@@ -240,7 +240,10 @@ func WithGenerateAndTest() Option { return func(o *options) { o.genAndTest = tru
 // this when the tree is known to be simplified already.
 func WithoutSimplification() Option { return func(o *options) { o.noSimplify = true } }
 
-// WithTrace records the enumeration steps into t.
+// WithTrace records DPhyp's enumeration steps (Fig. 3) into t; the
+// other solvers leave it empty. SolverAuto routes a traced call that
+// would plan exactly to DPhyp, which returns the same plan. A traced
+// call plans serially and bypasses the plan cache.
 func WithTrace(t *Trace) Option { return func(o *options) { o.trace = t } }
 
 // WithExplain records a phase/span trace of the planning call into t
@@ -272,8 +275,9 @@ func WithoutGreedyFallback() Option { return func(o *options) { o.noFallback = t
 // engine. Only DPsub enumerates in parallel, and SolverAuto sends
 // cliques to it when more than one worker is allowed. Every other
 // solver plans serially at any setting. At 2 workers on 2 CPUs,
-// parallel DPsub takes 0.71–0.83× of serial DPccp's time on
-// clique11–12 but 1.26× on clique10 (see the package documentation).
+// parallel DPsub takes 0.81–0.90× of serial DPccp's time on clique12
+// and is no faster on clique10–11, at 0.86–1.61× (see the package
+// documentation).
 // Parallelism never changes the plan: worker results merge under an
 // order-independent tie-break, so plans are byte-identical across
 // worker counts (and to serial), which is also why the plan cache

@@ -36,9 +36,13 @@ const autoMaxGreedyRels = 64
 //   - Any query with hyperedges goes to DPhyp, the only enumerator that
 //     handles them without generating connectivity-failing pairs
 //     (Figures 5 and 6).
+//   - A traced call (traced, from WithTrace) goes to DPhyp, the one
+//     solver that records the Fig. 3 steps. The plan stays the same,
+//     and a traced call already plans serially and bypasses the cache.
 //   - Cliques planned with more than one worker go to DPsub's
-//     level-parallel mode. At 2 workers it takes 0.71–0.83× of serial
-//     DPccp's time on clique11–12, but 1.26× on clique10.
+//     level-parallel mode. At 2 workers it takes 0.81–0.90× of serial
+//     DPccp's time on clique12 and is no faster on clique10–11
+//     (0.86–1.61×).
 //   - Every other graph goes to DPccp. On a graph without hyperedges it
 //     emits the same pairs as DPhyp (§4.4) and needs no DP-table
 //     membership test: serial DPccp takes 0.80–0.94× of DPhyp's time
@@ -50,7 +54,7 @@ const autoMaxGreedyRels = 64
 //
 // workers is the effective parallelism of the call; options.workers
 // already returns 1 below ParallelMinRels relations.
-func routeAuto(p shape.Profile, workers int) Algorithm {
+func routeAuto(p shape.Profile, workers int, traced bool) Algorithm {
 	limit := autoMaxDenseRels
 	switch p.Class {
 	case shape.Clique:
@@ -66,7 +70,7 @@ func routeAuto(p shape.Profile, workers int) Algorithm {
 	if p.Rels > limit {
 		return Greedy
 	}
-	if p.HyperEdges > 0 {
+	if p.HyperEdges > 0 || traced {
 		return DPhyp
 	}
 	if p.Class == shape.Clique && workers > 1 {
