@@ -162,9 +162,8 @@ func BenchmarkAblationCostModels(b *testing.B) {
 // the fingerprint cache — the repeated-traffic path a server lives on.
 // The enumerate-pooled graphs are lib-cold's costliest cells by shape,
 // plus a 64-relation LargeConfig chain, the exact path's long-query
-// case. enumerate-auto plans one cell per route through SolverAuto at 2
-// workers, the serving configuration on 2 CPUs, so a route change
-// shows as a time change there.
+// case. enumerate-auto plans one cell per route through SolverAuto, so
+// a route change shows as a time change there.
 func BenchmarkPlannerSession(b *testing.B) {
 	cfg := workload.DefaultConfig()
 	g := workload.Clique(8, cfg)
@@ -180,7 +179,7 @@ func BenchmarkPlannerSession(b *testing.B) {
 		{"chain64-large", workload.Chain(64, workload.LargeConfig())},
 	} {
 		b.Run("enumerate-pooled/"+c.name, func(b *testing.B) {
-			p := NewPlanner(WithPlanCacheSize(0), WithParallelism(1))
+			p := NewPlanner(WithPlanCacheSize(0))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.PlanGraph(ctx, c.g); err != nil {
@@ -200,7 +199,7 @@ func BenchmarkPlannerSession(b *testing.B) {
 		{"cycle-hyper12-5", workload.CycleHyper(12, 5, cfg)},
 	} {
 		b.Run("enumerate-auto/"+c.name, func(b *testing.B) {
-			p := NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0), WithParallelism(2))
+			p := NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.PlanGraph(ctx, c.g); err != nil {
@@ -337,31 +336,6 @@ func BenchmarkMemo(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkParallel measures SolverAuto's clique12 route with the cache
-// off: the serial route (DPccp) versus 4 memo workers (parallel DPsub).
-// CI diffs it against the PR base with benchstat (non-gating) and gates
-// the speedup on runners with at least 4 CPUs. On fewer cores the
-// parallel variant shows mostly the fork/join + merge overhead.
-func BenchmarkParallel(b *testing.B) {
-	ctx := context.Background()
-	g := workload.Clique(12, workload.DefaultConfig())
-	for _, par := range []int{1, 4} {
-		name := "clique12/serial"
-		if par > 1 {
-			name = fmt.Sprintf("clique12/parallel%d", par)
-		}
-		b.Run(name, func(b *testing.B) {
-			p := NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0), WithParallelism(par))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.PlanGraph(ctx, g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkNeighborhood isolates the DPhyp neighborhood micro-opt: the

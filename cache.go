@@ -2,14 +2,13 @@ package repro
 
 import (
 	"container/list"
-	"slices"
 	"sync"
 )
 
 // planCache is a bounded LRU mapping configuration+fingerprint keys to
-// finished plans. Entries store private clones of the plan tree and of
-// Stats.WorkerPairs and hand out fresh clones on every hit, so cached
-// state can never be corrupted by a caller mutating its Result.
+// finished plans. Entries store a private clone of the plan tree and
+// hand out a fresh clone on every hit, so cached state can never be
+// corrupted by a caller mutating its Result.
 //
 // Invalidation is structural rather than explicit: the key embeds the
 // full canonical description of the graph (cardinalities, free sets,
@@ -62,16 +61,13 @@ func (c *planCache) get(key []byte) (*Result, bool) {
 	c.mu.Unlock()
 
 	stats.CacheHit = true
-	stats.WorkerPairs = slices.Clone(stats.WorkerPairs)
 	return &Result{Plan: cached.Clone(), Stats: stats, Algorithm: alg}, true
 }
 
 // add stores a clone of plan under key, evicting the least recently
-// used entry when the cache is full. WorkerPairs is copied too: the
-// caller's Result still holds the original slice.
+// used entry when the cache is full.
 func (c *planCache) add(key string, plan *PlanNode, stats Stats, alg Algorithm) {
 	clone := plan.Clone()
-	stats.WorkerPairs = slices.Clone(stats.WorkerPairs)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {

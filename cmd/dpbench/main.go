@@ -25,7 +25,6 @@
 //	dpbench -solver auto               # topology-routed solver selection
 //	dpbench -solver auto -cost physical
 //	dpbench -solver dphyp -cost cmm -sweep-max-n 14
-//	dpbench -solver auto -parallel 4   # multi-core enumeration per cell
 //
 // With -solver auto each row additionally reports which algorithm the
 // planner's topology router picked for the cell.
@@ -77,9 +76,6 @@ type jsonRecord struct {
 	// Solver is what was asked for (a series algorithm, or -solver).
 	Solver    string `json:"solver"`
 	CostModel string `json:"cost_model"`
-	// Parallel is the -parallel worker bound the cell ran under
-	// (shape-sweep mode; 0/1 = serial engine).
-	Parallel int `json:"parallel,omitempty"`
 	// Algorithm is what actually ran (differs from Solver under auto
 	// routing or greedy fallback); empty when the cell timed out.
 	Algorithm   string  `json:"algorithm,omitempty"`
@@ -100,9 +96,8 @@ type jsonRecord struct {
 }
 
 // jsonReport is the top-level -json document. NumCPU and GOMAXPROCS
-// record the hardware the numbers were taken on — parallel-enumeration
-// medians from different core counts are not comparable, so every
-// BENCH_*.json carries its own.
+// record the hardware the numbers were taken on, so every BENCH_*.json
+// carries its own.
 type jsonReport struct {
 	Reps       int          `json:"reps"`
 	Full       bool         `json:"full"`
@@ -141,7 +136,6 @@ func main() {
 		solver  = flag.String("solver", "", "run the §4 shape sweep with this solver (auto | dphyp | dpsize | dpsub | dpccp | topdown | greedy | iterdp) instead of the experiment suite")
 		costMod = flag.String("cost", "cout", "cost model for the -solver sweep: cout | cmm | nlj | hash | physical")
 		sweepN  = flag.Int("sweep-max-n", 12, "largest relation count per family in the -solver sweep")
-		par     = flag.Int("parallel", 1, "enumeration workers for the -solver sweep (0 = GOMAXPROCS, 1 = serial)")
 		regret  = flag.Bool("regret", false, "report greedy regret (greedy cost ÷ exact-optimal cost) per shape family × cost model — the plan-quality price of the overload ladder's bottom rung")
 		jsonOut = flag.String("json", "", "write machine-readable results to this path")
 	)
@@ -165,7 +159,7 @@ func main() {
 	}
 
 	if *solver != "" {
-		runShapeSweep(*solver, *costMod, *sweepN, *reps, *par, *csv, *timeout, report)
+		runShapeSweep(*solver, *costMod, *sweepN, *reps, *csv, *timeout, report)
 		if report != nil {
 			report.write(*jsonOut)
 		}
@@ -198,8 +192,8 @@ func main() {
 	if *csv {
 		fmt.Println("experiment,x,algorithm,ms,csg_cmp_pairs,costed_plans,cost")
 	} else {
-		// Suite header: parallel cells are only comparable across runs
-		// taken on the same core count, so every report leads with it.
+		// Suite header: timings are only comparable across runs taken on
+		// the same hardware, so every report leads with the core count.
 		fmt.Printf("# dpbench suite  [reps=%d full=%v cpus=%d gomaxprocs=%d]\n",
 			*reps, *full, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	}
@@ -334,12 +328,9 @@ func measure(r experiments.Runner, reps int, timeout time.Duration) (float64, dp
 // solvers (their Θ(3ⁿ) cells leave the benchmark regime); the auto
 // router degrades larger cliques to greedy by itself, so -solver auto
 // sweeps the full range.
-func runShapeSweep(solverName, costName string, maxN, reps, parallel int, csv bool, timeout time.Duration, report *jsonReport) {
+func runShapeSweep(solverName, costName string, maxN, reps int, csv bool, timeout time.Duration, report *jsonReport) {
 	if reps < 1 {
 		reps = 1
-	}
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
 	}
 	alg, err := repro.ParseAlgorithm(solverName)
 	if err != nil {
@@ -356,7 +347,6 @@ func runShapeSweep(solverName, costName string, maxN, reps, parallel int, csv bo
 		repro.WithAlgorithm(alg),
 		repro.WithCostModel(model),
 		repro.WithPlanCacheSize(0),
-		repro.WithParallelism(parallel),
 	)
 	// Up to the historical 64-relation ceiling the sweep keeps the
 	// DefaultConfig cells comparable with earlier BENCH_PR*.json records;
@@ -387,10 +377,10 @@ func runShapeSweep(solverName, costName string, maxN, reps, parallel int, csv bo
 	}
 
 	if csv {
-		fmt.Println("family,n,solver,cost_model,parallel,algorithm,ms,csg_cmp_pairs,cost")
+		fmt.Println("family,n,solver,cost_model,algorithm,ms,csg_cmp_pairs,cost")
 	} else {
-		fmt.Printf("\n## §4 shape sweep  [solver=%s cost=%s parallel=%d cpus=%d gomaxprocs=%d]\n\n",
-			solverName, costName, parallel, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+		fmt.Printf("\n## §4 shape sweep  [solver=%s cost=%s cpus=%d gomaxprocs=%d]\n\n",
+			solverName, costName, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 		fmt.Println("| family | n | algorithm | ms | #ccp | cost |")
 		fmt.Println("|---|---|---|---|---|---|")
 	}
@@ -433,10 +423,10 @@ func runShapeSweep(solverName, costName string, maxN, reps, parallel int, csv bo
 			if timedOut {
 				report.add(jsonRecord{
 					Experiment: "shape-sweep", Family: fam.name, N: n,
-					Solver: solverName, CostModel: costName, Parallel: parallel, MS: -1, TimedOut: true,
+					Solver: solverName, CostModel: costName, MS: -1, TimedOut: true,
 				})
 				if csv {
-					fmt.Printf("%s,%d,%s,%s,%d,,-1,0,NaN\n", fam.name, n, solverName, costName, parallel)
+					fmt.Printf("%s,%d,%s,%s,,-1,0,NaN\n", fam.name, n, solverName, costName)
 				} else {
 					fmt.Printf("| %s | %d | t/o | t/o | | |\n", fam.name, n)
 				}
@@ -447,13 +437,13 @@ func runShapeSweep(solverName, costName string, maxN, reps, parallel int, csv bo
 			algName := res.Algorithm.String()
 			report.add(jsonRecord{
 				Experiment: "shape-sweep", Family: fam.name, N: n,
-				Solver: solverName, CostModel: costName, Parallel: parallel, Algorithm: algName,
+				Solver: solverName, CostModel: costName, Algorithm: algName,
 				MS: ms, CsgCmpPairs: res.Stats.CsgCmpPairs, CostedPlans: res.Stats.CostedPlans,
 				Cost: res.Cost(), BytesPerOp: medianU64(bytesPer), AllocsPerOp: medianU64(allocsPer),
 			})
 			if csv {
-				fmt.Printf("%s,%d,%s,%s,%d,%s,%.4f,%d,%g\n",
-					fam.name, n, solverName, costName, parallel, algName, ms, res.Stats.CsgCmpPairs, res.Cost())
+				fmt.Printf("%s,%d,%s,%s,%s,%.4f,%d,%g\n",
+					fam.name, n, solverName, costName, algName, ms, res.Stats.CsgCmpPairs, res.Cost())
 			} else {
 				fmt.Printf("| %s | %d | %s | %s | %d | %.4g |\n",
 					fam.name, n, algName, fmtMS(ms), res.Stats.CsgCmpPairs, res.Cost())

@@ -5,10 +5,9 @@
 // Usage:
 //
 //	dpserved                              # serve on :8080 with defaults
-//	dpserved -addr :9090 -workers 8 -queue 256
+//	dpserved -addr :9090 -workers 8 -queue 256  # 8 plans at once, each on one goroutine
 //	dpserved -solver auto -cost physical  # planner defaults for all requests
 //	dpserved -budget-pairs 5000000        # budget + greedy fallback per plan
-//	dpserved -parallel 4                  # multi-core exact enumeration per plan
 //	dpserved -debug-addr localhost:6060   # pprof + debug surfaces, off the main port
 //	dpserved -history-file plans.json     # persistent planning-cost history
 //	dpserved -snapshot-file cache.json    # warm-start plan-cache snapshot
@@ -53,7 +52,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		debugAddr   = flag.String("debug-addr", "", "listen address for pprof and debug surfaces (empty = disabled; keep loopback-only)")
-		workers     = flag.Int("workers", 0, "concurrent enumerations (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "concurrent enumerations, each on one goroutine (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 64, "admission queue depth beyond the workers; overflow is shed with 429")
 		timeout     = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 		maxTimeout  = flag.Duration("max-timeout", 60*time.Second, "cap on client-requested deadlines")
@@ -61,7 +60,6 @@ func main() {
 		solver      = flag.String("solver", "auto", "default algorithm: auto | dphyp | dpsize | dpsub | dpccp | topdown | greedy")
 		costMod     = flag.String("cost", "cout", "default cost model: cout | cmm | nlj | hash | physical")
 		budgetPairs = flag.Int("budget-pairs", 10_000_000, "per-plan csg-cmp-pair budget before greedy fallback (0 = unlimited)")
-		parallel    = flag.Int("parallel", 0, "enumeration workers per plan (0 = GOMAXPROCS, 1 = serial); DPsub runs of 10+ relations (the auto route for cliques) fan out across cores, other solvers stay serial")
 		historyFile = flag.String("history-file", "", "persistent planning-cost history JSON (loaded at startup, saved periodically and at shutdown)")
 		historyInt  = flag.Duration("history-interval", 5*time.Minute, "periodic history save cadence")
 		snapFile    = flag.String("snapshot-file", "", "persistent plan-cache snapshot JSON (restored at startup for warm-start, saved periodically and at shutdown)")
@@ -107,7 +105,6 @@ func main() {
 		repro.WithCostModel(model),
 		repro.WithPlanCacheSize(*cacheSize),
 		repro.WithBudget(repro.Budget{MaxCsgCmpPairs: *budgetPairs}),
-		repro.WithParallelism(*parallel),
 	)
 	cfg := service.Config{
 		Planner:           planner,

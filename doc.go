@@ -44,7 +44,7 @@
 // call, so planning the same Query repeatedly is idempotent.
 //
 // Every entry point runs one pipeline with explicit stages: route
-// (resolve SolverAuto and the worker count), cache (look the call up in
+// (resolve SolverAuto), cache (look the call up in
 // the plan cache), enumerate (run the solver, with the Greedy fallback
 // after a budget trip), account (session counters), fill (store the
 // plan in the cache) and finish. A cache hit skips from the cache stage
@@ -80,9 +80,8 @@
 // 11-relation clique or a 35-relation chain the lookup allocates
 // nothing, and it returns a private copy of the cached plan made in two
 // allocations whatever the plan's size — one slab of nodes, one of edge
-// indices — with the original run's Stats (a private WorkerPairs too)
-// and Stats.CacheHit set. Only a miss allocates the key string the
-// cache stores.
+// indices — with the original run's Stats and Stats.CacheHit set.
+// Only a miss allocates the key string the cache stores.
 //
 // Invalidation is structural: there is nothing to invalidate
 // explicitly, because any change to the graph or the configuration
@@ -143,83 +142,32 @@
 //     an edge in that intersection is applied iff S1 ∪ S2 covers it.
 //     The builder keeps an edge-incidence matrix (one bit per edge and
 //     relation, in plain words) and each edge's node set, built once per
-//     run before any parallel worker starts and shared read-only by all
-//     of them. Each memo entry's inc(S) is derived from the matrix at
-//     most once per run and cached by arena handle. Every worker owns
-//     its cache and skips entries private to its current level, whose
-//     handles the next level reuses. The walk visits inc(S1) ∩ inc(S2)
-//     in ascending edge index, so the selectivities of the applied
-//     edges multiply in the same order whatever the pair's
-//     orientation, solver or worker count, and estimates stay
-//     bit-identical.
+//     run. Each memo entry's inc(S) is derived from the matrix at most
+//     once per run and cached by arena handle. The walk visits
+//     inc(S1) ∩ inc(S2) in ascending edge index, so the selectivities
+//     of the applied edges multiply in the same order whatever the
+//     pair's orientation or solver, and estimates stay bit-identical.
 //
 // The split is what makes the evaluation's comparisons meaningful: all
 // six strategies pay identical per-pair construction costs, so measured
 // differences are purely the enumeration overhead the paper studies —
-// and it is what allows enumeration to shard across cores (see
-// Parallel planning) and arenas to be reused across served requests.
+// and it is what lets arenas be reused across served requests.
 //
-// # Parallel planning
+// # Concurrency
 //
-// WithParallelism(n) lets one exact enumeration use up to n memo
-// workers (default GOMAXPROCS; 1 pins the serial engine). Only DPsub
-// has a parallel mode, and SolverAuto sends cliques of ParallelMinRels
-// or more relations to it whenever more than one worker is allowed;
-// every other solver plans serially at any setting. DPsub parallelizes
-// level-synchronously: per set size, workers claim chunks of the
-// Gosper-enumerated same-size sets off an atomic counter, run each
-// set's (*)-test partition loop and price its pairs in place into
-// private memo views (per-worker open-addressing table + arena over the
-// read-only merged levels), and a barrier folds the per-worker winners
-// back into the main memo.
-//
-// The mode stays because it beats serial planning on clique12; below
-// that it is no faster. Measured through SolverAuto with warm planners
-// and the plan cache off, 2 workers on 2 CPUs, medians of 15
-// interleaved serial/parallel pairs per cell, five probe runs (a
-// clique's serial route is DPccp):
-//
-//	shape      parallel ÷ serial time
-//	clique10   0.96–1.49 (parallel won 2–11 of 15 pairs)
-//	clique11   0.86–1.61 (won 2–13 of 15)
-//	clique12   0.81–0.90 (won 12–14 of 15)
-//
-// On 2 CPUs a parallel run needs the second CPU idle, so its ratio
-// swings between probe runs. The crossover stays until routing selects
-// parallel runs by the work a query needs rather than by its relation
-// count.
-//
-// No other solver has a parallel mode. DPsize's and DPccp's took
-// 1.03–2.08× serial's time on chains and cycles of 10–18 relations, and
-// TopDown's was unreachable because parallel cliques route to DPsub.
-// DPhyp's, which enumerated first and priced the collected pairs level
-// by level, took 1.12–1.80× serial's time on stars, grid3×4 and the
-// hyperedge workloads once the plan builder priced a pair in one edge
-// pass, and won only on grid4×4 (0.84, 8 of 15 pairs); SolverAuto now
-// plans grid4×4 with serial DPccp, at 0.93× of serial DPhyp's time.
-// Greedy is inherently sequential.
-//
-// Parallelism never changes the answer. Equal-cost ties are broken
-// order-independently (the lexicographically lowest (left, right)
-// relation-set split wins, in the serial engine too), so the winning
-// plan is a pure function of the candidate set and plans are
-// byte-identical across worker counts — the determinism tests assert
-// exactly that over hundreds of random graphs, and the plan cache
-// therefore ignores the parallelism knob. Budgets bound the *sum* of
-// work across workers through shared atomic counters, cancellation is
-// polled by every worker, and either trip stops all workers within one
-// poll interval, after which the usual Greedy fallback applies.
-//
-// Small queries (under ParallelMinRels relations) always plan
-// serially: an exact enumeration at that size costs tens of
-// microseconds and fork/join would only add overhead. Traced and
-// observed runs (WithTrace, OnEmit, generate-and-test filters) are
-// also pinned serial. DPsub's parallel mode requires fewer than 63
-// relations (Gosper's hack needs a spare bit). Stats.Workers and
-// Stats.WorkerPairs record the fan-out per run;
-// PlannerMetrics.ParallelRuns and ParallelPairs (exported at /metrics
-// as planner_parallel_runs_total and planner_parallel_pairs_total)
-// aggregate it per session.
+// An enumeration runs on one goroutine, and a Planner uses its cores
+// across requests: concurrent Plan calls, PlanBatch and the service's
+// worker pool each plan on their own pooled engine. No solver has an
+// intra-query parallel mode. DPsub's was the last; its level-parallel
+// clique route took 0.96–1.49× of serial DPccp's time on clique10, the
+// only clique a benchmark workload plans, and won only on clique12
+// (0.81–0.90×; 2 workers on 2 CPUs, medians of 15 interleaved pairs),
+// so it was deleted and WithParallelism does nothing. Equal-cost ties
+// are broken order-independently (the lexicographically lowest (left,
+// right) relation-set split wins), so the winning plan is a pure
+// function of the candidate set: solvers that emit the same pairs in
+// different orders return byte-identical plans, which keeps routing
+// plan-neutral.
 //
 // # Benchmarks
 //
@@ -278,8 +226,8 @@
 //     at entry); the ctxpoll analyzer enforces it, which is what makes
 //     the "a deadline interrupts even the Θ(3ⁿ) inner loops" promise
 //     above a checked property rather than a convention.
-//   - Shared counters are atomic. The run-wide budget counters and the
-//     planner/service metrics are annotated //dp:atomic; the
+//   - Shared counters are atomic. The planner and service metrics are
+//     annotated //dp:atomic; the
 //     atomicbudget analyzer rejects any access that is not a
 //     sync/atomic method call or an &field argument to a sync/atomic
 //     function — the race class the GOMAXPROCS matrix in CI hunts
@@ -337,11 +285,10 @@
 // recorder to one planning call: route, cache_lookup, enumerate (or
 // one iterdp_round span per compression round plus the final enumerate
 // and recost), fallback, and materialize, each with wall time, pairs
-// emitted, memo occupancy, and worker count. The completed trace is
-// returned as Stats.Trace; over HTTP, POST /plan?explain=1 renders it
-// as the response's trace field. Tracing observes phase boundaries
-// only, from the orchestrating goroutine: unlike WithTrace it neither
-// forces the serial engine nor bypasses the plan cache (a traced cache
+// emitted, and memo occupancy. The completed trace is returned as
+// Stats.Trace; over HTTP, POST /plan?explain=1 renders it as the
+// response's trace field. Tracing observes phase boundaries only:
+// unlike WithTrace it does not bypass the plan cache (a traced cache
 // hit yields a trace of just the lookup). A Trace is a fixed-capacity
 // value and every method is nil-receiver-safe — untraced runs pay one
 // pointer test per phase boundary, traced runs allocate nothing, and
@@ -395,16 +342,12 @@
 // before enumeration the planner classifies the hypergraph's topology
 // (internal/shape — chain, cycle, star, clique, grid, or mixed, in
 // O(edges) and invariant under relation relabeling) and routes it to
-// one of three exact solvers, each route backed by a measured ratio:
+// one of two exact solvers, each route backed by a measured ratio:
 //
 //   - hyperedges present → DPhyp (Figs. 5/6: lowest on every hyperedge
 //     workload; DPccp does not accept hyperedges)
 //   - a traced call (WithTrace) → DPhyp, the one solver that records the
 //     Fig. 3 steps; the plan is the same
-//   - a clique planned with more than one worker → DPsub's parallel
-//     mode, which at 2 workers on 2 CPUs takes 0.81–0.90× of serial
-//     DPccp's time on clique12 and is no faster on clique10–11
-//     (0.86–1.61×; see Parallel planning)
 //   - every other graph → DPccp. Without hyperedges it emits the same
 //     csg-cmp-pairs as DPhyp (§4.4) and needs no DP-table membership
 //     test. Serially it takes 0.80–0.94× of DPhyp's time on stars,
@@ -495,8 +438,8 @@
 // 100–1000 relations is a purely greedy plan with no optimal
 // substructure at all. The differential suite pins the contract: every
 // subproblem the tier hands to the engine matches a brute-force oracle
-// optimum, plans are deterministic across serial, parallel, and cached
-// runs, and Stats.Subproblems/Stats.Rounds expose the tier's work.
+// optimum, plans are deterministic across uncached and cached runs,
+// and Stats.Subproblems/Stats.Rounds expose the tier's work.
 // Graphs the tier cannot represent (non-inner operators, dependent
 // relations, hyperedge-only connectivity) degrade through the standard
 // budget-exhaustion path to the Greedy fallback. The tier is also

@@ -160,19 +160,3 @@ func TestPlanObsRecordsHitsAndMisses(t *testing.T) {
 		t.Fatalf("snapshot = %+v, want one series with 3 observations (hits included)", entries)
 	}
 }
-
-// TestExplainParallelStaysParallel: unlike WithTrace/WithOnEmit, an
-// explain trace must not force the serial engine.
-func TestExplainParallelStaysParallel(t *testing.T) {
-	o := options{parallelism: 4}
-	g := workload.Chain(16, workload.DefaultConfig())
-	g.Freeze()
-	o.explain = obs.NewTrace()
-	if w := o.workers(g, nil); w != 4 {
-		t.Fatalf("explain forced workers to %d, want 4", w)
-	}
-	o.trace = &Trace{}
-	if w := o.workers(g, nil); w != 1 {
-		t.Fatalf("core trace must still force serial, got %d", w)
-	}
-}

@@ -58,7 +58,7 @@ type solver struct {
 // unmodified during the run. It enumerates serially at any worker
 // count.
 func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
-	return dp.Run(g, opts, func(b *dp.Builder, _ int) error {
+	return dp.Run(g, opts, func(b *dp.Builder) error {
 		s := &solver{g: g, e: b.Engine, trace: opts.Trace}
 		s.enumerate()
 		return nil

@@ -20,10 +20,9 @@
 // is the set of edges touching S; an edge in that intersection is
 // applied iff S1 ∪ S2 covers it. Each run builds an edge-incidence
 // matrix, and each memo entry's inc(S) is derived from it at most once
-// per run and cached by arena handle; a worker view's level-local
-// handles, which the next level reuses, are never cached. The walk is
-// in ascending edge index, so estimates are bit-identical across
-// solvers, orientations and worker counts.
+// per run and cached by arena handle. The walk is in ascending edge
+// index, so estimates are bit-identical across solvers and
+// orientations.
 //
 // The package also holds the run contract the solvers share: Options
 // configures any of them, and Run does the set-up and epilogue of every
@@ -89,9 +88,8 @@ type Builder struct {
 	// incRows is the edge-incidence matrix, words uint64 words per
 	// relation: bit i of relation r's row is set iff edge i touches r.
 	// dependent reports whether some relation has free variables (§5.6).
-	// NewRun derives all of it from the graph once per run; NewParRun
-	// hands it to the worker Builders before any worker starts, and
-	// nothing writes it during the run.
+	// NewRun derives all of it from the graph once per run, and nothing
+	// writes it during the run.
 	edgeNodes []bitset.Set
 	incRows   []uint64
 	words     int
@@ -99,13 +97,10 @@ type Builder struct {
 
 	// The incidence cache: incCache[h*words:(h+1)*words] holds inc(S), the
 	// edges touching S, for the memo entry at arena handle h, and is valid
-	// iff incStamp[h] equals incRun, which changes every run. Every Builder
-	// owns its cache, so workers never share one. incTmp holds the rows of
-	// level-local sides, which are never cached (see incidence).
+	// iff incStamp[h] equals incRun, which changes every run.
 	incCache []uint64
 	incStamp []uint32
 	incRun   uint32
-	incTmp   []uint64
 
 	connBuf []EdgeRef
 	flipBuf []EdgeRef
@@ -162,12 +157,15 @@ func (b *Builder) indexGraph() {
 }
 
 // resetIncCache empties the incidence cache for a new run by moving to
-// the next run stamp, keeping the storage under memo's shrink policy.
+// the next run stamp. It covers the run's memo.EntryHint handles from
+// the start, the memo's own pre-size, so a fresh engine does not regrow
+// it by doubling; its storage follows memo's shrink policy. Stamps left
+// from earlier runs differ from the new one, so their rows read as not
+// derived.
 func (b *Builder) resetIncCache() {
 	hint := memo.EntryHint(b.G.NumRels())
-	b.incStamp = memo.Recycle(b.incStamp, hint)
-	b.incCache = memo.Recycle(b.incCache, hint*b.words)
-	b.incTmp = slices.Grow(memo.Recycle(b.incTmp, 2*b.words), 2*b.words)[:2*b.words]
+	b.incStamp = slices.Grow(memo.Recycle(b.incStamp, hint), hint)[:hint]
+	b.incCache = slices.Grow(memo.Recycle(b.incCache, hint*b.words), hint*b.words)[:hint*b.words]
 	b.incRun++
 	if b.incRun == 0 {
 		// The stamp wrapped: a row stamped 2^32 runs ago would read as
@@ -183,7 +181,7 @@ func (b *Builder) resetIncCache() {
 //
 //dp:coldpath amortized growth, O(log entries) calls per run
 func (b *Builder) growIncCache(h int) {
-	n := max(h+1, 2*len(b.incStamp), 64)
+	n := max(h+1, 2*len(b.incStamp))
 	b.incStamp = slices.Grow(b.incStamp, n-len(b.incStamp))[:n]
 	b.incCache = slices.Grow(b.incCache, n*b.words-len(b.incCache))[:n*b.words]
 }
@@ -191,13 +189,8 @@ func (b *Builder) growIncCache(h int) {
 // incidence returns inc(S), the edges touching S, for the memo entry at
 // arena handle h, which the cache must already cover. The row is derived
 // from the relation rows the first time the entry is asked for in the
-// run. A worker view's level-local handles name other sets in the next
-// level, so their rows are derived into tmp and never cached.
-func (b *Builder) incidence(h int32, S bitset.Set, tmp []uint64) []uint64 {
-	if b.Engine.LevelLocal(h) {
-		b.deriveInc(tmp, S)
-		return tmp
-	}
+// run.
+func (b *Builder) incidence(h int32, S bitset.Set) []uint64 {
 	w := b.words
 	row := b.incCache[int(h)*w : int(h)*w+w]
 	if b.incStamp[h] != b.incRun {
@@ -216,35 +209,6 @@ func (b *Builder) deriveInc(row []uint64, S bitset.Set) {
 			row[i] |= x
 		}
 	}
-}
-
-// ParRun couples the memo engine's parallel orchestration with one
-// Builder per worker view, so plan construction — edge recovery,
-// dependency checks, costing — runs lock-free on every worker: the
-// scratch buffers the Builder reuses are private to its view.
-type ParRun struct {
-	Par *memo.Par
-	Bs  []*Builder
-}
-
-// NewParRun prepares n parallel worker views over b's engine. Like the
-// engine views themselves, the worker Builders ride the pool: a
-// recycled engine revives them with their scratch buffers intact.
-func NewParRun(b *Builder, n int) *ParRun {
-	par := b.Engine.Parallel(n)
-	bs := make([]*Builder, n)
-	for i, w := range par.Workers() {
-		wb, _ := w.Backend().(*Builder)
-		if wb == nil {
-			wb = &Builder{}
-			w.SetBackend(wb)
-		}
-		wb.G, wb.Model, wb.Filter, wb.Engine = b.G, b.Model, b.Filter, w
-		wb.edgeNodes, wb.incRows, wb.words, wb.dependent = b.edgeNodes, b.incRows, b.words, b.dependent
-		wb.resetIncCache()
-		bs[i] = wb
-	}
-	return &ParRun{Par: par, Bs: bs}
 }
 
 // MayReject reports whether pricing a csg-cmp-pair can leave its
@@ -373,8 +337,7 @@ func (b *Builder) pairEdges(S1, S2, S bitset.Set, lh, rh int32) (sel float64, op
 	if hi := int(max(lh, rh)); hi >= len(b.incStamp) {
 		b.growIncCache(hi)
 	}
-	w := b.words
-	inc1, inc2 := b.incidence(lh, S1, b.incTmp[:w]), b.incidence(rh, S2, b.incTmp[w:])
+	inc1, inc2 := b.incidence(lh, S1), b.incidence(rh, S2)
 	sel, op, leftIsS1 = 1.0, algebra.Join, true
 	applied := b.edgeBuf[:0]
 	conn := b.connBuf[:0]

@@ -18,12 +18,3 @@ func (b *Builder) PairEdges(S1, S2 bitset.Set) (applied []int, conn []EdgeRef, s
 	sel, op, leftIsS1 = b.pairEdges(S1, S2, S1.Union(S2), lh, rh)
 	return b.edgeBuf, b.connBuf, sel, op, leftIsS1
 }
-
-// Incidence returns inc(S) as the incidence cache serves it for arena
-// handle h.
-func (b *Builder) Incidence(h int32, S bitset.Set) []uint64 {
-	if int(h) >= len(b.incStamp) {
-		b.growIncCache(int(h))
-	}
-	return b.incidence(h, S, b.incTmp[:b.words])
-}

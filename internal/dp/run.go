@@ -43,15 +43,14 @@ type Options struct {
 
 	// Explain, when non-nil, receives phase spans for the run (the
 	// engine records the materialize phase; the planner wraps the whole
-	// enumeration). Unlike Trace and OnEmit it does not force the
-	// serial engine: spans are recorded at phase boundaries by the
-	// orchestrating goroutine, never by workers.
+	// enumeration).
 	Explain *obs.Trace
 
-	// Parallelism > 1 lets DPsub, the one solver with a parallel mode,
-	// use that many workers; 0 or 1 runs the serial engine. Filter,
-	// OnEmit and Trace pin the serial engine: filters may carry shared
-	// per-analysis state, and the hooks need the serial emission order.
+	// Parallelism is ignored: every enumeration runs on one goroutine.
+	//
+	// Deprecated: DPsub's level-parallel mode, the last one, was deleted
+	// because no workload it served beat serial DPccp. The field stays
+	// so existing callers compile.
 	Parallelism int
 
 	// Trace, when non-nil, records DPhyp's traversal steps analogous to
@@ -62,12 +61,12 @@ type Options struct {
 // Run executes one enumeration under the shared contract. It takes an
 // engine from opts.Pool, applies the hooks and limits, fails a graph
 // without relations with ErrEmptyGraph, and seeds the base relations.
-// It then calls enumerate with the run's Builder and worker count, and
-// materializes the plan covering all relations unless enumerate
-// failed. The engine goes back to the pool before Run returns; the plan
-// is materialized out of the arena and stays valid. The Stats are
-// returned on error too, so a caller can account for an aborted run.
-func Run(g *hypergraph.Graph, opts Options, enumerate func(b *Builder, workers int) error) (*plan.Node, Stats, error) {
+// It then calls enumerate with the run's Builder, and materializes the
+// plan covering all relations unless enumerate failed. The engine goes
+// back to the pool before Run returns; the plan is materialized out of
+// the arena and stays valid. The Stats are returned on error too, so a
+// caller can account for an aborted run.
+func Run(g *hypergraph.Graph, opts Options, enumerate func(b *Builder) error) (*plan.Node, Stats, error) {
 	e, b := NewRun(opts.Pool, g, opts.Model)
 	defer opts.Pool.Put(e)
 	b.Filter = opts.Filter
@@ -79,11 +78,7 @@ func Run(g *hypergraph.Graph, opts Options, enumerate func(b *Builder, workers i
 	}
 	opts.Trace.reset()
 	b.Init()
-	workers := opts.Parallelism
-	if opts.Filter != nil || opts.OnEmit != nil || opts.Trace != nil {
-		workers = 1
-	}
-	if err := enumerate(b, max(workers, 1)); err != nil {
+	if err := enumerate(b); err != nil {
 		return nil, e.Stats, err
 	}
 	p, err := b.Final()

@@ -49,7 +49,7 @@ func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
 			return nil, dp.Stats{}, ErrHyperedge
 		}
 	}
-	return dp.Run(g, opts, func(b *dp.Builder, _ int) error {
+	return dp.Run(g, opts, func(b *dp.Builder) error {
 		s := &solver{g: g, e: b.Engine, member: b.MayReject()}
 		for v := g.NumRels() - 1; v >= 0 && s.e.Aborted() == nil; v-- {
 			S := bitset.Single(v)

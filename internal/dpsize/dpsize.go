@@ -30,7 +30,7 @@ import (
 // Solve runs DPsize over g and returns the optimal bushy cross-product-
 // free plan, enumeration statistics, and an error if no plan exists.
 func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
-	return dp.Run(g, opts, func(b *dp.Builder, _ int) error {
+	return dp.Run(g, opts, func(b *dp.Builder) error {
 		// bySize[s] lists the connected subgraphs of size s discovered
 		// so far. Entries of size s are only created while processing
 		// plan size s, so collecting after each round keeps the lists

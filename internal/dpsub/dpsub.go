@@ -17,9 +17,6 @@
 package dpsub
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/bitset"
 	"repro/internal/dp"
 	"repro/internal/hypergraph"
@@ -28,26 +25,9 @@ import (
 )
 
 // Solve runs DPsub over g.
-//
-// With more than one worker (see dp.Options.Parallelism) it switches to
-// the level-synchronous parallel enumeration: relation sets are
-// processed by ascending size instead of ascending integer value (every
-// proper subset still precedes its supersets), and the sets of one
-// size — whose Θ(2^|S|) partition loops are independent given the
-// smaller sizes — are partitioned across workers. On cliques, where
-// every subset is connected, this parallelizes essentially the entire
-// Θ(3^n) run.
 func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
-	return dp.Run(g, opts, func(b *dp.Builder, workers int) error {
-		n, all := g.NumRels(), g.AllNodes()
-		// The level enumeration steps with Gosper's hack, which needs
-		// one bit of headroom above the universe; 63-relation queries
-		// are far beyond exact enumeration anyway.
-		if workers > 1 && n < 63 {
-			solveParallel(g, b, all, n, workers)
-		} else {
-			enumerate(g, b.Engine, all)
-		}
+	return dp.Run(g, opts, func(b *dp.Builder) error {
+		enumerate(g, b.Engine, g.AllNodes())
 		return nil
 	})
 }
@@ -87,73 +67,6 @@ outer:
 			if S1.Min() < S2.Min() {
 				e.EmitPair(S1, S2)
 			}
-		}
-	}
-}
-
-// chunkSets bounds the relation sets per parallel work unit. Each set
-// costs Θ(2^|S|) subset probes, so even short chunks amortize the
-// atomic claim; short chunks keep the skewed middle levels balanced.
-const chunkSets = 16
-
-// solveParallel is the level-synchronous parallel DPsub: for each size
-// s it materializes the size-s subsets of the universe in ascending
-// order (Gosper's hack), partitions them into fixed chunks that
-// workers claim dynamically, and runs each set's Vance–Maier partition
-// loop on the claiming worker. All memo reads during a level hit sizes
-// < s, frozen since the previous barrier; writes go to per-worker
-// views merged deterministically at the barrier.
-func solveParallel(g *hypergraph.Graph, b *dp.Builder, all bitset.Set, n, workers int) {
-	pr := dp.NewParRun(b, workers)
-	var sets []bitset.Set
-	for s := 2; s <= n; s++ {
-		sets = sets[:0]
-		for S := bitset.Full(s); !all.Less(S); S = S.NextSameSize() {
-			sets = append(sets, S)
-		}
-		pr.Par.StartLevel()
-		var (
-			next atomic.Int64
-			wg   sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			we := pr.Bs[w].Engine
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(next.Add(1)) - 1
-					lo := ci * chunkSets
-					if lo >= len(sets) || we.Aborted() != nil {
-						return
-					}
-					for _, S := range sets[lo:min(lo+chunkSets, len(sets))] {
-						for S1 := range S.SubsetsOf() {
-							if S1.Equal(S) {
-								break
-							}
-							if !we.Step() {
-								return
-							}
-							S2 := S.Minus(S1)
-							if !we.Contains(S1) || !we.Contains(S2) {
-								continue
-							}
-							if !g.ConnectsTo(S1, S2) {
-								continue
-							}
-							if S1.Min() < S2.Min() {
-								we.EmitPair(S1, S2)
-							}
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		pr.Par.FinishLevel()
-		if pr.Par.Aborted() != nil {
-			return
 		}
 	}
 }

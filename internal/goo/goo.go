@@ -31,7 +31,7 @@ type Options = dp.Options
 
 // Solve runs greedy operator ordering over g.
 func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
-	return dp.Run(g, opts, func(b *dp.Builder, _ int) error {
+	return dp.Run(g, opts, func(b *dp.Builder) error {
 		comps := make([]bitset.Set, g.NumRels())
 		for i := range comps {
 			comps[i] = bitset.Single(i)

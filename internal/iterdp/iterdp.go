@@ -190,7 +190,7 @@ func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
 		verts = next
 		stats.Rounds++
 		opts.Explain.Annotate(span, int64(stats.CsgCmpPairs-pairsBefore),
-			len(verts), 0, stats.Subproblems-subsBefore)
+			len(verts), stats.Subproblems-subsBefore)
 		opts.Explain.End(span)
 	}
 
@@ -213,7 +213,7 @@ func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
 		}
 		final = expand(sp, all, verts)
 		opts.Explain.Annotate(span, int64(stats.CsgCmpPairs-pairsBefore),
-			st.TableEntries, st.Workers, 1)
+			st.TableEntries, 1)
 		opts.Explain.End(span)
 	}
 	rspan := opts.Explain.Start(obs.PhaseRecost)

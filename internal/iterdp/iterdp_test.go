@@ -26,7 +26,7 @@ import (
 func exactSolver(model cost.Model, pool *memo.Pool) func(*hypergraph.Graph) (*plan.Node, dp.Stats, error) {
 	return func(sub *hypergraph.Graph) (*plan.Node, dp.Stats, error) {
 		sub.Freeze()
-		return core.Solve(sub, dp.Options{Model: model, Pool: pool, Parallelism: 1})
+		return core.Solve(sub, dp.Options{Model: model, Pool: pool})
 	}
 }
 

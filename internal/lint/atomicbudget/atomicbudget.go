@@ -1,7 +1,7 @@
 // Package atomicbudget enforces the //dp:atomic field directive: a
-// struct field annotated with it is shared mutable state (the parallel
-// enumeration's run-wide budget counters, the planner's metrics) and
-// may only be touched through sync/atomic.
+// struct field annotated with it is shared mutable state (the
+// planner's metrics and counters, which concurrent planning calls bump)
+// and may only be touched through sync/atomic.
 //
 // Two field shapes are accepted:
 //

@@ -80,13 +80,6 @@ type Stats struct {
 	AmbiguousOps  int // pairs connected by more than one non-inner edge
 	TableEntries  int // number of connected subgraphs with a plan
 
-	// Parallel-enumeration accounting, filled by the Par orchestration.
-	// Workers is the worker count the run enumerated with (0 or 1 =
-	// serial engine); WorkerPairs counts the csg-cmp-pairs each worker
-	// actually built plans for, so skew across workers is observable.
-	Workers     int
-	WorkerPairs []int
-
 	// Memo-engine accounting, filled by Final.
 	MemoCapacity int  // open-addressing slots at the end of the run
 	MemoGrows    int  // table rehashes during the run
@@ -169,9 +162,7 @@ type node struct {
 // Engine is the shared open-addressing memo: DP table, plan-node arena,
 // budget and cancellation enforcement, and counting hooks. It is not
 // safe for concurrent use; the Planner layer gives each in-flight plan
-// its own pooled engine. Parallel enumeration (see Par) runs on worker
-// views — private Engines layered over a read-only parent — so the
-// engine itself never needs locks.
+// its own pooled engine, and every enumeration runs on one goroutine.
 type Engine struct {
 	// Stats counts the run's work. The backend increments the reject
 	// counters directly; everything else is maintained by the engine.
@@ -192,20 +183,6 @@ type Engine struct {
 	steps    int
 	abortErr error
 	warm     bool // storage was recycled from a previous run
-
-	// Worker-view state (see Par). On a worker view, parent is the main
-	// engine whose merged levels the view reads through, base offsets
-	// this view's arena handles past the parent's, and shared carries
-	// the run-wide budget and abort state. All three are nil/zero on a
-	// serial engine, which keeps the serial hot paths branch-predictable.
-	parent *Engine
-	base   int32
-	shared *parShared
-
-	// par is the reusable parallel orchestration of a main engine: the
-	// worker views (and their pooled backends) survive pool round-trips
-	// alongside the engine.
-	par *Par
 }
 
 // NewEngine returns an empty engine. Most callers obtain engines through
@@ -277,32 +254,23 @@ func (e *Engine) Aborted() error { return e.abortErr }
 // Step records one unit of enumeration work (a loop iteration or
 // recursive call) and reports whether the run may continue. The context
 // is polled every pollInterval steps; budget limits are enforced in
-// EmitPair and ChargePlan where the counted events happen. On a worker
-// view the poll additionally observes the run-wide abort flag, so a
-// budget trip or cancellation seen by any worker stops the others
-// within pollInterval steps.
+// EmitPair and ChargePlan where the counted events happen.
 //
 //dp:hotpath
 func (e *Engine) Step() bool {
 	if e.abortErr != nil {
 		return false
 	}
-	if e.limits.Ctx == nil && e.shared == nil {
+	if e.limits.Ctx == nil {
 		return true
 	}
 	e.steps++
 	if e.steps%pollInterval != 0 {
 		return true
 	}
-	if sh := e.shared; sh != nil && sh.aborted.Load() {
-		e.abortErr = sh.cause()
+	if err := e.limits.Ctx.Err(); err != nil {
+		e.abortErr = err
 		return false
-	}
-	if ctx := e.limits.Ctx; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			e.abort(err)
-			return false
-		}
 	}
 	// Fault injection rides the amortized poll, so an armed delay slows
 	// the enumeration at pollInterval granularity — real, cancellable
@@ -310,22 +278,11 @@ func (e *Engine) Step() bool {
 	// Armed() gate keeps the disarmed cost to one atomic load per poll.
 	if chaos.Armed() {
 		if err := chaos.Inject(chaos.SiteMemoStep); err != nil {
-			e.abort(err)
+			e.abortErr = err
 			return false
 		}
 	}
 	return true
-}
-
-// abort records err as this engine's abort cause and, on a worker view,
-// publishes it run-wide so sibling workers stop at their next poll.
-//
-//dp:coldpath abort runs once per enumeration, after which every Step returns false
-func (e *Engine) abort(err error) {
-	e.abortErr = err
-	if e.shared != nil {
-		e.shared.abort(err)
-	}
 }
 
 // EmitBase seeds the memo with the access plan for base relation rel
@@ -350,7 +307,8 @@ func (e *Engine) EmitPair(S1, S2 bitset.Set) {
 	if e.abortErr != nil {
 		return
 	}
-	if !e.chargePair() {
+	if max := e.limits.MaxCsgCmpPairs; max > 0 && e.Stats.CsgCmpPairs >= max {
+		e.abortErr = pairBudgetErr(e.Stats.CsgCmpPairs, max)
 		return
 	}
 	e.Stats.CsgCmpPairs++
@@ -360,34 +318,8 @@ func (e *Engine) EmitPair(S1, S2 bitset.Set) {
 	e.backend.BuildPair(S1, S2)
 }
 
-// chargePair enforces the csg-cmp-pair budget for one emission. Worker
-// views charge a run-wide atomic counter (so the budget bounds the sum
-// across workers, matching the serial semantics); serial engines keep
-// the counter in Stats with no atomics on the hot path.
-func (e *Engine) chargePair() bool {
-	max := e.limits.MaxCsgCmpPairs
-	if sh := e.shared; sh != nil {
-		if sh.aborted.Load() {
-			e.abortErr = sh.cause()
-			return false
-		}
-		if max > 0 {
-			if n := sh.pairs.Add(1); n > int64(max) {
-				e.abort(pairBudgetErr(int(n), max))
-				return false
-			}
-		}
-		return true
-	}
-	if max > 0 && e.Stats.CsgCmpPairs >= max {
-		e.abortErr = pairBudgetErr(e.Stats.CsgCmpPairs, max)
-		return false
-	}
-	return true
-}
-
 // pairBudgetErr builds the csg-cmp-pair budget-trip error. Split out of
-// chargePair so the fmt machinery stays off the emission hot path.
+// EmitPair so the fmt machinery stays off the emission hot path.
 //
 //dp:coldpath runs at most once per enumeration, when the pair budget trips
 func pairBudgetErr(n, max int) error {
@@ -396,23 +328,11 @@ func pairBudgetErr(n, max int) error {
 
 // ChargePlan accounts for one candidate plan about to be priced and
 // reports whether the costed-plans budget allows it. On a trip the run
-// is aborted with ErrBudgetExhausted. Worker views charge the shared
-// run-wide counter so the budget bounds the sum across workers.
+// is aborted with ErrBudgetExhausted.
 //
 //dp:hotpath
 func (e *Engine) ChargePlan() bool {
-	max := e.limits.MaxCostedPlans
-	if sh := e.shared; sh != nil {
-		if max > 0 {
-			if n := sh.plans.Add(1); n > int64(max) {
-				e.abort(planBudgetErr(int(n), max))
-				return false
-			}
-		}
-		e.Stats.CostedPlans++
-		return true
-	}
-	if max > 0 && e.Stats.CostedPlans >= max {
+	if max := e.limits.MaxCostedPlans; max > 0 && e.Stats.CostedPlans >= max {
 		e.abortErr = planBudgetErr(e.Stats.CostedPlans, max)
 		return false
 	}
@@ -430,61 +350,26 @@ func planBudgetErr(n, max int) error {
 
 // Contains reports whether S has a memo entry. This is the DP-table
 // connectivity test of the bottom-up enumerators ("this exploits the
-// fact that DP strategies enumerate subsets before supersets"). Worker
-// views fall through to the parent's merged levels on a miss.
+// fact that DP strategies enumerate subsets before supersets").
 //
 //dp:hotpath
 func (e *Engine) Contains(S bitset.Set) bool {
-	if _, ok := e.table.Get(S); ok {
-		return true
-	}
-	if e.parent != nil {
-		_, ok := e.parent.table.Get(S)
-		return ok
-	}
-	return false
+	_, ok := e.table.Get(S)
+	return ok
 }
 
-// Lookup returns the arena handle of the best plan for S. Worker views
-// check their private level first (same-level incumbents they own),
-// then the parent's merged levels, which are read-only for the
-// duration of the level.
+// Lookup returns the arena handle of the best plan for S. A handle names
+// one relation set for the whole run.
 //
 //dp:hotpath
-func (e *Engine) Lookup(S bitset.Set) (int32, bool) {
-	if h, ok := e.table.Get(S); ok {
-		return h, true
-	}
-	if e.parent != nil {
-		return e.parent.table.Get(S)
-	}
-	return 0, false
-}
-
-// LevelLocal reports whether arena handle h names an entry private to
-// this worker view's current level. The next level hands such handles
-// out again, for other sets, so a backend must not key per-run state by
-// them. On a serial engine every handle names one set for the whole run
-// and LevelLocal is false.
-func (e *Engine) LevelLocal(h int32) bool { return e.parent != nil && h >= e.base }
-
-// nodeAt resolves an arena handle against this view: handles below the
-// view's base live in the parent's (merged, frozen) arena, the rest in
-// the view's private one. On a serial engine base is 0 and every handle
-// is local.
-func (e *Engine) nodeAt(h int32) *node {
-	if e.parent != nil && h < e.base {
-		return &e.parent.nodes[h]
-	}
-	return &e.nodes[h-e.base]
-}
+func (e *Engine) Lookup(S bitset.Set) (int32, bool) { return e.table.Get(S) }
 
 // PlanInfo returns the estimated cardinality and cost of the plan at
 // arena handle h.
 //
 //dp:hotpath
 func (e *Engine) PlanInfo(h int32) (card, cost float64) {
-	n := e.nodeAt(h)
+	n := &e.nodes[h]
 	return n.card, n.cost
 }
 
@@ -496,7 +381,7 @@ func (e *Engine) BestCost(S bitset.Set) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return e.nodeAt(h).cost, true
+	return e.nodes[h].cost, true
 }
 
 // Improve stores the plan "left op right" for S if it beats the
@@ -510,15 +395,14 @@ func (e *Engine) BestCost(S bitset.Set) (float64, bool) {
 // Ties are broken order-independently: among equal-cost candidates the
 // plan with the numerically lowest (left, right) relation-set pair
 // wins, never the one that happened to arrive first. This makes the
-// winning plan a pure function of the candidate *set*, so parallel
-// enumerations — which partition candidates across workers and merge
-// per-worker bests — produce byte-identical plans to the serial engine
-// at any worker count.
+// winning plan a pure function of the candidate *set*. Solvers emit
+// pairs in different orders, so the tie-break is what keeps routing
+// from changing the plan.
 //
 //dp:hotpath
 func (e *Engine) Improve(S bitset.Set, left, right int32, op algebra.Op, phys algebra.PhysOp, card, cost float64, edges []int) {
 	if h, ok := e.table.Get(S); ok {
-		n := e.nodeAt(h)
+		n := &e.nodes[h]
 		if cost > n.cost {
 			return
 		}
@@ -531,7 +415,7 @@ func (e *Engine) Improve(S bitset.Set, left, right int32, op algebra.Op, phys al
 		return
 	}
 	off, cnt := e.storeEdges(edges, 0, 0)
-	h := e.base + int32(len(e.nodes))
+	h := int32(len(e.nodes))
 	//nolint:hotpathalloc // arena growth is amortized; pooled runs reuse capacity
 	e.nodes = append(e.nodes, node{rels: S, card: card, cost: cost, left: left, right: right,
 		edgeOff: off, edgeCnt: cnt, rel: -1, op: op, phys: phys})
@@ -542,11 +426,11 @@ func (e *Engine) Improve(S bitset.Set, left, right int32, op algebra.Op, phys al
 // equal-cost tie against the incumbent split (oldL, oldR): the
 // lexicographically smaller (left rels, right rels) pair is canonical.
 func (e *Engine) tieBeats(newL, newR, oldL, oldR int32) bool {
-	nl, ol := e.nodeAt(newL).rels, e.nodeAt(oldL).rels
+	nl, ol := e.nodes[newL].rels, e.nodes[oldL].rels
 	if !nl.Equal(ol) {
 		return nl.Less(ol)
 	}
-	return e.nodeAt(newR).rels.Less(e.nodeAt(oldR).rels)
+	return e.nodes[newR].rels.Less(e.nodes[oldR].rels)
 }
 
 // storeEdges writes edges into the flat store, reusing the span
@@ -606,7 +490,7 @@ func (e *Engine) Final(all bitset.Set) (*plan.Node, error) {
 	}
 	span := e.trace.Start(obs.PhaseMaterialize)
 	p := e.materialize(h)
-	e.trace.Annotate(span, 0, e.Stats.TableEntries, 0, 0)
+	e.trace.Annotate(span, 0, e.Stats.TableEntries, 0)
 	e.trace.End(span)
 	return p, nil
 }
@@ -625,7 +509,7 @@ func (e *Engine) Plan(S bitset.Set) *plan.Node {
 // based plan.Node form callers consume. The arena itself stays intact
 // (and pooled); the returned tree is freshly allocated and safe to keep.
 func (e *Engine) materialize(h int32) *plan.Node {
-	n := e.nodeAt(h)
+	n := &e.nodes[h]
 	if n.left < 0 {
 		return plan.Leaf(int(n.rel), n.card)
 	}

@@ -3,6 +3,7 @@ package memo
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
@@ -250,6 +251,163 @@ func TestEngineArenaImprove(t *testing.T) {
 		t.Fatalf("Entries = %d want 3", e.Entries())
 	}
 }
+
+// tieSplits are the six (left, right) candidates for the set {0,1,2,3}
+// that the tie-break tests feed in every arrival order. Index 1 is the
+// lexicographically lowest split.
+var tieSplits = [][2]bitset.Set{
+	{bitset.New(2, 3), bitset.New(0, 1)}, {bitset.New(0, 1), bitset.New(2, 3)},
+	{bitset.New(0, 2), bitset.New(1, 3)}, {bitset.New(1, 3), bitset.New(0, 2)},
+	{bitset.New(0, 3), bitset.New(1, 2)}, {bitset.New(1, 2), bitset.New(0, 3)},
+}
+
+// tieEngine returns an engine holding the four singletons and every
+// two-relation side of tieSplits, so candidates for {0,1,2,3} can be
+// stored.
+func tieEngine(t *testing.T) *Engine {
+	t.Helper()
+	e := NewEngine()
+	e.Reset(4)
+	for i := 0; i < 4; i++ {
+		e.EmitBase(i, 10)
+	}
+	for _, sp := range tieSplits {
+		for _, S := range sp {
+			l, r := tieHandle(t, e, bitset.New(S.Min())), tieHandle(t, e, S.Minus(bitset.New(S.Min())))
+			e.Improve(S, l, r, algebra.Join, algebra.PhysNone, 100, 100, nil)
+		}
+	}
+	return e
+}
+
+func tieHandle(t *testing.T, e *Engine, S bitset.Set) int32 {
+	t.Helper()
+	h, ok := e.Lookup(S)
+	if !ok {
+		t.Fatalf("no entry for %v", S)
+	}
+	return h
+}
+
+// tieWinner returns the (left, right) split stored for {0,1,2,3}.
+func tieWinner(t *testing.T, e *Engine) [2]bitset.Set {
+	t.Helper()
+	n := e.nodes[tieHandle(t, e, bitset.Full(4))]
+	return [2]bitset.Set{e.nodes[n.left].rels, e.nodes[n.right].rels}
+}
+
+// improveWinner feeds the candidates of tieSplits to Improve in the
+// given order, candidate i at cost(i), and returns the winning split.
+func improveWinner(t *testing.T, order []int, cost func(i int) float64) [2]bitset.Set {
+	t.Helper()
+	e := tieEngine(t)
+	for _, i := range order {
+		e.Improve(bitset.Full(4), tieHandle(t, e, tieSplits[i][0]), tieHandle(t, e, tieSplits[i][1]),
+			algebra.Join, algebra.PhysNone, 1, cost(i), nil)
+	}
+	return tieWinner(t, e)
+}
+
+// tieOrders returns every permutation of the indices of tieSplits, by
+// Heap's algorithm.
+func tieOrders(t *testing.T) [][]int {
+	t.Helper()
+	var orders [][]int
+	var permute func(a []int, k int)
+	permute = func(a []int, k int) {
+		if k == 1 {
+			orders = append(orders, slices.Clone(a))
+			return
+		}
+		for i := 0; i < k; i++ {
+			permute(a, k-1)
+			if k%2 == 0 {
+				a[i], a[k-1] = a[k-1], a[i]
+			} else {
+				a[0], a[k-1] = a[k-1], a[0]
+			}
+		}
+	}
+	permute([]int{0, 1, 2, 3, 4, 5}, len(tieSplits))
+	if len(orders) != 720 {
+		t.Fatalf("%d orders, want 720", len(orders))
+	}
+	return orders
+}
+
+// TestParallelMergeTieBreakOrderIndependent: equal-cost candidates for
+// one set must resolve to the lexicographically lowest (left, right)
+// split whatever order they arrive in. The rule was first checked in
+// the parallel mode's barrier merge; it now lives in Improve alone, and
+// this test feeds Improve six candidates in all 720 arrival orders.
+// Solvers emit pairs in different orders, so this is what keeps routing
+// from changing the plan.
+func TestParallelMergeTieBreakOrderIndependent(t *testing.T) {
+	flat := func(int) float64 { return 100 } // all plans tie
+	for _, order := range tieOrders(t) {
+		if got, want := improveWinner(t, order, flat), tieSplits[1]; !sameSplit(got, want) {
+			t.Fatalf("order %v: winner %v, want %v", order, got, want)
+		}
+	}
+}
+
+// TestParallelMergePrefersCheaper: cost still dominates the tie-break.
+// A lexicographically larger split that is cheaper must win in every
+// arrival order.
+func TestParallelMergePrefersCheaper(t *testing.T) {
+	cheaperHigh := func(i int) float64 {
+		if i == 3 {
+			return 50 // the larger split is cheaper
+		}
+		return 100
+	}
+	for _, order := range tieOrders(t) {
+		if got, want := improveWinner(t, order, cheaperHigh), tieSplits[3]; !sameSplit(got, want) {
+			t.Fatalf("order %v: winner %v, want %v", order, got, want)
+		}
+	}
+}
+
+// improveBackend prices every emitted pair at cost(S1, S2) and stores
+// it through ChargePlan and Improve, the path a solver's backend takes.
+type improveBackend struct {
+	e    *Engine
+	cost func(S1, S2 bitset.Set) float64
+}
+
+func (b *improveBackend) BuildPair(S1, S2 bitset.Set) {
+	lh, _ := b.e.Lookup(S1)
+	rh, _ := b.e.Lookup(S2)
+	if !b.e.ChargePlan() {
+		return
+	}
+	b.e.Improve(S1.Union(S2), lh, rh, algebra.Join, algebra.PhysNone, 1, b.cost(S1, S2), nil)
+}
+
+func (b *improveBackend) Release() {}
+
+// TestSerialImproveTieBreakMatchesMerge: candidates emitted through
+// EmitPair and a pricing backend, as solvers emit them, resolve ties to
+// the same lowest split as direct Improve calls (the rule the parallel
+// barrier merge used to apply), in every arrival order.
+func TestSerialImproveTieBreakMatchesMerge(t *testing.T) {
+	for _, order := range tieOrders(t) {
+		e := tieEngine(t)
+		e.SetBackend(&improveBackend{e: e, cost: func(_, _ bitset.Set) float64 { return 100 }})
+		for _, i := range order {
+			e.EmitPair(tieSplits[i][0], tieSplits[i][1])
+		}
+		if e.Stats.CsgCmpPairs != len(order) || e.Stats.CostedPlans != len(order) {
+			t.Fatalf("order %v: %d pairs, %d plans costed, want %d each",
+				order, e.Stats.CsgCmpPairs, e.Stats.CostedPlans, len(order))
+		}
+		if got, want := tieWinner(t, e), tieSplits[1]; !sameSplit(got, want) {
+			t.Fatalf("order %v: winner %v, want %v", order, got, want)
+		}
+	}
+}
+
+func sameSplit(a, b [2]bitset.Set) bool { return a[0].Equal(b[0]) && a[1].Equal(b[1]) }
 
 func TestEnginePairBudget(t *testing.T) {
 	e := NewEngine()

@@ -36,21 +36,6 @@ func (p *Pool) Put(e *Engine) {
 	if e.backend != nil {
 		e.backend.Release()
 	}
-	if e.par != nil {
-		// Worker views recycle with the main engine: drop their per-run
-		// references (graph, model, shared abort state) but keep their
-		// tables, arenas, and backends for the next parallel run.
-		for _, w := range e.par.Ws {
-			if w.backend != nil {
-				w.backend.Release()
-			}
-			w.OnEmit = nil
-			w.limits = Limits{}
-			w.abortErr = nil
-			w.shared = nil
-			w.warm = true
-		}
-	}
 	e.OnEmit = nil
 	e.limits = Limits{}
 	e.abortErr = nil

@@ -85,20 +85,6 @@ func (t *Table) Reset(hint int) (kept bool) {
 	return kept
 }
 
-// Clear empties the table while keeping its backing storage regardless
-// of size. The levels of one parallel run alternate between large and
-// tiny (DPsub's sweep visits every set size, and the top level always
-// holds one set), so per-level shrinking would realloc and regrow
-// constantly; shrink hygiene is a run-boundary concern handled
-// by Reset.
-//
-//dp:coldpath runs once per parallel level at the barrier
-func (t *Table) Clear() {
-	clear(t.keys)
-	t.used = 0
-	t.grows = 0
-}
-
 // Len returns the number of stored entries.
 func (t *Table) Len() int { return t.used }
 

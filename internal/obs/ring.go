@@ -22,7 +22,6 @@ type RingEntry struct {
 	Relations   int           // query size
 	Duration    time.Duration // wall time of the planning call
 	Pairs       int64         // csg-cmp-pairs the enumeration emitted
-	Workers     int           // enumeration worker count (0/1 = serial)
 	CacheHit    bool
 	Coalesced   bool
 	Fallback    bool   // greedy fallback after a budget trip

@@ -87,11 +87,8 @@ type Span struct {
 	// Round is the iterdp compression-round index for PhaseCluster
 	// spans, and -1 elsewhere.
 	Round int16
-	// Workers is the worker count the phase's enumeration ran with
-	// (0 = not an enumeration, 1 = serial).
-	Workers int32
-	Start   time.Duration // offset from the trace begin
-	Dur     time.Duration
+	Start time.Duration // offset from the trace begin
+	Dur   time.Duration
 	// Pairs counts csg-cmp-pairs emitted during the phase; MemoEntries
 	// and Subproblems likewise snapshot the phase's memo occupancy and
 	// (for iterdp rounds) exactly-solved subproblem count. All three
@@ -106,9 +103,7 @@ type Span struct {
 // valid no-op recorder, so call sites need no conditionals.
 //
 // A Trace is not safe for concurrent use — it belongs to exactly one
-// planning call. (Parallel enumeration is unaffected: spans are
-// recorded by the orchestrating goroutine at phase boundaries, never
-// by the workers.)
+// planning call.
 type Trace struct {
 	// Total is the wall time from Begin to Finish.
 	Total time.Duration
@@ -188,14 +183,13 @@ func (t *Trace) End(h int32) {
 // Safe on nil receivers and invalid handles.
 //
 //dp:hotpath
-func (t *Trace) Annotate(h int32, pairs int64, memoEntries, workers, subproblems int) {
+func (t *Trace) Annotate(h int32, pairs int64, memoEntries, subproblems int) {
 	if t == nil || h < 0 || h >= t.n {
 		return
 	}
 	s := &t.spans[h]
 	s.Pairs = pairs
 	s.MemoEntries = int32(memoEntries)
-	s.Workers = int32(workers)
 	s.Subproblems = int32(subproblems)
 }
 

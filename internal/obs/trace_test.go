@@ -13,7 +13,7 @@ func TestTraceNilSafe(t *testing.T) {
 		t.Fatalf("nil trace Start = %d, want -1", h)
 	}
 	tr.End(h)
-	tr.Annotate(h, 1, 2, 3, 4)
+	tr.Annotate(h, 1, 2, 4)
 	tr.SetRound(h, 1)
 	tr.Finish()
 	if tr.Len() != 0 || tr.Spans() != nil || tr.PhaseTotal(PhaseEnumerate) != 0 {
@@ -62,11 +62,11 @@ func TestTraceSpansAndNesting(t *testing.T) {
 func TestTraceAnnotateAndRound(t *testing.T) {
 	tr := NewTrace()
 	h := tr.Start(PhaseCluster)
-	tr.Annotate(h, 1234, 56, 4, 7)
+	tr.Annotate(h, 1234, 56, 7)
 	tr.SetRound(h, 2)
 	tr.End(h)
 	s := tr.Spans()[0]
-	if s.Pairs != 1234 || s.MemoEntries != 56 || s.Workers != 4 || s.Subproblems != 7 || s.Round != 2 {
+	if s.Pairs != 1234 || s.MemoEntries != 56 || s.Subproblems != 7 || s.Round != 2 {
 		t.Fatalf("annotated span = %+v", s)
 	}
 }

@@ -25,11 +25,7 @@ import (
 type solverFn func(*hypergraph.Graph, cost.Model) (*plan.Node, dp.Stats, error)
 
 // exactSolvers are the five enumerators that must return cost-optimal
-// plans, plus DPsub's parallel mode (run at three workers to exercise
-// partitioning, merging, and the order-independent tie-break even on
-// the suite's small graphs — the internal solvers apply no size
-// crossover). needsSimple marks solvers restricted to
-// simple graphs.
+// plans. needsSimple marks solvers restricted to simple graphs.
 var exactSolvers = []struct {
 	name        string
 	solve       solverFn
@@ -49,9 +45,6 @@ var exactSolvers = []struct {
 	}, true},
 	{"topdown", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
 		return topdown.Solve(g, dp.Options{Model: m})
-	}, false},
-	{"dpsub-par3", func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
-		return dpsub.Solve(g, dp.Options{Model: m, Parallelism: 3})
 	}, false},
 }
 

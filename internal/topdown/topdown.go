@@ -27,7 +27,7 @@ import (
 
 // Solve runs top-down memoization over g.
 func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
-	return dp.Run(g, opts, func(b *dp.Builder, _ int) error {
+	return dp.Run(g, opts, func(b *dp.Builder) error {
 		// done marks sets whose partitions have all been explored,
 		// whether or not a plan was found (failure memoization matters:
 		// disconnected sets are re-encountered exponentially often

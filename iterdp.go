@@ -15,13 +15,11 @@ import (
 // not accept; compression turns every later round's edges into simple
 // edges.
 //
-// Subproblems run serially — at ClusterSize ≤ 20 relations each
-// enumeration is microseconds, below the parallel crossover — and share
-// the session's memo pool, so the tier's per-subproblem setup cost is a
-// table memclr, not an allocation. The Budget limits apply to each
-// subproblem individually (the engine resets its counters per run);
-// cancellation through the limits' context applies to the whole tier,
-// clustering loops included.
+// Subproblems run one after another and share the session's memo pool,
+// so the tier's per-subproblem setup cost is a table memclr, not an
+// allocation. The Budget limits apply to each subproblem individually
+// (the engine resets its counters per run); cancellation through the
+// limits' context applies to the whole tier, clustering loops included.
 //
 // Graphs the tier cannot handle (non-inner operators, dependent
 // relations, graphs held together only by wide hyperedges) fail with an
@@ -30,12 +28,7 @@ import (
 func runIterDP(g *Graph, clusterSize int, run dp.Options) (*PlanNode, Stats, error) {
 	exact := func(sub *hypergraph.Graph) (*plan.Node, dp.Stats, error) {
 		sub.Freeze()
-		return core.Solve(sub, dp.Options{
-			Model:       run.Model,
-			Limits:      run.Limits,
-			Pool:        run.Pool,
-			Parallelism: 1,
-		})
+		return core.Solve(sub, dp.Options{Model: run.Model, Limits: run.Limits, Pool: run.Pool})
 	}
 	// The sub-solves deliberately do NOT receive the explain trace: a
 	// 1000-relation run solves hundreds of subproblems, and per-subproblem

@@ -78,7 +78,7 @@ func TestRelabelingKeepsOptimalCost(t *testing.T) {
 	cases = append(cases, testCase{"clique12", workload.Clique(12, cfg)})
 
 	ctx := context.Background()
-	p := NewPlanner(WithPlanCacheSize(0), WithParallelism(1))
+	p := NewPlanner(WithPlanCacheSize(0))
 	near := func(a, b float64) bool {
 		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 	}

@@ -64,11 +64,6 @@ type Planner struct {
 	arenaReuses     atomic.Uint64 //dp:atomic
 	memoPeakEntries atomic.Int64  //dp:atomic
 
-	// Parallel-enumeration accounting: runs that actually used worker
-	// views, and the csg-cmp-pairs those workers processed in total.
-	parallelRuns  atomic.Uint64 //dp:atomic
-	parallelPairs atomic.Uint64 //dp:atomic
-
 	// routed counts SolverAuto routing decisions per target algorithm
 	// (indexed by Algorithm; SolverAuto itself is never a target).
 	routed [int(SolverAuto) + 1]atomic.Uint64 //dp:atomic
@@ -151,12 +146,11 @@ type PlannerMetrics struct {
 	ArenaReuses     uint64
 	MemoPeakEntries int
 
-	// Parallel-enumeration counters. ParallelRuns counts enumerations
-	// that ran on worker views (Stats.Workers > 1); ParallelPairs sums
-	// the csg-cmp-pairs those workers built, so average per-run fan-out
-	// is ParallelPairs / ParallelRuns.
-	ParallelRuns  uint64
-	ParallelPairs uint64
+	// ParallelRuns is always 0: every enumeration runs on one goroutine.
+	//
+	// Deprecated: it counted runs of DPsub's level-parallel mode, which
+	// was deleted. The field stays so existing readers compile.
+	ParallelRuns uint64
 
 	// AutoRouted counts SolverAuto routing decisions keyed by the
 	// algorithm name the topology router picked (e.g. "dpccp"). Nil
@@ -185,8 +179,6 @@ func (p *Planner) Metrics() PlannerMetrics {
 		PairsEmitted:    p.pairsEmitted.Load(),
 		ArenaReuses:     p.arenaReuses.Load(),
 		MemoPeakEntries: int(p.memoPeakEntries.Load()),
-		ParallelRuns:    p.parallelRuns.Load(),
-		ParallelPairs:   p.parallelPairs.Load(),
 		SLOMet:          p.sloMet.Load(),
 		SLOMissed:       p.sloMissed.Load(),
 		SLODegraded:     p.sloDegraded.Load(),
@@ -391,7 +383,7 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 	// lock: afterwards the enumeration only reads the graph, which makes
 	// concurrent planning over a shared graph safe.
 	g.Freeze()
-	rt := p.route(g, &o, filter)
+	rt := p.route(g, &o)
 
 	// Observation hooks make a run non-reproducible from the cache (the
 	// hook would not fire on a hit), and generate-and-test filters carry
@@ -434,22 +426,20 @@ type routing struct {
 	slo   sloState
 }
 
-// route is the first stage. It resolves the call's worker count once,
-// into o.parallelism, and SolverAuto to a concrete algorithm, into
-// o.alg. Routing happens before the cache lookup: it is a pure function
-// of the (frozen) graph, so a routed entry is interchangeable with one
-// planned by naming the same algorithm directly. Classification costs
-// one O(V+E) pass, the same order as the Fingerprint scan every cached
-// call already pays.
-func (p *Planner) route(g *Graph, o *options, filter dp.Filter) routing {
-	o.parallelism = o.workers(g, filter)
+// route is the first stage. It resolves SolverAuto to a concrete
+// algorithm, into o.alg. Routing happens before the cache lookup: it is
+// a pure function of the (frozen) graph, so a routed entry is
+// interchangeable with one planned by naming the same algorithm
+// directly. Classification costs one O(V+E) pass, the same order as the
+// Fingerprint scan every cached call already pays.
+func (p *Planner) route(g *Graph, o *options) routing {
 	rt := routing{slo: sloState{budget: o.planBudget}}
 	if o.alg != SolverAuto {
 		return rt
 	}
 	span := o.explain.Start(obs.PhaseRoute)
 	prof := shape.Classify(g)
-	rt.alg = routeAuto(prof, o.parallelism, o.trace != nil)
+	rt.alg = routeAuto(prof, o.trace != nil)
 	if rt.slo.budget > 0 {
 		// Budget-aware routing happens before the cache lookup for the
 		// same reason SolverAuto resolution does: the key must name the
@@ -495,7 +485,7 @@ func (p *Planner) enumerate(g *Graph, o options, filter dp.Filter) (*Result, err
 		espan = o.explain.Start(obs.PhaseEnumerate)
 	}
 	pl, st, err := runSolver(g, o, filter)
-	o.explain.Annotate(espan, int64(st.CsgCmpPairs), st.TableEntries, st.Workers, 0)
+	o.explain.Annotate(espan, int64(st.CsgCmpPairs), st.TableEntries, 0)
 	o.explain.End(espan)
 	if err == nil {
 		return &Result{Plan: pl, Stats: st, Graph: g, Algorithm: o.alg}, nil
@@ -512,7 +502,7 @@ func (p *Planner) enumerate(g *Graph, o options, filter dp.Filter) (*Result, err
 	og.trace = nil
 	fspan := o.explain.Start(obs.PhaseFallback)
 	gp, gst, gerr := runSolver(g, og, filter)
-	o.explain.Annotate(fspan, int64(gst.CsgCmpPairs), gst.TableEntries, 1, 0)
+	o.explain.Annotate(fspan, int64(gst.CsgCmpPairs), gst.TableEntries, 0)
 	o.explain.End(fspan)
 	if gerr != nil {
 		return nil, fmt.Errorf("repro: greedy fallback after budget trip: %w", gerr)
@@ -527,10 +517,6 @@ func (p *Planner) enumerate(g *Graph, o options, filter dp.Filter) (*Result, err
 	gst.MemoCapacity = max(gst.MemoCapacity, st.MemoCapacity)
 	gst.MemoGrows = max(gst.MemoGrows, st.MemoGrows)
 	gst.ArenaNodes = max(gst.ArenaNodes, st.ArenaNodes)
-	// The greedy pass is serial; keep the aborted exact pass's
-	// worker accounting so the trip is attributable.
-	gst.Workers = st.Workers
-	gst.WorkerPairs = st.WorkerPairs
 	gst.BudgetExhausted = true
 	gst.FallbackGreedy = true
 	return &Result{Plan: gp, Stats: gst, Graph: g, Algorithm: Greedy}, nil
@@ -538,8 +524,8 @@ func (p *Planner) enumerate(g *Graph, o options, filter dp.Filter) (*Result, err
 
 // account adds one enumeration to the session counters: the greedy
 // fallback, total pairs emitted (both passes of a budget-tripped run
-// are merged into st), whether the run reused pooled storage, its
-// parallel fan-out, and the table-occupancy high-water mark.
+// are merged into st), whether the run reused pooled storage, and the
+// table-occupancy high-water mark.
 func (p *Planner) account(st *Stats) {
 	if st.FallbackGreedy {
 		p.fallbacks.Add(1)
@@ -547,12 +533,6 @@ func (p *Planner) account(st *Stats) {
 	p.pairsEmitted.Add(uint64(st.CsgCmpPairs))
 	if st.ArenaReused {
 		p.arenaReuses.Add(1)
-	}
-	if st.Workers > 1 {
-		p.parallelRuns.Add(1)
-		for _, wp := range st.WorkerPairs {
-			p.parallelPairs.Add(uint64(wp))
-		}
 	}
 	for {
 		peak := p.memoPeakEntries.Load()
@@ -598,10 +578,7 @@ const keyBufSize = 2048
 // option overrides cannot alias cache entries. The budget and fallback
 // policy are part of the key because a budget trip caches a Greedy plan
 // — which must not be served to a call that could afford the exact
-// enumeration (or that asked for a hard error). Parallelism is
-// deliberately absent: the engine's order-independent tie-break makes
-// plans byte-identical at every worker count, so a plan enumerated
-// serially is interchangeable with a parallel one.
+// enumeration (or that asked for a hard error).
 //
 // The layout, "alg/model/rule/genAndTest/maxPairs:maxPlans/noFallback/
 // clusterSize", is persisted in warm-start snapshots and must not change.

@@ -481,3 +481,46 @@ func TestBudgetedTreeQuery(t *testing.T) {
 		t.Errorf("fallback plan covers %d relations", res.Plan.Relations())
 	}
 }
+
+// TestParallelSmallQueriesStaySerial: WithParallelism is a deprecated
+// no-op, so a planner given 4 workers plans each solver's query exactly
+// as a planner without the option, with the same plan and work
+// counters, and PlannerMetrics.ParallelRuns stays 0.
+func TestParallelSmallQueriesStaySerial(t *testing.T) {
+	cfg := workload.DefaultConfig()
+	cases := []struct {
+		name string
+		alg  Algorithm
+		g    *Graph
+	}{
+		{"dphyp-star8", DPhyp, workload.Star(8, cfg)},
+		{"dpsize-chain12", DPsize, workload.Chain(12, cfg)},
+		{"dpccp-cycle12", DPccp, workload.Cycle(12, cfg)},
+		{"topdown-clique10", TopDown, workload.Clique(10, cfg)},
+		{"greedy-chain30", Greedy, workload.Chain(30, cfg)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			p := NewPlanner(WithAlgorithm(c.alg), WithPlanCacheSize(0), WithParallelism(4))
+			res, err := p.PlanGraph(ctx, c.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewPlanner(WithAlgorithm(c.alg), WithPlanCacheSize(0)).PlanGraph(ctx, c.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, w := res.Plan.String(), want.Plan.String(); got != w {
+				t.Errorf("plan with WithParallelism(4):\n%s\nwithout:\n%s", got, w)
+			}
+			if res.Stats.CsgCmpPairs != want.Stats.CsgCmpPairs || res.Stats.CostedPlans != want.Stats.CostedPlans {
+				t.Errorf("pairs %d, costed %d; without the option %d, %d", res.Stats.CsgCmpPairs,
+					res.Stats.CostedPlans, want.Stats.CsgCmpPairs, want.Stats.CostedPlans)
+			}
+			if m := p.Metrics(); m.ParallelRuns != 0 {
+				t.Errorf("ParallelRuns = %d, want 0", m.ParallelRuns)
+			}
+		})
+	}
+}

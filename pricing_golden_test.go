@@ -20,13 +20,12 @@ var updatePricingGolden = flag.Bool("update-pricing-golden", false,
 const pricingGoldenFile = "testdata/pricing.golden"
 
 // pricingCase is one document of the pricing golden corpus and the
-// solvers and worker counts that plan it.
+// solvers that plan it.
 type pricingCase struct {
-	name    string
-	doc     *QueryJSON
-	algs    []Algorithm
-	workers []int
-	opts    []Option
+	name string
+	doc  *QueryJSON
+	algs []Algorithm
+	opts []Option
 }
 
 // exactSolvers are the exact enumerators; DPccp accepts simple graphs
@@ -67,12 +66,12 @@ func simpleGraph(g *Graph) bool {
 }
 
 // pricingCorpus is the golden corpus: one document per lib-cold family
-// planned by every exact solver that accepts it at 1 and 2 workers; the
-// densest exact-routed graph; a 100-relation chain, whose sets are wider
-// than one word, planned by DPhyp directly and through SolverAuto
-// (IterDP); a generate-and-test run, the only mode that hands the filter
-// flipped edge references; and graphs with dependent relations, which
-// take the dependency checks and the dependent join variants.
+// planned by every exact solver that accepts it; the densest
+// exact-routed graph; a 100-relation chain, whose sets are wider than
+// one word, planned by DPhyp directly and through SolverAuto (IterDP); a
+// generate-and-test run, the only mode that hands the filter flipped
+// edge references; and graphs with dependent relations, which take the
+// dependency checks and the dependent join variants.
 func pricingCorpus(t *testing.T) []pricingCase {
 	cfg := workload.DefaultConfig()
 	families := []struct {
@@ -101,7 +100,7 @@ func pricingCorpus(t *testing.T) []pricingCase {
 		if !simpleGraph(r.Graph) {
 			algs = []Algorithm{DPhyp, DPsize, DPsub, TopDown}
 		}
-		cases = append(cases, pricingCase{name: f.name, doc: f.doc, algs: algs, workers: []int{1, 2}})
+		cases = append(cases, pricingCase{name: f.name, doc: f.doc, algs: algs})
 	}
 
 	// Dependent relations take the dependency checks and the dependent
@@ -114,11 +113,11 @@ func pricingCorpus(t *testing.T) []pricingCase {
 	dep2.SetFree(6, bitset.New(2))
 
 	cases = append(cases,
-		pricingCase{name: "clique12", doc: graphJSON(workload.Clique(12, cfg)), algs: []Algorithm{DPhyp, DPsub}, workers: []int{1, 2}},
-		pricingCase{name: "chain100", doc: graphJSON(workload.Chain(100, workload.LargeConfig())), algs: []Algorithm{DPhyp, SolverAuto}, workers: []int{1}},
-		pricingCase{name: "star-antijoin10/5 generate-and-test", doc: treeJSON(workload.StarTree(10, 5, cfg)), algs: []Algorithm{DPhyp}, workers: []int{1}, opts: []Option{WithGenerateAndTest()}},
-		pricingCase{name: "star10 dependent", doc: graphJSON(dep1), algs: exactSolvers, workers: []int{1, 2}},
-		pricingCase{name: "chain10 two dependents", doc: graphJSON(dep2), algs: exactSolvers, workers: []int{1, 2}},
+		pricingCase{name: "clique12", doc: graphJSON(workload.Clique(12, cfg)), algs: []Algorithm{DPhyp, DPsub}},
+		pricingCase{name: "chain100", doc: graphJSON(workload.Chain(100, workload.LargeConfig())), algs: []Algorithm{DPhyp, SolverAuto}},
+		pricingCase{name: "star-antijoin10/5 generate-and-test", doc: treeJSON(workload.StarTree(10, 5, cfg)), algs: []Algorithm{DPhyp}, opts: []Option{WithGenerateAndTest()}},
+		pricingCase{name: "star10 dependent", doc: graphJSON(dep1), algs: exactSolvers},
+		pricingCase{name: "chain10 two dependents", doc: graphJSON(dep2), algs: exactSolvers},
 	)
 	return cases
 }
@@ -148,31 +147,20 @@ func renderPricing(b *strings.Builder, r *Result) {
 // admitted csg-cmp-pair: the plan tree, the edges applied at each node,
 // cardinality and cost to the last bit, and the builder's counters. The
 // golden file was captured before the builder's per-pair work was
-// restructured; every worker count must render the same block. Rewrite
-// it with -update-pricing-golden only when a change is meant to alter
-// plans or estimates.
+// restructured. Rewrite it with -update-pricing-golden only when a
+// change is meant to alter plans or estimates.
 func TestPricingGolden(t *testing.T) {
 	ctx := context.Background()
 	var out strings.Builder
 	for _, c := range pricingCorpus(t) {
 		for _, alg := range c.algs {
-			var want string
-			for _, w := range c.workers {
-				p := NewPlanner(WithPlanCacheSize(0), WithParallelism(w))
-				r, err := p.PlanJSON(ctx, c.doc, append([]Option{WithAlgorithm(alg)}, c.opts...)...)
-				if err != nil {
-					t.Fatalf("%s %v workers=%d: %v", c.name, alg, w, err)
-				}
-				var b strings.Builder
-				renderPricing(&b, r)
-				if w == c.workers[0] {
-					want = b.String()
-					fmt.Fprintf(&out, "== %s %v\n%s", c.name, alg, want)
-				} else if b.String() != want {
-					t.Errorf("%s %v: %d workers render differently from %d:\n%s\nwant:\n%s",
-						c.name, alg, w, c.workers[0], b.String(), want)
-				}
+			p := NewPlanner(WithPlanCacheSize(0))
+			r, err := p.PlanJSON(ctx, c.doc, append([]Option{WithAlgorithm(alg)}, c.opts...)...)
+			if err != nil {
+				t.Fatalf("%s %v: %v", c.name, alg, err)
 			}
+			fmt.Fprintf(&out, "== %s %v\n", c.name, alg)
+			renderPricing(&out, r)
 		}
 	}
 	if *updatePricingGolden {

@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/algebra"
@@ -204,7 +203,6 @@ type options struct {
 	cacheSize   int
 	noFallback  bool
 	pool        *memo.Pool
-	parallelism int           // 0 = GOMAXPROCS, 1 = serial; resolved per call by the route stage
 	clusterSize int           // IterDP subproblem budget; 0 = DefaultClusterSize
 	planBudget  time.Duration // planning-time SLO for budget routing; 0 = none
 }
@@ -248,12 +246,11 @@ func WithTrace(t *Trace) Option { return func(o *options) { o.trace = t } }
 
 // WithExplain records a phase/span trace of the planning call into t
 // (route, cache lookup, iterdp rounds, enumeration, materialize — with
-// per-phase wall time, pairs emitted, memo occupancy, and worker
-// counts). Unlike WithTrace it observes only phase boundaries, so it
-// neither forces the serial engine nor bypasses the plan cache: a
-// traced call served from the cache returns a trace of just the route
-// and cache-lookup phases. The completed trace is available as
-// Stats.Trace.
+// per-phase wall time, pairs emitted and memo occupancy). Unlike
+// WithTrace it observes only phase boundaries, so it does not bypass
+// the plan cache: a traced call served from the cache returns a trace
+// of just the route and cache-lookup phases. The completed trace is
+// available as Stats.Trace.
 func WithExplain(t *PlanTrace) Option { return func(o *options) { o.explain = t } }
 
 // WithBudget bounds exact enumeration effort (see Budget). On a Planner
@@ -270,22 +267,13 @@ func WithPlanCacheSize(n int) Option { return func(o *options) { o.cacheSize = n
 // ErrBudgetExhausted) instead of degrading to a Greedy plan.
 func WithoutGreedyFallback() Option { return func(o *options) { o.noFallback = true } }
 
-// WithParallelism bounds the workers one enumeration may use. The
-// default (0) is runtime.GOMAXPROCS; 1 pins every run to the serial
-// engine. Only DPsub enumerates in parallel, and SolverAuto sends
-// cliques to it when more than one worker is allowed. Every other
-// solver plans serially at any setting. At 2 workers on 2 CPUs,
-// parallel DPsub takes 0.81–0.90× of serial DPccp's time on clique12
-// and is no faster on clique10–11, at 0.86–1.61× (see the package
-// documentation).
-// Parallelism never changes the plan: worker results merge under an
-// order-independent tie-break, so plans are byte-identical across
-// worker counts (and to serial), which is also why the plan cache
-// ignores this knob. Small queries (fewer than ParallelMinRels
-// relations), traced or observed runs, and generate-and-test filters
-// always plan serially — fork/join overhead would dominate or ordering
-// guarantees would be lost.
-func WithParallelism(n int) Option { return func(o *options) { o.parallelism = n } }
+// WithParallelism does nothing: every enumeration runs on one
+// goroutine, and a server uses its cores across requests.
+//
+// Deprecated: DPsub's level-parallel mode, the last intra-query
+// parallel mode, was deleted because no workload it served beat serial
+// DPccp. The option stays so existing callers compile.
+func WithParallelism(int) Option { return func(*options) {} }
 
 // DefaultClusterSize is the IterDP subproblem budget unless overridden
 // with WithClusterSize: 12-relation subgraphs exact-solve in well under
@@ -297,30 +285,6 @@ const DefaultClusterSize = iterdp.DefaultClusterSize
 // iterdp.MaxClusterSize). Larger clusters buy plan quality with
 // exponentially more enumeration time per subproblem.
 func WithClusterSize(n int) Option { return func(o *options) { o.clusterSize = n } }
-
-// ParallelMinRels is the size crossover below which enumerations stay
-// serial regardless of WithParallelism: under ~10 relations a full
-// exact enumeration costs tens of microseconds, where goroutine
-// fork/join and the level barriers would be pure regression.
-const ParallelMinRels = 10
-
-// workers resolves the effective worker count for one enumeration over
-// g; the route stage calls it once per planning call. Observation hooks
-// need the serial emission order; filters carry per-analysis state the
-// worker builders must not share.
-func (o *options) workers(g *Graph, filter dp.Filter) int {
-	w := o.parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > 64 {
-		w = 64
-	}
-	if w > 1 && (filter != nil || o.trace != nil || o.onEmit != nil || g.NumRels() < ParallelMinRels) {
-		return 1
-	}
-	return w
-}
 
 // Result is the outcome of an optimization.
 type Result struct {
@@ -365,10 +329,9 @@ func runSolver(g *Graph, o options, filter dp.Filter) (*PlanNode, Stats, error) 
 			MaxCsgCmpPairs: o.budget.MaxCsgCmpPairs,
 			MaxCostedPlans: o.budget.MaxCostedPlans,
 		},
-		Pool:        o.pool,
-		Explain:     o.explain,
-		Parallelism: o.parallelism,
-		Trace:       o.trace,
+		Pool:    o.pool,
+		Explain: o.explain,
+		Trace:   o.trace,
 	}
 	switch o.alg {
 	case DPhyp:

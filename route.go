@@ -38,23 +38,20 @@ const autoMaxGreedyRels = 64
 //     (Figures 5 and 6).
 //   - A traced call (traced, from WithTrace) goes to DPhyp, the one
 //     solver that records the Fig. 3 steps. The plan stays the same,
-//     and a traced call already plans serially and bypasses the cache.
-//   - Cliques planned with more than one worker go to DPsub's
-//     level-parallel mode. At 2 workers it takes 0.81–0.90× of serial
-//     DPccp's time on clique12 and is no faster on clique10–11
-//     (0.86–1.61×).
+//     and a traced call already bypasses the cache.
 //   - Every other graph goes to DPccp. On a graph without hyperedges it
 //     emits the same pairs as DPhyp (§4.4) and needs no DP-table
 //     membership test: serial DPccp takes 0.80–0.94× of DPhyp's time
 //     on stars, grids, cycles and chains, 0.14–0.48× of DPsize's on
 //     chains of 8–24, and 0.94–0.98× of TopDown's on clique10–14.
 //
+// Every route enumerates on one goroutine: no parallel route beat
+// serial DPccp on a clique a benchmark workload plans (see Concurrency
+// in the package documentation).
+//
 // Queries whose class/size combination is beyond the exact cutoffs
 // degrade to Greedy up front rather than tripping a budget mid-flight.
-//
-// workers is the effective parallelism of the call; options.workers
-// already returns 1 below ParallelMinRels relations.
-func routeAuto(p shape.Profile, workers int, traced bool) Algorithm {
+func routeAuto(p shape.Profile, traced bool) Algorithm {
 	limit := autoMaxDenseRels
 	switch p.Class {
 	case shape.Clique:
@@ -72,9 +69,6 @@ func routeAuto(p shape.Profile, workers int, traced bool) Algorithm {
 	}
 	if p.HyperEdges > 0 || traced {
 		return DPhyp
-	}
-	if p.Class == shape.Clique && workers > 1 {
-		return DPsub
 	}
 	return DPccp
 }

@@ -45,16 +45,6 @@ func writeMemoMetrics(w io.Writer, pairsEmitted, arenaReuses uint64, memoPeakEnt
 	fmt.Fprintf(w, "# TYPE planner_memo_peak_entries gauge\nplanner_memo_peak_entries %d\n", memoPeakEntries)
 }
 
-// writeParallelMetrics renders the planner's parallel-enumeration
-// counters: how many enumerations ran on worker views and how many
-// csg-cmp-pairs those workers processed. Together with
-// planner_pairs_emitted_total these show what fraction of enumeration
-// effort the multi-core path absorbs.
-func writeParallelMetrics(w io.Writer, runs, pairs uint64) {
-	fmt.Fprintf(w, "# TYPE planner_parallel_runs_total counter\nplanner_parallel_runs_total %d\n", runs)
-	fmt.Fprintf(w, "# TYPE planner_parallel_pairs_total counter\nplanner_parallel_pairs_total %d\n", pairs)
-}
-
 // reqKey labels one request-counter series.
 type reqKey struct {
 	path string

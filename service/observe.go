@@ -67,7 +67,6 @@ func (s *Server) observePlan(rid uint64, key string, res *repro.Result, coalesce
 		Relations:   relations,
 		Duration:    elapsed,
 		Pairs:       int64(st.CsgCmpPairs),
-		Workers:     st.Workers,
 		CacheHit:    st.CacheHit,
 		Coalesced:   coalesced,
 		Fallback:    st.FallbackGreedy,
@@ -127,7 +126,6 @@ type debugPlanJSON struct {
 	Relations   int        `json:"relations"`
 	DurationMS  float64    `json:"duration_ms"`
 	Pairs       int64      `json:"pairs"`
-	Workers     int        `json:"workers,omitempty"`
 	CacheHit    bool       `json:"cache_hit,omitempty"`
 	Coalesced   bool       `json:"coalesced,omitempty"`
 	Fallback    bool       `json:"fallback_greedy,omitempty"`
@@ -150,7 +148,6 @@ func (s *Server) handleDebugPlans(w http.ResponseWriter, r *http.Request) {
 			Relations:   e.Relations,
 			DurationMS:  float64(e.Duration.Microseconds()) / 1000,
 			Pairs:       e.Pairs,
-			Workers:     e.Workers,
 			CacheHit:    e.CacheHit,
 			Coalesced:   e.Coalesced,
 			Fallback:    e.Fallback,

@@ -102,7 +102,6 @@ type SpanJSON struct {
 	DurUS       float64 `json:"dur_us"`
 	Pairs       int64   `json:"pairs,omitempty"`
 	MemoEntries int     `json:"memo_entries,omitempty"`
-	Workers     int     `json:"workers,omitempty"`
 	Subproblems int     `json:"subproblems,omitempty"`
 }
 
@@ -125,7 +124,6 @@ func traceJSON(t *obs.Trace) *TraceJSON {
 			DurUS:       float64(s.Dur.Nanoseconds()) / 1000,
 			Pairs:       s.Pairs,
 			MemoEntries: int(s.MemoEntries),
-			Workers:     int(s.Workers),
 			Subproblems: int(s.Subproblems),
 		}
 		if s.Round >= 0 {
@@ -158,10 +156,6 @@ type StatsJSON struct {
 	FallbackGreedy  bool   `json:"fallback_greedy,omitempty"`
 	Shape           string `json:"shape,omitempty"`
 	RoutedAlgorithm string `json:"routed_algorithm,omitempty"`
-	// Workers is the worker count the enumeration ran with; absent for
-	// serial runs. Cache hits report the original enumeration's count
-	// (alongside cache_hit), like every other stat in this block.
-	Workers int `json:"workers,omitempty"`
 	// Subproblems and Rounds report the iterative-DP tier's effort
 	// (exactly-solved compressed subproblems, compression rounds);
 	// absent when the query planned in one exact enumeration.
@@ -316,7 +310,6 @@ func planResponse(res *repro.Result, coalesced bool, elapsedMS float64) *PlanRes
 		FallbackGreedy:  st.FallbackGreedy,
 		Shape:           st.Shape,
 		RoutedAlgorithm: st.RoutedAlgorithm,
-		Workers:         st.Workers,
 		Subproblems:     st.Subproblems,
 		Rounds:          st.Rounds,
 	}

@@ -323,9 +323,43 @@ func (s *Server) timeoutFor(ms int64) time.Duration {
 	return d
 }
 
+// decodeRequest is the prologue of both planning handlers. It evaluates
+// the overload ladder before spending any work on the request and sheds
+// it with 429 at tier 3. It then reads the body, bounded by
+// MaxBodyBytes (413 beyond), and decodes it into req (400 on bad JSON).
+// It returns the pressure tier the request was admitted at, and false
+// once it has written an error response.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, req any) (tier int, ok bool) {
+	tier = tierNormal
+	if s.ladder != nil {
+		tier = s.ladder.current()
+		if tier >= tierShed {
+			s.ladder.sheds.Add(1)
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusTooManyRequests, errors.New("service: shedding under overload"))
+			return tier, false
+		}
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("service: reading body: %w", err))
+		return tier, false
+	}
+	if int64(len(body)) > s.cfg.MaxBodyBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("service: body exceeds %d bytes", s.cfg.MaxBodyBytes))
+		return tier, false
+	}
+	if err := json.Unmarshal(body, req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding request: %w", err))
+		return tier, false
+	}
+	return tier, true
+}
+
 // handlePlan serves POST /plan: decode, coalesce, admit, plan, render.
 // The explain=1 query parameter attaches a phase/span trace to the
-// planning call and returns it as the response's trace field.
+// planning call and returns it as the response's trace field. Tiers
+// below shedding adjust the planning configuration.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if !s.begin() {
 		writeError(w, http.StatusServiceUnavailable, errors.New("service: draining"))
@@ -333,32 +367,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.end()
 
-	// Overload ladder: evaluate the pressure tier before spending any
-	// work on the request. Tier 3 sheds immediately; lower tiers adjust
-	// the planning configuration below.
-	tier := tierNormal
-	if s.ladder != nil {
-		tier = s.ladder.current()
-		if tier >= tierShed {
-			s.ladder.sheds.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, errors.New("service: shedding under overload"))
-			return
-		}
-	}
-
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: reading body: %w", err))
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("service: body exceeds %d bytes", s.cfg.MaxBodyBytes))
-		return
-	}
 	var req PlanRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding request: %w", err))
+	tier, ok := s.decodeRequest(w, r, &req)
+	if !ok {
 		return
 	}
 	if err := validateQuery(req.Query); err != nil {
@@ -514,25 +525,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// budget-tightening and greedy-forcing tiers do not rewrite batch
 	// configuration (a batch already occupies exactly one worker slot,
 	// so its marginal pressure is bounded).
-	if s.ladder != nil && s.ladder.current() >= tierShed {
-		s.ladder.sheds.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, errors.New("service: shedding under overload"))
-		return
-	}
-
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: reading body: %w", err))
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("service: body exceeds %d bytes", s.cfg.MaxBodyBytes))
-		return
-	}
 	var req BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding request: %w", err))
+	if _, ok := s.decodeRequest(w, r, &req); !ok {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -669,7 +663,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE planner_slo_missed_total counter\nplanner_slo_missed_total %d\n", pm.SLOMissed)
 	fmt.Fprintf(w, "# TYPE planner_slo_degraded_total counter\nplanner_slo_degraded_total %d\n", pm.SLODegraded)
 	writeMemoMetrics(w, pm.PairsEmitted, pm.ArenaReuses, pm.MemoPeakEntries)
-	writeParallelMetrics(w, pm.ParallelRuns, pm.ParallelPairs)
 	if len(pm.AutoRouted) > 0 {
 		algs := make([]string, 0, len(pm.AutoRouted))
 		for alg := range pm.AutoRouted {
