@@ -163,7 +163,9 @@ func BenchmarkAblationCostModels(b *testing.B) {
 // The enumerate-pooled graphs are lib-cold's costliest cells by shape,
 // plus a 64-relation LargeConfig chain, the exact path's long-query
 // case. enumerate-auto plans one cell per route through SolverAuto, so
-// a route change shows as a time change there.
+// a route change shows as a time change there, plus chain5 and star6,
+// where a fixed per-pair or per-run cost of the plan builder shows
+// against the few pairs such small queries have.
 func BenchmarkPlannerSession(b *testing.B) {
 	cfg := workload.DefaultConfig()
 	g := workload.Clique(8, cfg)
@@ -192,6 +194,8 @@ func BenchmarkPlannerSession(b *testing.B) {
 		name string
 		g    *Graph
 	}{
+		{"chain5", workload.Chain(5, cfg)},
+		{"star6", workload.Star(6, cfg)},
 		{"grid4x4", workload.Grid(4, 4, cfg)},
 		{"star14", workload.Star(14, cfg)},
 		{"chain20", workload.Chain(20, cfg)},

@@ -121,8 +121,8 @@
 //     Contains/Step/Aborted for its connectivity tests and cancellation
 //     polling. No solver carries its own memo map.
 //   - The memo engine (internal/memo) owns storage and accounting: an
-//     open-addressing hash table specialized for the uint64 relation-set
-//     keys (Fibonacci hashing, linear probing, power-of-two growth), a
+//     open-addressing hash table specialized for the relation-set keys
+//     (Fibonacci hashing, linear probing, power-of-two growth), a
 //     flat plan-node arena addressed by indices instead of pointers
 //     (improved entries overwrite their slot in place; nothing is
 //     heap-allocated per candidate plan), budget enforcement for the
@@ -140,13 +140,15 @@
 //     the join of disjoint S1 and S2 touches both, so it lies in
 //     inc(S1) ∩ inc(S2), where inc(S) is the set of edges touching S;
 //     an edge in that intersection is applied iff S1 ∪ S2 covers it.
-//     The builder keeps an edge-incidence matrix (one bit per edge and
-//     relation, in plain words) and each edge's node set, built once per
-//     run. Each memo entry's inc(S) is derived from the matrix at most
-//     once per run and cached by arena handle. The walk visits
-//     inc(S1) ∩ inc(S2) in ascending edge index, so the selectivities
-//     of the applied edges multiply in the same order whatever the
-//     pair's orientation or solver, and estimates stay bit-identical.
+//     The builder keeps each edge's node set, built once per run, and
+//     one inc(S) row per memo entry (one bit per edge, in plain words),
+//     in arena-handle order: a relation's row comes from the graph, and
+//     the row of an entry the builder makes is the union of its two
+//     children's rows, so a pair reads both rows by handle. The walk
+//     visits inc(S1) ∩ inc(S2) in ascending edge index, so the
+//     selectivities of the applied edges multiply in the same order
+//     whatever the pair's orientation or solver, and estimates stay
+//     bit-identical.
 //
 // The split is what makes the evaluation's comparisons meaningful: all
 // six strategies pay identical per-pair construction costs, so measured

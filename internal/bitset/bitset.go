@@ -19,8 +19,7 @@
 // large-query tier compresses bigger graphs first), so their hot paths
 // compile down to the same handful of instructions as before; sets with
 // elements ≥ 64 transparently grow a []uint64 tail and every operation —
-// including Gosper same-size stepping and Vance–Maier subset
-// enumeration — works across words.
+// including Vance–Maier subset enumeration — works across words.
 //
 // Sets are values; all operations return new sets, and a Set's words are
 // never mutated after construction, so Sets may be freely shared across
@@ -329,9 +328,6 @@ func (s Set) subsetOfWide(t Set) bool {
 	return true
 }
 
-// ProperSubsetOf reports whether s ⊂ t (subset and not equal).
-func (s Set) ProperSubsetOf(t Set) bool { return s.SubsetOf(t) && !s.Equal(t) }
-
 // Less reports whether s precedes t in the canonical total order on
 // sets: numeric order of the packed words (the order Vance–Maier subset
 // enumeration yields subsets in). All code outside this package must
@@ -573,103 +569,6 @@ func (s Set) nextElemWide(from int) int {
 	return -1
 }
 
-// NextSameSize returns the successor of s in Less order among sets of
-// the same cardinality (Gosper's hack). Iterating from Full(k) yields
-// every k-subset in canonical order; the result exceeds any universe
-// that has been exhausted, which callers detect with Less. It panics
-// on the empty set (the hack divides by the lowest set bit).
-//
-//dp:hotpath
-func (s Set) NextSameSize() Set {
-	if s.hi == nil {
-		if s.lo == 0 {
-			panic("bitset: NextSameSize on empty set")
-		}
-		c := s.lo & -s.lo
-		r := s.lo + c
-		if r != 0 {
-			return Set{lo: r | ((s.lo^r)>>2)>>uint(bits.TrailingZeros64(c))}
-		}
-		// The lowest block of ones reaches bit 63: the carry leaves the
-		// word. Fall through to the multi-word stepper, which propagates
-		// it into a fresh tail word.
-	}
-	return s.nextSameSizeWide()
-}
-
-// nextSameSizeWide is Gosper's hack across words: r = s + c (c the
-// lowest set bit), then the shifted-down block of changed low ones is
-// OR-ed back in. Each step is O(words).
-//
-//dp:coldpath only sets with elements ≥ 64 (or a carry out of word 0) reach the multi-word stepper; the ≤64-relation hot path never enters the wide branches
-func (s Set) nextSameSizeWide() Set {
-	if s.IsEmpty() {
-		panic("bitset: NextSameSize on empty set")
-	}
-	low := s.Min()
-	// r = s + (1 << low), rippling the carry across words.
-	words := s.words()
-	r := make([]uint64, words+1) // room for a carry into a new word
-	for i := 0; i < words; i++ {
-		r[i] = s.word(i)
-	}
-	carry := uint64(1) << uint(low%wordBits)
-	for i := low / wordBits; carry != 0 && i < len(r); i++ {
-		sum, c := bits.Add64(r[i], carry, 0)
-		r[i], carry = sum, c
-	}
-	// The block of ones that carried out of s spans bits [low, top) where
-	// top is the first position ≥ low that is now set in r... equivalently
-	// (s ^ r) marks exactly the changed bits; the hack keeps
-	// (changed >> (2 + low)) of them as the new low block.
-	res := wide(r[0], r[1:])
-	changed := s.Xor(res)
-	return res.Union(changed.rsh(2 + low))
-}
-
-// Xor returns the symmetric difference s △ t. It is used by the
-// multi-word Gosper stepper and exposed for completeness.
-func (s Set) Xor(t Set) Set {
-	if s.hi == nil && t.hi == nil {
-		return Set{lo: s.lo ^ t.lo}
-	}
-	if len(t.hi) > len(s.hi) {
-		s, t = t, s
-	}
-	hi := make([]uint64, len(s.hi))
-	copy(hi, s.hi)
-	for i, w := range t.hi {
-		hi[i] ^= w
-	}
-	return wide(s.lo^t.lo, hi)
-}
-
-// rsh returns s with every element shifted down by n (elements below n
-// are dropped).
-func (s Set) rsh(n int) Set {
-	if n == 0 {
-		return s
-	}
-	if s.hi == nil {
-		if n >= wordBits {
-			return Empty
-		}
-		return Set{lo: s.lo >> uint(n)}
-	}
-	words := s.words()
-	drop := n / wordBits
-	sh := uint(n % wordBits)
-	out := make([]uint64, words) // out[i] = word i of the result
-	for i := 0; i+drop < words; i++ {
-		w := s.word(i+drop) >> sh
-		if sh != 0 && i+drop+1 < words {
-			w |= s.word(i+drop+1) << (wordBits - sh)
-		}
-		out[i] = w
-	}
-	return wide(out[0], out[1:])
-}
-
 // NextSubset returns the next non-empty subset of m after s in the
 // Vance–Maier enumeration order, which visits all non-empty subsets of m
 // in increasing numeric value of their bit patterns, ending with m itself.
@@ -747,15 +646,6 @@ func Subsets(m Set) []Set {
 		}
 	}
 	return out
-}
-
-// ProperSubsets returns all non-empty proper subsets of m (excludes m).
-func ProperSubsets(m Set) []Set {
-	subs := Subsets(m)
-	if len(subs) == 0 {
-		return nil
-	}
-	return subs[:len(subs)-1] // m is always last in Vance–Maier order
 }
 
 // AppendHex appends the set's canonical hexadecimal form to b and

@@ -124,9 +124,6 @@ func TestSetAlgebra(t *testing.T) {
 	if !New(0, 1).SubsetOf(a) {
 		t.Error("SubsetOf failed")
 	}
-	if !New(0, 1).ProperSubsetOf(a) || a.ProperSubsetOf(a) {
-		t.Error("ProperSubsetOf failed")
-	}
 }
 
 func TestMinMaxRepresentative(t *testing.T) {
@@ -235,25 +232,6 @@ func TestSubsetsExhaustive(t *testing.T) {
 	}
 	if !got[len(got)-1].Equal(m) {
 		t.Errorf("last subset %v, want %v", got[len(got)-1], m)
-	}
-}
-
-func TestProperSubsets(t *testing.T) {
-	m := New(0, 2)
-	got := ProperSubsets(m)
-	if len(got) != 2 {
-		t.Fatalf("ProperSubsets = %v", got)
-	}
-	for _, s := range got {
-		if s.Equal(m) {
-			t.Errorf("proper subsets must exclude m")
-		}
-	}
-	if ProperSubsets(Empty) != nil {
-		t.Error("ProperSubsets(∅) must be nil")
-	}
-	if len(ProperSubsets(New(5))) != 0 {
-		t.Error("singleton has no proper non-empty subsets")
 	}
 }
 
@@ -383,7 +361,7 @@ func BenchmarkSetOps(b *testing.B) {
 	var acc Set
 	for i := 0; i < b.N; i++ {
 		s := xs[i%len(xs)]
-		acc = acc.Xor(s.Union(acc).Intersect(s).MinSet())
+		acc = s.Minus(acc).Union(acc.Intersect(s).MinSet())
 	}
 	_ = acc
 }

@@ -18,11 +18,12 @@
 // scan over every edge. An edge applied at the join of disjoint S1 and
 // S2 touches both sides, so it lies in inc(S1) ∩ inc(S2), where inc(S)
 // is the set of edges touching S; an edge in that intersection is
-// applied iff S1 ∪ S2 covers it. Each run builds an edge-incidence
-// matrix, and each memo entry's inc(S) is derived from it at most once
-// per run and cached by arena handle. The walk is in ascending edge
-// index, so estimates are bit-identical across solvers and
-// orientations.
+// applied iff S1 ∪ S2 covers it. The builder keeps one inc(S) row per
+// memo entry, in arena-handle order: a relation's row comes from the
+// graph, and the row of an entry the builder makes is the union of its
+// two children's rows, so a pair reads both sides' rows by handle. The
+// walk is in ascending edge index, so estimates are bit-identical across
+// solvers and orientations.
 //
 // The package also holds the run contract the solvers share: Options
 // configures any of them, and Run does the set-up and epilogue of every
@@ -85,22 +86,16 @@ type Builder struct {
 	Engine *memo.Engine
 
 	// The per-run graph index. edgeNodes[i] is U ∪ V ∪ W of edge i.
-	// incRows is the edge-incidence matrix, words uint64 words per
-	// relation: bit i of relation r's row is set iff edge i touches r.
-	// dependent reports whether some relation has free variables (§5.6).
-	// NewRun derives all of it from the graph once per run, and nothing
-	// writes it during the run.
+	// inc holds words uint64 words per memo entry, in arena-handle
+	// order: inc[h*words:(h+1)*words] is inc(S) for the entry at handle
+	// h, with bit i set iff edge i touches S. indexGraph writes the
+	// relation rows, handles 0..n-1 (Init emits relation r as handle r),
+	// and BuildPair appends the row of every entry it makes. dependent
+	// reports whether some relation has free variables (§5.6).
 	edgeNodes []bitset.Set
-	incRows   []uint64
+	inc       []uint64
 	words     int
 	dependent bool
-
-	// The incidence cache: incCache[h*words:(h+1)*words] holds inc(S), the
-	// edges touching S, for the memo entry at arena handle h, and is valid
-	// iff incStamp[h] equals incRun, which changes every run.
-	incCache []uint64
-	incStamp []uint32
-	incRun   uint32
 
 	connBuf []EdgeRef
 	flipBuf []EdgeRef
@@ -128,10 +123,13 @@ func NewRun(pool *memo.Pool, g *hypergraph.Graph, m cost.Model) (*memo.Engine, *
 }
 
 // indexGraph builds the per-run graph index BuildPair reads: each edge's
-// node set and the edge-incidence matrix. The rows are plain words, not
+// node set and the relation rows of inc. The rows are plain words, not
 // bitset.Set: a row has one bit per edge, Greedy plans cliques of up to
 // 64 relations (2016 edges), and Set operations allocate above 64
-// elements and stop at 1024.
+// elements and stop at 1024. Their capacity covers the run's
+// memo.EntryHint entries, the memo's own pre-size, so a fresh engine
+// does not regrow them by doubling; their storage follows memo's shrink
+// policy.
 func (b *Builder) indexGraph() {
 	g := b.G
 	nodes := b.edgeNodes[:0]
@@ -139,77 +137,52 @@ func (b *Builder) indexGraph() {
 		nodes = append(nodes, g.Edge(i).Nodes())
 	}
 	b.edgeNodes = nodes
-	b.words = (len(nodes) + 63) / 64
-	size := g.NumRels() * b.words
-	rows := slices.Grow(memo.Recycle(b.incRows, size), size)[:size]
+	w := (len(nodes) + 63) / 64
+	hint := memo.EntryHint(g.NumRels()) * w
+	rows := slices.Grow(memo.Recycle(b.inc, hint), hint)[:g.NumRels()*w]
 	clear(rows)
 	for i, ns := range nodes {
 		for r := ns.NextElem(0); r >= 0; r = ns.NextElem(r + 1) {
-			rows[r*b.words+i/64] |= 1 << uint(i%64)
+			rows[r*w+i/64] |= 1 << uint(i%64)
 		}
 	}
-	b.incRows = rows
+	b.inc, b.words = rows, w
 	b.dependent = false
 	for i := 0; i < g.NumRels() && !b.dependent; i++ {
 		b.dependent = !g.Relation(i).Free.IsEmpty()
 	}
-	b.resetIncCache()
 }
 
-// resetIncCache empties the incidence cache for a new run by moving to
-// the next run stamp. It covers the run's memo.EntryHint handles from
-// the start, the memo's own pre-size, so a fresh engine does not regrow
-// it by doubling; its storage follows memo's shrink policy. Stamps left
-// from earlier runs differ from the new one, so their rows read as not
-// derived.
-func (b *Builder) resetIncCache() {
-	hint := memo.EntryHint(b.G.NumRels())
-	b.incStamp = slices.Grow(memo.Recycle(b.incStamp, hint), hint)[:hint]
-	b.incCache = slices.Grow(memo.Recycle(b.incCache, hint*b.words), hint*b.words)[:hint*b.words]
-	b.incRun++
-	if b.incRun == 0 {
-		// The stamp wrapped: a row stamped 2^32 runs ago would read as
-		// valid.
-		clear(b.incStamp[:cap(b.incStamp)])
-		b.incRun = 1
+// row returns inc(S), the edges touching S, for the memo entry at arena
+// handle h. The slice's max index bounds the read by the rows written,
+// not by the pre-sized capacity, so a handle without a row panics
+// instead of reading a stale one.
+func (b *Builder) row(h int32) []uint64 {
+	off := int(h) * b.words
+	return b.inc[off : off+b.words : len(b.inc)]
+}
+
+// appendRow appends the row of the entry BuildPair just made for
+// S1 ∪ S2 from its children's rows at handles lh and rh:
+// inc(S1 ∪ S2) = inc(S1) ∪ inc(S2). A new entry's handle is the entry
+// count before it (memo.Engine.Improve), so the row lands at its handle.
+func (b *Builder) appendRow(lh, rh int32) {
+	n := len(b.inc)
+	if n+b.words > cap(b.inc) {
+		b.growRows()
+	}
+	b.inc = b.inc[:n+b.words]
+	row, l, r := b.inc[n:], b.row(lh), b.row(rh)
+	for k := range row {
+		row[k] = l[k] | r[k]
 	}
 }
 
-// growIncCache extends the incidence cache to cover arena handle h,
-// doubling so a run grows it O(log entries) times. Exposed stamps are
-// zero or from an earlier run, so the new rows read as not derived.
+// growRows makes room for one more row once a run outgrows its
+// memo.EntryHint pre-size, at append's amortized growth rate.
 //
-//dp:coldpath amortized growth, O(log entries) calls per run
-func (b *Builder) growIncCache(h int) {
-	n := max(h+1, 2*len(b.incStamp))
-	b.incStamp = slices.Grow(b.incStamp, n-len(b.incStamp))[:n]
-	b.incCache = slices.Grow(b.incCache, n*b.words-len(b.incCache))[:n*b.words]
-}
-
-// incidence returns inc(S), the edges touching S, for the memo entry at
-// arena handle h, which the cache must already cover. The row is derived
-// from the relation rows the first time the entry is asked for in the
-// run.
-func (b *Builder) incidence(h int32, S bitset.Set) []uint64 {
-	w := b.words
-	row := b.incCache[int(h)*w : int(h)*w+w]
-	if b.incStamp[h] != b.incRun {
-		b.deriveInc(row, S)
-		b.incStamp[h] = b.incRun
-	}
-	return row
-}
-
-// deriveInc writes inc(S), the union of S's relation rows, into row.
-func (b *Builder) deriveInc(row []uint64, S bitset.Set) {
-	w := b.words
-	clear(row)
-	for r := S.NextElem(0); r >= 0; r = S.NextElem(r + 1) {
-		for i, x := range b.incRows[r*w : r*w+w] {
-			row[i] |= x
-		}
-	}
-}
+//dp:coldpath amortized growth past the pre-size, O(log entries) calls per run
+func (b *Builder) growRows() { b.inc = slices.Grow(b.inc, b.words) }
 
 // MayReject reports whether pricing a csg-cmp-pair can leave its
 // relation set without a plan: a generate-and-test filter, or a
@@ -261,8 +234,15 @@ func (b *Builder) Best(S bitset.Set) *plan.Node { return b.Engine.Plan(S) }
 
 // Final returns the plan covering all relations, or an error when the
 // enumeration could not connect the graph (the hypergraph was not
-// Definition-3 connected, or every candidate plan was filtered out).
+// Definition-3 connected, or every candidate plan was filtered out). A
+// run that did not abort ends with exactly one incidence row per memo
+// entry; any other count means an entry was made outside BuildPair, so
+// rows and arena handles no longer line up, and Final panics.
 func (b *Builder) Final() (*plan.Node, error) {
+	if e := b.Engine; e.Aborted() == nil && len(b.inc) != e.Entries()*b.words {
+		panic(fmt.Sprintf("dp: %d incidence words for %d memo entries of %d words",
+			len(b.inc), e.Entries(), b.words))
+	}
 	return b.Engine.Final(b.G.AllNodes())
 }
 
@@ -276,7 +256,8 @@ func (b *Builder) Final() (*plan.Node, error) {
 // pair: both children are looked up, one walk over the edges both sides
 // touch yields the applied edges and their selectivity product, the
 // connecting edges and the operator, and the free tables of each side
-// are computed only when the graph has dependent relations.
+// are computed only when the graph has dependent relations. When the
+// pair made S's memo entry, the entry's incidence row is appended.
 //
 //dp:hotpath
 func (b *Builder) BuildPair(S1, S2 bitset.Set) {
@@ -297,15 +278,18 @@ func (b *Builder) BuildPair(S1, S2 bitset.Set) {
 		l.free, r.free = b.G.FreeTables(S1), b.G.FreeTables(S2)
 	}
 
-	if op.Commutative() {
+	made := b.Engine.Entries()
+	switch {
+	case op.Commutative():
 		b.tryBuild(S, &l, &r, op, sel, false)
 		b.tryBuild(S, &r, &l, op, sel, true)
-		return
+	case leftIsS1:
+		b.tryBuild(S, &l, &r, op, sel, false)
+	default:
+		b.tryBuild(S, &r, &l, op, sel, true)
 	}
-	if leftIsS1 {
-		b.tryBuild(S, &l, &r, op, sel, false)
-	} else {
-		b.tryBuild(S, &r, &l, op, sel, true)
+	if b.Engine.Entries() > made {
+		b.appendRow(lh, rh)
 	}
 }
 
@@ -334,10 +318,7 @@ func (b *Builder) BuildPair(S1, S2 bitset.Set) {
 // one connecting edge should be non-inner for TES-derived graphs; if
 // several are, the latest wins and the event is counted.
 func (b *Builder) pairEdges(S1, S2, S bitset.Set, lh, rh int32) (sel float64, op algebra.Op, leftIsS1 bool) {
-	if hi := int(max(lh, rh)); hi >= len(b.incStamp) {
-		b.growIncCache(hi)
-	}
-	inc1, inc2 := b.incidence(lh, S1), b.incidence(rh, S2)
+	inc1, inc2 := b.row(lh), b.row(rh)
 	sel, op, leftIsS1 = 1.0, algebra.Join, true
 	applied := b.edgeBuf[:0]
 	conn := b.connBuf[:0]

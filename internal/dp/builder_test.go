@@ -199,6 +199,21 @@ func TestHyperedgeSelectivityChargedOnce(t *testing.T) {
 	}
 }
 
+// TestFinalChecksRowPerEntry: a memo entry made outside BuildPair gets
+// no incidence row, so the rows no longer follow arena handles, and
+// Final must refuse to materialize the run.
+func TestFinalChecksRowPerEntry(t *testing.T) {
+	b := NewBuilder(twoRelGraph(algebra.Join), cost.Cout{})
+	b.Init()
+	b.Engine.Improve(bitset.New(0, 1), 0, 1, algebra.Join, algebra.PhysNone, 5, 5, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Final materialized a run with more memo entries than incidence rows")
+		}
+	}()
+	b.Final()
+}
+
 // TestBuildPairAllocs pins the per-pair price stage allocation-free: on
 // a warmed builder, pricing a pair — child lookups, the walk over the
 // edges both sides touch, free tables, dependency checks, filter and

@@ -18,3 +18,15 @@ func (b *Builder) PairEdges(S1, S2 bitset.Set) (applied []int, conn []EdgeRef, s
 	sel, op, leftIsS1 = b.pairEdges(S1, S2, S1.Union(S2), lh, rh)
 	return b.edgeBuf, b.connBuf, sel, op, leftIsS1
 }
+
+// AppendRowOf appends inc(S), the OR of S's relation rows, as the
+// incidence row of a memo entry a test made for S outside BuildPair.
+func (b *Builder) AppendRowOf(S bitset.Set) {
+	row := make([]uint64, b.words)
+	for r := S.NextElem(0); r >= 0; r = S.NextElem(r + 1) {
+		for k, x := range b.row(int32(r)) {
+			row[k] |= x
+		}
+	}
+	b.inc = append(b.inc, row...)
+}

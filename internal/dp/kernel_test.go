@@ -9,20 +9,25 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/bitset"
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dp"
+	"repro/internal/dpccp"
+	"repro/internal/dpsize"
 	"repro/internal/dpsub"
 	"repro/internal/goo"
 	"repro/internal/hypergraph"
 	"repro/internal/memo"
 	"repro/internal/plan"
+	"repro/internal/topdown"
 	"repro/internal/workload"
 )
 
 // kernelGraphs returns the graphs the pricing kernel is checked on:
 // simple edges, hyperedges and generalized edges (W ≠ ∅), non-inner
 // operators, dependent relations, incidence rows of one, two, three and
-// seventeen words, and sets wider than one word.
+// seventeen words, more memo entries than the rows are pre-sized for,
+// and sets wider than one word.
 func kernelGraphs() []struct {
 	name string
 	g    *hypergraph.Graph
@@ -43,6 +48,7 @@ func kernelGraphs() []struct {
 		{"clique10-hyper", kernelGraph(rng, 10, true, 40)},        // 85 edges, two words
 		{"clique10-wide", kernelGraph(rng, 10, true, 100)},        // 145 edges, three words
 		{"clique12", workload.Clique(12, cfg)},                    // 66 edges, two words
+		{"star13", workload.Star(13, cfg)},                        // 4108 connected sets
 		{"chain100", workload.Chain(100, workload.LargeConfig())}, // sets wider than a word
 		{"clique46", workload.Clique(46, cfg)},                    // 1035 edges, seventeen words
 	}
@@ -151,11 +157,13 @@ func randomPair(rng *rand.Rand, n int) (S1, S2 bitset.Set) {
 	return S1, S2
 }
 
-// ensureEntry stores a placeholder memo entry for S when it has none:
-// the kernel reads only the entry's handle.
+// ensureEntry stores a placeholder memo entry for S when it has none,
+// with the incidence row BuildPair would have given it: the kernel reads
+// only the entry's handle and row.
 func ensureEntry(b *dp.Builder, S bitset.Set) {
 	if !b.Engine.Contains(S) {
 		b.Engine.Improve(S, 0, 0, algebra.Join, algebra.PhysNone, 1, 1, nil)
+		b.AppendRowOf(S)
 	}
 }
 
@@ -163,7 +171,8 @@ func ensureEntry(b *dp.Builder, S bitset.Set) {
 // the incidence kernel and with the reference scan: the applied edges,
 // the connecting edges with their flips, the operator and its side, the
 // ambiguity count and the selectivity bits must agree. Every pair is
-// priced twice, the second time from the incidence cache.
+// priced twice, so a walk that disturbs the rows or buffers it reuses
+// shows on the second pass.
 func TestPairEdgesMatchScan(t *testing.T) {
 	for _, kg := range kernelGraphs() {
 		t.Run(kg.name, func(t *testing.T) {
@@ -205,27 +214,66 @@ func TestPairEdgesMatchScan(t *testing.T) {
 }
 
 // TestPlansApplyScannedEdges plans the corpus graphs of up to 10
-// relations with DPsub and every graph with Greedy. All runs share one
-// engine pool, so a cache may be recycled from a run over another
-// graph. Every join must apply exactly the edges the reference scan
+// relations and star13 with every exact solver, DPccp only on graphs
+// without hyperedges, and every graph with Greedy. Each solver makes memo
+// entries, and so incidence rows, in its own order. Except on star13,
+// the runs share one engine pool, so rows may be recycled from a run
+// over another graph. Every join must apply exactly the edges the reference scan
 // finds for its two inputs, with the cardinality their selectivity
 // product gives.
 func TestPlansApplyScannedEdges(t *testing.T) {
-	pool := &memo.Pool{}
+	type solver func(*hypergraph.Graph, dp.Options) (*plan.Node, dp.Stats, error)
+	exact := []struct {
+		name  string
+		solve solver
+	}{
+		{"dphyp", core.Solve},
+		{"dpsize", dpsize.Solve},
+		{"dpsub", dpsub.Solve},
+		{"dpccp", dpccp.Solve},
+		{"topdown", topdown.Solve},
+	}
+	shared := &memo.Pool{}
+	check := func(t *testing.T, g *hypergraph.Graph, solve solver, pool *memo.Pool) {
+		p, _, err := solve(g, dp.Options{Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPlanEdges(t, g, p)
+	}
 	for _, kg := range kernelGraphs() {
 		t.Run(kg.name, func(t *testing.T) {
 			g := kg.g
 			g.Freeze()
-			if g.NumRels() <= 10 {
-				if p, _, err := dpsub.Solve(g, dp.Options{Pool: pool}); err == nil {
-					checkPlanEdges(t, g, p)
+			pool, exactRuns := shared, g.NumRels() <= 10
+			if kg.name == "star13" {
+				// Fresh engines pre-size the rows for exactly
+				// memo.EntryHint(13) = 4096 entries, so star13's 4108
+				// connected sets make every exact run grow them.
+				pool, exactRuns = nil, true
+			}
+			if exactRuns {
+				for _, s := range exact {
+					if s.name == "dpccp" && hasHyperedge(g) {
+						continue
+					}
+					t.Run(s.name, func(t *testing.T) { check(t, g, s.solve, pool) })
 				}
 			}
-			if p, _, err := goo.Solve(g, dp.Options{Pool: pool}); err == nil {
-				checkPlanEdges(t, g, p)
-			}
+			t.Run("greedy", func(t *testing.T) { check(t, g, goo.Solve, pool) })
 		})
 	}
+}
+
+// hasHyperedge reports whether some edge of g is not simple, which
+// DPccp rejects.
+func hasHyperedge(g *hypergraph.Graph) bool {
+	for i := 0; i < g.NumEdges(); i++ {
+		if !g.Edge(i).Simple() {
+			return true
+		}
+	}
+	return false
 }
 
 // checkPlanEdges compares every join of p with the reference scan.

@@ -522,12 +522,6 @@ func (g *Graph) ConnectsTo(S1, S2 bitset.Set) bool {
 	return false
 }
 
-// HasEdgeInto reports whether some edge leads from S1 into S2 in the
-// orientation-sensitive sense used by EmitCsg: ∃(u,v) ∈ E with u ⊆ S1 and
-// v ⊆ S2 (either stored orientation qualifies, since hyperedges are
-// unordered pairs).
-func (g *Graph) HasEdgeInto(S1, S2 bitset.Set) bool { return g.ConnectsTo(S1, S2) }
-
 // EachConnectingEdge calls f for every edge that connects S1 and S2,
 // passing the edge index and whether the edge's stored (U,V) orientation
 // is flipped relative to (S1,S2) — that is, flipped is true when U ⊆ S2.

@@ -7,8 +7,8 @@
 // generated and memoized. This package owns the memoization half of that
 // equation so the solvers can be pure enumerators:
 //
-//   - an open-addressing hash Table specialized for bitset.Set (uint64)
-//     keys — the DP table mapping relation sets to plans — replacing the
+//   - an open-addressing hash Table specialized for bitset.Set keys —
+//     the DP table mapping relation sets to plans — replacing the
 //     generic map[bitset.Set]*plan.Node each solver used to carry;
 //   - a flat plan-node arena addressed by indices, not pointers: during
 //     enumeration no plan nodes are heap-allocated at all, table entries
@@ -390,7 +390,9 @@ func (e *Engine) BestCost(S bitset.Set) (float64, bool) {
 // into the engine's flat edge store, so callers may reuse their slice.
 // An improved entry overwrites its arena slot in place — safe because
 // every enumeration order finalizes subsets before supersets, so no
-// parent references the slot yet.
+// parent references the slot yet. A new entry appends one arena node,
+// as EmitBase does, so its handle equals the entry count before it; the
+// backend keeps per-entry rows in handle order on that fact.
 //
 // Ties are broken order-independently: among equal-cost candidates the
 // plan with the numerically lowest (left, right) relation-set pair
