@@ -163,9 +163,10 @@ func BenchmarkAblationCostModels(b *testing.B) {
 // The enumerate-pooled graphs are lib-cold's costliest cells by shape,
 // plus a 64-relation LargeConfig chain, the exact path's long-query
 // case. enumerate-auto plans one cell per route through SolverAuto, so
-// a route change shows as a time change there, plus chain5 and star6,
-// where a fixed per-pair or per-run cost of the plan builder shows
-// against the few pairs such small queries have.
+// a route change shows as a time change there — LargeConfig grid10x10
+// (IterDP, lib-large's slowest shape) and clique20 (Greedy) among them —
+// plus chain5 and star6, where a fixed per-pair or per-run cost of the
+// plan builder shows against the few pairs such small queries have.
 func BenchmarkPlannerSession(b *testing.B) {
 	cfg := workload.DefaultConfig()
 	g := workload.Clique(8, cfg)
@@ -201,6 +202,8 @@ func BenchmarkPlannerSession(b *testing.B) {
 		{"chain20", workload.Chain(20, cfg)},
 		{"clique10", workload.Clique(10, cfg)},
 		{"cycle-hyper12-5", workload.CycleHyper(12, 5, cfg)},
+		{"grid10x10-large", workload.Grid(10, 10, workload.LargeConfig())},
+		{"clique20-large", workload.Clique(20, workload.LargeConfig())},
 	} {
 		b.Run("enumerate-auto/"+c.name, func(b *testing.B) {
 			p := NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0))

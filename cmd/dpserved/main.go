@@ -57,7 +57,7 @@ func main() {
 		timeout     = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 		maxTimeout  = flag.Duration("max-timeout", 60*time.Second, "cap on client-requested deadlines")
 		cacheSize   = flag.Int("cache-size", 4096, "plan cache entries (0 disables caching)")
-		solver      = flag.String("solver", "auto", "default algorithm: auto | dphyp | dpsize | dpsub | dpccp | topdown | greedy")
+		solver      = flag.String("solver", "auto", "default algorithm: auto | dphyp | dpsize | dpsub | dpccp | topdown | greedy | iterdp")
 		costMod     = flag.String("cost", "cout", "default cost model: cout | cmm | nlj | hash | physical")
 		budgetPairs = flag.Int("budget-pairs", 10_000_000, "per-plan csg-cmp-pair budget before greedy fallback (0 = unlimited)")
 		historyFile = flag.String("history-file", "", "persistent planning-cost history JSON (loaded at startup, saved periodically and at shutdown)")

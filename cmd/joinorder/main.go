@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		algName   = flag.String("algorithm", "dphyp", "dphyp | dpsize | dpsub | dpccp | topdown | greedy | auto")
+		algName   = flag.String("algorithm", "dphyp", "dphyp | dpsize | dpsub | dpccp | topdown | greedy | iterdp | auto")
 		modelName = flag.String("model", "cout", "cost model: cout | cmm | nlj | hash | physical")
 		genTest   = flag.Bool("generate-and-test", false, "use the §5.8 TES generate-and-test mode for tree queries")
 		published = flag.Bool("published-rule", false, "use the literal §5.5 conflict rule instead of the conservative default")

@@ -117,9 +117,10 @@
 //     contract, dp.Options and dp.Run: Run takes an engine from the
 //     pool, applies the hooks and limits, rejects an empty graph, seeds
 //     the base relations and materializes the final plan, so a solver
-//     only proposes csg-cmp-pairs with EmitPair and uses
-//     Contains/Step/Aborted for its connectivity tests and cancellation
-//     polling. No solver carries its own memo map.
+//     only proposes pairs with EmitPair, which reports whether the pair
+//     was a csg-cmp-pair, and uses Contains/Step/Aborted for its other
+//     tests and cancellation polling. No solver carries its own memo
+//     map.
 //   - The memo engine (internal/memo) owns storage and accounting: an
 //     open-addressing hash table specialized for the relation-set keys
 //     (Fibonacci hashing, linear probing, power-of-two growth), a
@@ -148,7 +149,15 @@
 //     visits inc(S1) ∩ inc(S2) in ascending edge index, so the
 //     selectivities of the applied edges multiply in the same order
 //     whatever the pair's orientation or solver, and estimates stay
-//     bit-identical.
+//     bit-identical. The walk is also the pair test: it finds the
+//     connecting edges ("∃(u,v) ∈ E : u ⊆ S1 ∧ v ⊆ S2"), and a pair
+//     without one, or with a side that has no memo entry, is declined
+//     before it is counted. DPhyp and DPccp, the serving routes, rely on
+//     it instead of testing each pair first; DPsize, DPsub and TopDown
+//     keep the paper's explicit tests, whose cost Figures 5–7 measure.
+//     IterDP prices its stitched plan through the same walk
+//     (Builder.PriceJoin), so every plan any solver returns is priced
+//     by one kernel.
 //
 // The split is what makes the evaluation's comparisons meaningful: all
 // six strategies pay identical per-pair construction costs, so measured
@@ -431,7 +440,9 @@
 // cluster EXACTLY with the existing engine, collapses it to a compound
 // vertex carrying its subplan's cardinality, and repeats until the
 // compressed graph fits one final exact enumeration; the stitched plan
-// is then re-costed bottom-up against the original graph.
+// is then priced through the plan builder, its joins replayed bottom-up
+// against the original graph, so a hyperedge that compression degraded
+// is still charged exactly once.
 //
 // The optimality caveat is inherent: the plan is optimal within every
 // exactly-solved subproblem but only heuristically good across cluster

@@ -16,6 +16,9 @@
 //   - EmitCsgCmp builds and prices plans for each csg-cmp-pair (shared
 //     with the other algorithms via internal/dp).
 //
+// The pair tests of EmitCsg and EnumerateCmpRec are performed by
+// Engine.EmitPair, in the plan builder's walk that prices the pair.
+//
 // Hyperedges are traversed as n:1 edges leading to a canonical
 // representative node of the far side (Equation 1); the remaining nodes
 // of a hypernode are picked up by recursive growth and validated against
@@ -141,9 +144,9 @@ func (s *solver) emitCsg(S1, su bitset.Set) {
 		// "if ∃(u,v) ∈ E : u ⊆ S1 ∧ v ⊆ S2": the neighborhood may
 		// contain representatives of larger hypernodes that do not yet
 		// connect (§3.3's step 20: no edge between {R1,R2,R3} and {R4}).
-		if s.g.ConnectsTo(S1, S2) {
+		// EmitPair performs the test.
+		if s.e.EmitPair(S1, S2) {
 			s.trace.Add(dp.StepCmp, S1, S2)
-			s.e.EmitPair(S1, S2)
 		}
 		// Forbid the smaller-ordered neighbors while growing this seed so
 		// each complement is produced from its ≺-minimal seed only (the
@@ -180,10 +183,10 @@ func (s *solver) enumerateCmpRec(S1, S2, X, su bitset.Set) {
 			return
 		}
 		next := S2.Union(n)
-		// "if dpTable[S2 ∪ N] ≠ ∅ ∧ ∃(u,v) ∈ E : u ⊆ S1 ∧ v ⊆ S2 ∪ N"
-		if s.e.Contains(next) && s.g.ConnectsTo(S1, next) {
+		// "if dpTable[S2 ∪ N] ≠ ∅ ∧ ∃(u,v) ∈ E : u ⊆ S1 ∧ v ⊆ S2 ∪ N":
+		// EmitPair performs both tests.
+		if s.e.EmitPair(S1, next) {
 			s.trace.Add(dp.StepCmp, S1, next)
-			s.e.EmitPair(S1, next)
 		}
 		if n.Equal(N) {
 			break

@@ -5,25 +5,26 @@
 // Storage and accounting live one layer down, in internal/memo: the
 // open-addressing DP table, the flat plan-node arena, budget and
 // cancellation enforcement, and the counting hooks. This package
-// contributes the Backend the engine calls for every admitted
-// csg-cmp-pair: Builder implements the plan-construction logic of
-// EmitCsgCmp (§3.5) — recovering the operator attached to the connecting
-// hyperedges (§5.4), switching to dependent variants when the right side
-// references the left (§5.6), applying the optional generate-and-test
-// filter (the TES-check alternative measured in Fig. 8a), estimating
-// cardinalities, and costing both orientations of commutative operators
-// — and materializes the winning plan tree out of the engine's arena.
+// contributes the Backend the engine calls for every offered pair:
+// Builder implements the plan-construction logic of EmitCsgCmp (§3.5) —
+// recovering the operator attached to the connecting hyperedges (§5.4),
+// switching to dependent variants when the right side references the
+// left (§5.6), applying the optional generate-and-test filter (the
+// TES-check alternative measured in Fig. 8a), estimating cardinalities,
+// and costing both orientations of commutative operators — and
+// materializes the winning plan tree out of the engine's arena.
 //
 // A pair is priced from the edges both of its sides touch, never from a
 // scan over every edge. An edge applied at the join of disjoint S1 and
 // S2 touches both sides, so it lies in inc(S1) ∩ inc(S2), where inc(S)
 // is the set of edges touching S; an edge in that intersection is
-// applied iff S1 ∪ S2 covers it. The builder keeps one inc(S) row per
-// memo entry, in arena-handle order: a relation's row comes from the
-// graph, and the row of an entry the builder makes is the union of its
-// two children's rows, so a pair reads both sides' rows by handle. The
-// walk is in ascending edge index, so estimates are bit-identical across
-// solvers and orientations.
+// applied iff S1 ∪ S2 covers it. The builder keeps one inc(S) row per memo entry, in
+// arena-handle order: a relation's row comes from the graph, and the row
+// of an entry the builder makes is the union of its two children's rows,
+// so a pair reads both sides' rows by handle. The walk is in ascending
+// edge index, so estimates are bit-identical across solvers and
+// orientations. The walk is also EmitPair's pair test, and IterDP prices
+// its stitched plan through it (PriceJoin).
 //
 // The package also holds the run contract the solvers share: Options
 // configures any of them, and Run does the set-up and epilogue of every
@@ -184,12 +185,6 @@ func (b *Builder) appendRow(lh, rh int32) {
 //dp:coldpath amortized growth past the pre-size, O(log entries) calls per run
 func (b *Builder) growRows() { b.inc = slices.Grow(b.inc, b.words) }
 
-// MayReject reports whether pricing a csg-cmp-pair can leave its
-// relation set without a plan: a generate-and-test filter, or a
-// dependency constraint (§5.6) when some relation has free variables,
-// may reject both orientations.
-func (b *Builder) MayReject() bool { return b.Filter != nil || b.dependent }
-
 // NewBuilder returns a Builder over g with a fresh engine, for tests and
 // tooling that drive plan construction directly. Production runs go
 // through Run.
@@ -249,8 +244,8 @@ func (b *Builder) Final() (*plan.Node, error) {
 // BuildPair implements memo.Backend, following §3.5: it recovers the
 // connecting edges and their predicates, resolves the operator, and
 // prices one orientation for non-commutative operators or both for
-// commutative ones. Budget and emission bookkeeping has already happened
-// in Engine.EmitPair.
+// commutative ones. A pair with a side that has no memo entry, or
+// without a connecting edge, is declined before Engine.ChargePair.
 //
 // Everything that does not depend on the orientation is done once per
 // pair: both children are looked up, one walk over the edges both sides
@@ -260,18 +255,19 @@ func (b *Builder) Final() (*plan.Node, error) {
 // pair made S's memo entry, the entry's incidence row is appended.
 //
 //dp:hotpath
-func (b *Builder) BuildPair(S1, S2 bitset.Set) {
+func (b *Builder) BuildPair(S1, S2 bitset.Set) bool {
 	lh, lok := b.Engine.Lookup(S1)
 	rh, rok := b.Engine.Lookup(S2)
 	if !lok || !rok {
-		panic(fmt.Sprintf("dp: missing subplan for %v or %v", S1, S2))
+		return false
 	}
 	S := S1.Union(S2)
-	sel, op, leftIsS1 := b.pairEdges(S1, S2, S, lh, rh)
-	if len(b.connBuf) == 0 {
-		// Not a csg-cmp-pair; callers are expected to have checked, so
-		// this indicates an enumeration bug.
-		panic(fmt.Sprintf("dp: EmitPair(%v,%v) without connecting edge", S1, S2))
+	sel, op, leftIsS1, ambiguous := b.pairEdges(S1, S2, S, lh, rh)
+	if len(b.connBuf) == 0 || !b.Engine.ChargePair(S1, S2) {
+		return false
+	}
+	if ambiguous {
+		b.Engine.Stats.AmbiguousOps++
 	}
 	l, r := side{rels: S1, h: lh}, side{rels: S2, h: rh}
 	if b.dependent {
@@ -291,13 +287,33 @@ func (b *Builder) BuildPair(S1, S2 bitset.Set) {
 	if b.Engine.Entries() > made {
 		b.appendRow(lh, rh)
 	}
+	return true
+}
+
+// PriceJoin prices the inner join of memoed left and right in that
+// orientation from the edges it applies. Unlike BuildPair it charges no
+// pair and needs no connecting edge: IterDP's compression can join sides
+// that only a degraded hyperedge connected.
+func (b *Builder) PriceJoin(left, right bitset.Set) {
+	lh, lok := b.Engine.Lookup(left)
+	rh, rok := b.Engine.Lookup(right)
+	if !lok || !rok {
+		panic(fmt.Sprintf("dp: PriceJoin(%v, %v) without memo entries", left, right))
+	}
+	S := left.Union(right)
+	sel, _, _, _ := b.pairEdges(left, right, S, lh, rh)
+	made := b.Engine.Entries()
+	b.tryBuild(S, &side{rels: left, h: lh}, &side{rels: right, h: rh}, algebra.Join, sel, false)
+	if b.Engine.Entries() > made {
+		b.appendRow(lh, rh)
+	}
 }
 
 // pairEdges finds the edges of the pair (S1, S2) over S = S1 ∪ S2, whose
 // memo entries sit at arena handles lh and rh. It leaves the applied
 // edges in edgeBuf and the connecting edges in connBuf, and returns the
-// applied edges' selectivity product, the operator and whether S1 is
-// that operator's left argument.
+// applied edges' selectivity product, the operator, whether S1 is its
+// left argument and whether it was ambiguous.
 //
 // Predicate application (§3.5): a predicate is evaluated at the first
 // node that covers all relations it references. For simple edges this
@@ -316,8 +332,8 @@ func (b *Builder) BuildPair(S1, S2 bitset.Set) {
 // Operator recovery (§5.4): every hyperedge carries the operator it was
 // derived from. Simple predicate edges carry the inner join. At most
 // one connecting edge should be non-inner for TES-derived graphs; if
-// several are, the latest wins and the event is counted.
-func (b *Builder) pairEdges(S1, S2, S bitset.Set, lh, rh int32) (sel float64, op algebra.Op, leftIsS1 bool) {
+// several are, the latest wins and ambiguous reports it.
+func (b *Builder) pairEdges(S1, S2, S bitset.Set, lh, rh int32) (sel float64, op algebra.Op, leftIsS1, ambiguous bool) {
 	inc1, inc2 := b.row(lh), b.row(rh)
 	sel, op, leftIsS1 = 1.0, algebra.Join, true
 	applied := b.edgeBuf[:0]
@@ -352,10 +368,7 @@ func (b *Builder) pairEdges(S1, S2, S bitset.Set, lh, rh int32) (sel float64, op
 		}
 	}
 	b.edgeBuf, b.connBuf = applied, conn
-	if nonInner > 1 {
-		b.Engine.Stats.AmbiguousOps++
-	}
-	return sel, op, leftIsS1
+	return sel, op, leftIsS1, nonInner > 1
 }
 
 // side is one argument of a csg-cmp-pair: its relations, the arena

@@ -36,7 +36,9 @@ func TestEmitCsgCmpInnerJoinBothOrientations(t *testing.T) {
 	g := twoRelGraph(algebra.Join)
 	b := NewBuilder(g, cost.Cout{})
 	b.Init()
-	b.Engine.EmitPair(bitset.New(0), bitset.New(1))
+	if !b.Engine.EmitPair(bitset.New(0), bitset.New(1)) {
+		t.Fatal("EmitPair declined a connected pair")
+	}
 	if b.Engine.Stats.CsgCmpPairs != 1 {
 		t.Errorf("pairs = %d", b.Engine.Stats.CsgCmpPairs)
 	}
@@ -147,18 +149,39 @@ func TestAmbiguousOperatorCounting(t *testing.T) {
 	}
 }
 
-func TestEmitWithoutEdgePanics(t *testing.T) {
+// TestEmitPairDeclinesNonPairs: EmitPair is the pair test. A pair no
+// edge connects, and a pair with a side that has no memo entry, are not
+// csg-cmp-pairs: EmitPair returns false and leaves the Stats, the OnEmit
+// hook and the memo entries as they were.
+func TestEmitPairDeclinesNonPairs(t *testing.T) {
 	g := hypergraph.New()
-	g.AddRelation("A", 10)
-	g.AddRelation("B", 10)
-	b := NewBuilder(g, cost.Cout{})
-	b.Init()
-	defer func() {
-		if recover() == nil {
-			t.Error("EmitCsgCmp without a connecting edge must panic")
-		}
-	}()
-	b.Engine.EmitPair(bitset.New(0), bitset.New(1))
+	g.AddRelations(3, "R", 10)
+	g.AddSimpleEdge(0, 1, 0.5)
+	for _, c := range []struct {
+		name   string
+		S1, S2 bitset.Set
+	}{
+		{"unconnected", bitset.New(0), bitset.New(2)},
+		{"unmemoed side", bitset.New(2), bitset.New(0, 1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewBuilder(g, cost.Cout{})
+			b.Init()
+			emitted := 0
+			b.Engine.OnEmit = func(_, _ bitset.Set) { emitted++ }
+			stats, entries := b.Engine.Stats, b.Engine.Entries()
+			if b.Engine.EmitPair(c.S1, c.S2) {
+				t.Fatalf("EmitPair(%v, %v) = true, want false", c.S1, c.S2)
+			}
+			if b.Engine.Stats != stats || emitted != 0 || b.Engine.Entries() != entries {
+				t.Errorf("declined pair changed the run: stats %+v -> %+v, OnEmit fired %d times, entries %d -> %d",
+					stats, b.Engine.Stats, emitted, entries, b.Engine.Entries())
+			}
+			if b.Engine.Aborted() != nil {
+				t.Errorf("declined pair aborted the run: %v", b.Engine.Aborted())
+			}
+		})
+	}
 }
 
 func TestFinalErrors(t *testing.T) {
@@ -172,18 +195,24 @@ func TestFinalErrors(t *testing.T) {
 	}
 }
 
-// Selectivity application: a hyperedge that never separates cleanly into
-// (u ⊆ S1, v ⊆ S2) must still be charged exactly once, at the first node
-// covering it.
-func TestHyperedgeSelectivityChargedOnce(t *testing.T) {
+// straddleGraph is a chain R0–R1–R2–R3 of simple edges with
+// selectivity 0.5 over relations of 10 rows, plus the hyperedge
+// ({R0,R2}, {R1,R3}) of selectivity 0.1 interleaved across it.
+func straddleGraph() *hypergraph.Graph {
 	g := hypergraph.New()
 	g.AddRelations(4, "R", 10)
 	g.AddSimpleEdge(0, 1, 0.5)
 	g.AddSimpleEdge(2, 3, 0.5)
 	g.AddSimpleEdge(1, 2, 0.5)
-	// Hyperedge interleaved across the simple-edge structure.
 	g.AddEdge(hypergraph.Edge{U: bitset.New(0, 2), V: bitset.New(1, 3), Sel: 0.1})
-	b := NewBuilder(g, cost.Cout{})
+	return g
+}
+
+// Selectivity application: a hyperedge that never separates cleanly into
+// (u ⊆ S1, v ⊆ S2) must still be charged exactly once, at the first node
+// covering it.
+func TestHyperedgeSelectivityChargedOnce(t *testing.T) {
+	b := NewBuilder(straddleGraph(), cost.Cout{})
 	b.Init()
 	// Build ((R0 R1) (R2 R3)): the hyperedge's sides straddle the join.
 	b.Engine.EmitPair(bitset.New(0), bitset.New(1))
@@ -196,6 +225,34 @@ func TestHyperedgeSelectivityChargedOnce(t *testing.T) {
 	// card = 10^4 * 0.5^3 (simple edges) * 0.1 (hyperedge) = 125.
 	if p.Card != 125 {
 		t.Errorf("card = %g, want 125 (hyperedge charged once)", p.Card)
+	}
+}
+
+// TestPriceJoinWithoutConnectingEdge: PriceJoin prices a given join in
+// its orientation even when no edge connects the sides, as IterDP's
+// stitched plans can ask, charges no pair, and applies a hyperedge at
+// the join that completes it.
+func TestPriceJoinWithoutConnectingEdge(t *testing.T) {
+	b := NewBuilder(straddleGraph(), cost.Cout{})
+	b.Init()
+	// ((R2 × R0) ⋈ (R1 × R3)): neither inner join has an edge.
+	b.PriceJoin(bitset.New(2), bitset.New(0))
+	b.PriceJoin(bitset.New(1), bitset.New(3))
+	b.PriceJoin(bitset.New(0, 2), bitset.New(1, 3))
+	p, err := b.Final()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Left.Left.Rel != 2 || p.Left.Card != 100 || len(p.Left.Edges) != 0 {
+		t.Errorf("cross join priced as %s with card %g and edges %v, want R2 left, card 100, no edges",
+			p.Left.Compact(), p.Left.Card, p.Left.Edges)
+	}
+	// card = 10^4 * 0.5^3 (simple edges) * 0.1 (hyperedge) = 125.
+	if p.Card != 125 || len(p.Edges) != 4 {
+		t.Errorf("root card %g with edges %v, want 125 with all four edges", p.Card, p.Edges)
+	}
+	if st := b.Engine.Stats; st.CsgCmpPairs != 0 || st.CostedPlans != 3 {
+		t.Errorf("PriceJoin counted %d pairs and %d plans, want 0 and 3", st.CsgCmpPairs, st.CostedPlans)
 	}
 }
 
@@ -219,12 +276,7 @@ func TestFinalChecksRowPerEntry(t *testing.T) {
 // edges both sides touch, free tables, dependency checks, filter and
 // Improve — allocates nothing, with incidence rows of one word or two.
 func TestBuildPairAllocs(t *testing.T) {
-	g := hypergraph.New()
-	g.AddRelations(4, "R", 10)
-	g.AddSimpleEdge(0, 1, 0.5)
-	g.AddSimpleEdge(2, 3, 0.5)
-	g.AddSimpleEdge(1, 2, 0.5)
-	g.AddEdge(hypergraph.Edge{U: bitset.New(0, 2), V: bitset.New(1, 3), Sel: 0.1})
+	g := straddleGraph()
 	dep := g.Clone()
 	dep.SetFree(3, bitset.New(0))
 	gen := g.Clone()

@@ -17,6 +17,7 @@ import (
 	"repro/internal/dpsub"
 	"repro/internal/goo"
 	"repro/internal/hypergraph"
+	"repro/internal/iterdp"
 	"repro/internal/memo"
 	"repro/internal/plan"
 	"repro/internal/topdown"
@@ -170,7 +171,7 @@ func ensureEntry(b *dp.Builder, S bitset.Set) {
 // TestPairEdgesMatchScan prices random pairs of every corpus graph with
 // the incidence kernel and with the reference scan: the applied edges,
 // the connecting edges with their flips, the operator and its side, the
-// ambiguity count and the selectivity bits must agree. Every pair is
+// ambiguity flag and the selectivity bits must agree. Every pair is
 // priced twice, so a walk that disturbs the rows or buffers it reuses
 // shows on the second pass.
 func TestPairEdgesMatchScan(t *testing.T) {
@@ -190,8 +191,7 @@ func TestPairEdgesMatchScan(t *testing.T) {
 				ensureEntry(b, S1)
 				ensureEntry(b, S2)
 				for pass := 0; pass < 2; pass++ {
-					amb := b.Engine.Stats.AmbiguousOps
-					applied, conn, sel, op, leftIsS1 := b.PairEdges(S1, S2)
+					applied, conn, sel, op, leftIsS1, ambiguous := b.PairEdges(S1, S2)
 					if !slices.Equal(applied, want.applied) || !slices.Equal(conn, want.conn) {
 						t.Fatalf("(%v, %v) pass %d: applied %v conn %v, scan applies %v conn %v",
 							S1, S2, pass, applied, conn, want.applied, want.conn)
@@ -200,9 +200,9 @@ func TestPairEdgesMatchScan(t *testing.T) {
 						t.Fatalf("(%v, %v) pass %d: sel %v op %v leftIsS1 %v, scan gives %v %v %v",
 							S1, S2, pass, sel, op, leftIsS1, want.sel, want.op, want.leftIsS1)
 					}
-					if counted := b.Engine.Stats.AmbiguousOps > amb; counted != (want.nonInner > 1) {
-						t.Fatalf("(%v, %v): AmbiguousOps counted %v, scan finds %d non-inner connecting edges",
-							S1, S2, counted, want.nonInner)
+					if ambiguous != (want.nonInner > 1) {
+						t.Fatalf("(%v, %v): ambiguous %v, scan finds %d non-inner connecting edges",
+							S1, S2, ambiguous, want.nonInner)
 					}
 				}
 			}
@@ -215,12 +215,14 @@ func TestPairEdgesMatchScan(t *testing.T) {
 
 // TestPlansApplyScannedEdges plans the corpus graphs of up to 10
 // relations and star13 with every exact solver, DPccp only on graphs
-// without hyperedges, and every graph with Greedy. Each solver makes memo
-// entries, and so incidence rows, in its own order. Except on star13,
-// the runs share one engine pool, so rows may be recycled from a run
-// over another graph. Every join must apply exactly the edges the reference scan
-// finds for its two inputs, with the cardinality their selectivity
-// product gives.
+// without hyperedges, every graph with Greedy, and every inner-join
+// graph without dependent relations with IterDP, whose clusters of at
+// most 4 relations make it price a stitched plan through PriceJoin.
+// Each solver makes memo entries, and so incidence rows, in its own
+// order. Except on star13, the runs share one engine pool, so rows may
+// be recycled from a run over another graph. Every join must apply
+// exactly the edges the reference scan finds for its two inputs, with
+// the cardinality their selectivity product gives.
 func TestPlansApplyScannedEdges(t *testing.T) {
 	type solver func(*hypergraph.Graph, dp.Options) (*plan.Node, dp.Stats, error)
 	exact := []struct {
@@ -261,8 +263,41 @@ func TestPlansApplyScannedEdges(t *testing.T) {
 				}
 			}
 			t.Run("greedy", func(t *testing.T) { check(t, g, goo.Solve, pool) })
+			if innerOnly(g) {
+				t.Run("iterdp", func(t *testing.T) { check(t, g, iterDP, pool) })
+			}
 		})
 	}
+}
+
+// iterDP runs IterDP with clusters of at most 4 relations and DPhyp
+// for the subproblems.
+func iterDP(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
+	return iterdp.Solve(g, iterdp.Options{
+		ClusterSize: 4,
+		Model:       opts.Model,
+		Pool:        opts.Pool,
+		Exact: func(sub *hypergraph.Graph) (*plan.Node, dp.Stats, error) {
+			sub.Freeze()
+			return core.Solve(sub, dp.Options{Model: opts.Model, Pool: opts.Pool})
+		},
+	})
+}
+
+// innerOnly reports whether g has only inner-join edges and no
+// dependent relations, the graphs IterDP plans.
+func innerOnly(g *hypergraph.Graph) bool {
+	for i := 0; i < g.NumRels(); i++ {
+		if !g.Relation(i).Free.IsEmpty() {
+			return false
+		}
+	}
+	for i := 0; i < g.NumEdges(); i++ {
+		if g.Edge(i).Op != algebra.Join {
+			return false
+		}
+	}
+	return true
 }
 
 // hasHyperedge reports whether some edge of g is not simple, which

@@ -12,7 +12,8 @@
 // The solver is a pure enumerator: memoization, budgets, and plan
 // construction route through the shared memo engine (internal/memo),
 // and neighborhood subsets are generated with the bitset.SubsetsOf
-// iterator.
+// iterator. A set a filter or dependency constraint left without a plan
+// makes Engine.EmitPair decline every pair it is a side of.
 //
 // Solve fails with ErrHyperedge if the graph contains hyperedges; use
 // DPhyp for those.
@@ -34,12 +35,6 @@ var ErrHyperedge = errors.New("dpccp: hyperedge in input graph; DPccp handles si
 type solver struct {
 	g *hypergraph.Graph
 	e *memo.Engine
-
-	// member is set when pricing may leave a connected set without a
-	// plan (dp.Builder.MayReject). The enumeration then emits only pairs
-	// whose sides are memoed, as DPhyp's membership test does; otherwise
-	// every connected set has a plan and no test is needed.
-	member bool
 }
 
 // Solve runs DPccp over the simple graph g.
@@ -50,7 +45,7 @@ func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
 		}
 	}
 	return dp.Run(g, opts, func(b *dp.Builder) error {
-		s := &solver{g: g, e: b.Engine, member: b.MayReject()}
+		s := &solver{g: g, e: b.Engine}
 		for v := g.NumRels() - 1; v >= 0 && s.e.Aborted() == nil; v-- {
 			S := bitset.Single(v)
 			s.emitCmp(S)
@@ -91,7 +86,7 @@ func (s *solver) enumerateCsgRec(S1, X bitset.Set) {
 //
 //dp:hotpath
 func (s *solver) emitCmp(S1 bitset.Set) {
-	if !s.e.Step() || s.member && !s.e.Contains(S1) {
+	if !s.e.Step() {
 		return
 	}
 	X := S1.Union(bitset.BelowEq(S1.Min()))
@@ -107,7 +102,7 @@ func (s *solver) emitCmp(S1 bitset.Set) {
 }
 
 // growCmp extends the complement S2; every grown set remains connected
-// and adjacent to S1, so every subset with a plan is emitted.
+// and adjacent to S1, so every grown set is offered to EmitPair.
 //
 //dp:hotpath
 func (s *solver) growCmp(S1, S2, X bitset.Set) {
@@ -122,9 +117,7 @@ func (s *solver) growCmp(S1, S2, X bitset.Set) {
 		if !s.e.Step() {
 			return
 		}
-		if next := S2.Union(n); !s.member || s.e.Contains(next) {
-			s.e.EmitPair(S1, next)
-		}
+		s.e.EmitPair(S1, S2.Union(n))
 	}
 	newX := X.Union(N)
 	for n := range N.SubsetsOf() {

@@ -522,38 +522,21 @@ func (g *Graph) ConnectsTo(S1, S2 bitset.Set) bool {
 	return false
 }
 
-// EachConnectingEdge calls f for every edge that connects S1 and S2,
-// passing the edge index and whether the edge's stored (U,V) orientation
-// is flipped relative to (S1,S2) — that is, flipped is true when U ⊆ S2.
-// Orientation matters for edges derived from non-commutative operators
-// (§5.4).
-func (g *Graph) EachConnectingEdge(S1, S2 bitset.Set, f func(idx int, flipped bool)) {
+// SelectivityBetween returns the product, in ascending edge order, of
+// the selectivities of all edges connecting S1 and S2 (as ConnectsTo
+// defines them). GOO ranks candidate merges by it. It omits a hyperedge
+// completed at a join that splits its hypernodes across the sides; the
+// plan builder charges such an edge when it prices the join.
+func (g *Graph) SelectivityBetween(S1, S2 bitset.Set) float64 {
 	both := S1.Union(S2)
+	sel := 1.0
 	for i := range g.edges {
 		e := &g.edges[i]
-		if !e.W.SubsetOf(both) {
-			continue
-		}
-		switch {
-		case e.U.SubsetOf(S1) && e.V.SubsetOf(S2):
-			f(i, false)
-		case e.U.SubsetOf(S2) && e.V.SubsetOf(S1):
-			f(i, true)
+		if e.W.SubsetOf(both) && (e.U.SubsetOf(S1) && e.V.SubsetOf(S2) ||
+			e.U.SubsetOf(S2) && e.V.SubsetOf(S1)) {
+			sel *= e.Sel
 		}
 	}
-}
-
-// SelectivityBetween returns the product of the selectivities of all
-// edges connecting S1 and S2. Every edge is counted at exactly one join
-// of any operator tree (the join where its endpoints first appear on
-// opposite sides), which makes cardinality estimates independent of the
-// join order.
-func (g *Graph) SelectivityBetween(S1, S2 bitset.Set) float64 {
-	sel := 1.0
-	//nolint:hotpathalloc // EachConnectingEdge does not retain the callback, so it stays on the stack
-	g.EachConnectingEdge(S1, S2, func(idx int, _ bool) {
-		sel *= g.edges[idx].Sel
-	})
 	return sel
 }
 

@@ -356,26 +356,6 @@ func TestSelectivityBetween(t *testing.T) {
 	}
 }
 
-func TestEachConnectingEdgeOrientation(t *testing.T) {
-	g := New()
-	g.AddRelations(3, "R", 10)
-	g.AddEdge(Edge{U: bitset.New(0, 1), V: bitset.New(2), Sel: 0.5, Op: algebra.LeftOuter})
-	var idx int
-	var flipped bool
-	count := 0
-	g.EachConnectingEdge(bitset.New(2), bitset.New(0, 1), func(i int, f bool) {
-		idx, flipped, count = i, f, count+1
-	})
-	if count != 1 || idx != 0 || !flipped {
-		t.Errorf("idx=%d flipped=%v count=%d; want 0,true,1", idx, flipped, count)
-	}
-	g.EachConnectingEdge(bitset.New(0, 1), bitset.New(2), func(i int, f bool) {
-		if f {
-			t.Error("orientation must not be flipped")
-		}
-	})
-}
-
 // Property: the neighborhood of S never intersects S or X, and every
 // representative is genuinely reachable (some candidate hypernode
 // contains it as its minimum).

@@ -11,9 +11,10 @@
 // the existing engine, collapse every cluster to a single compound
 // vertex whose cardinality is its subplan's estimate, and repeat on the
 // compressed graph until it fits one final exact enumeration. The
-// stitched plan is then re-costed bottom-up against the ORIGINAL graph,
-// so the reported cost and cardinalities are consistent with what the
-// exact solvers would report for the same tree.
+// stitched plan is then priced through the plan builder: its joins are
+// replayed bottom-up against the ORIGINAL graph (dp.Builder.PriceJoin),
+// so every join applies, estimates and costs exactly as an exact
+// solver's plan of the same tree would.
 //
 // The result is optimal within each exactly-solved subproblem but only
 // heuristically good across cluster boundaries: the greedy clustering
@@ -38,6 +39,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/hypergraph"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
@@ -78,6 +80,8 @@ type Options struct {
 	// Model prices the final stitched plan (cost.Default() if nil). It
 	// should match the model the Exact callback optimizes under.
 	Model cost.Model
+	// Pool, when non-nil, recycles the engine that prices the plan.
+	Pool *memo.Pool
 	// Exact solves one compressed subproblem optimally. Required. The
 	// sub-hypergraph has at most ClusterSize relations and is connected;
 	// the returned plan's leaves index the subgraph's relations.
@@ -88,8 +92,9 @@ type Options struct {
 	// Explain, when non-nil, receives one span per compression round
 	// (clustering + exact sub-solves + compress, tagged with the round
 	// index), one for the final enumeration over the compound vertices,
-	// and one for the recost pass — never a span per subproblem, so the
-	// trace of a 1000-relation run stays within its fixed capacity.
+	// and one for pricing the stitched plan — never a span per
+	// subproblem, so the trace of a 1000-relation run stays within its
+	// fixed capacity.
 	Explain *obs.Trace
 }
 
@@ -103,8 +108,8 @@ type vertex struct {
 }
 
 // Solve plans g through iterative compression. The returned plan covers
-// every relation of g; its Cost/Card fields are recomputed against g
-// under opts.Model, so they are comparable with exact-solver output.
+// every relation of g and is priced against g under opts.Model by the
+// plan builder, so its figures are comparable with exact-solver output.
 func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
 	var stats dp.Stats
 	n := g.NumRels()
@@ -123,10 +128,6 @@ func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
 	}
 	if cs > MaxClusterSize {
 		cs = MaxClusterSize
-	}
-	model := opts.Model
-	if model == nil {
-		model = cost.Default()
 	}
 	for i := 0; i < n; i++ {
 		if !g.Relation(i).Free.IsEmpty() {
@@ -194,9 +195,9 @@ func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
 		opts.Explain.End(span)
 	}
 
-	var final *plan.Node
+	var stitched *plan.Node
 	if len(verts) == 1 {
-		final = verts[0].pl
+		stitched = verts[0].pl
 	} else {
 		span := opts.Explain.Start(obs.PhaseEnumerate)
 		pairsBefore := stats.CsgCmpPairs
@@ -211,16 +212,38 @@ func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
 		for i := range all {
 			all[i] = i
 		}
-		final = expand(sp, all, verts)
+		stitched = expand(sp, all, verts)
 		opts.Explain.Annotate(span, int64(stats.CsgCmpPairs-pairsBefore),
 			st.TableEntries, 1)
 		opts.Explain.End(span)
 	}
 	rspan := opts.Explain.Start(obs.PhaseRecost)
-	recost(g, final, model)
+	final, st, err := price(g, stitched, opts)
 	opts.Explain.End(rspan)
-	stats.TableEntries = max(stats.TableEntries, final.Joins()+final.Relations())
-	return final, stats, nil
+	stats.TableEntries = st.TableEntries
+	return final, stats, err
+}
+
+// price replays the stitched plan's joins bottom-up through the plan
+// builder over the original graph, making one memo entry per plan node,
+// and returns the materialized plan. Only the context bounds it.
+func price(g *hypergraph.Graph, stitched *plan.Node, opts Options) (*plan.Node, dp.Stats, error) {
+	run := dp.Options{Model: opts.Model, Pool: opts.Pool, Limits: dp.Limits{Ctx: opts.Ctx}}
+	return dp.Run(g, run, func(b *dp.Builder) error {
+		var replay func(n *plan.Node)
+		replay = func(n *plan.Node) {
+			if n.IsLeaf() {
+				return
+			}
+			replay(n.Left)
+			replay(n.Right)
+			if b.Engine.Step() {
+				b.PriceJoin(n.Left.Rels, n.Right.Rels)
+			}
+		}
+		replay(stitched)
+		return b.Engine.Aborted()
+	})
 }
 
 func ctxErr(ctx context.Context) error {
@@ -235,8 +258,9 @@ func ctxErr(ctx context.Context) error {
 // unclamped product, so a large cluster can overflow float64 to +Inf
 // (DefaultConfig-style cardinalities do near 100 joins), underflow to
 // 0, or meet both as NaN. Like compress's selectivity clamp, the value
-// only steers later clustering and the compound-level enumeration: the
-// final recost re-derives every figure from the original graph.
+// only steers later clustering and the compound-level enumeration:
+// pricing the stitched plan re-derives every figure from the original
+// graph.
 func vertexCard(c float64) float64 {
 	switch {
 	case !(c > 0): // 0 after underflow, or NaN from 0·Inf
@@ -398,9 +422,8 @@ func unionRels(verts []vertex, grp []int) bitset.Set {
 }
 
 // expand replaces each leaf of a subproblem plan (indexing grp) with the
-// plan tree of the underlying vertex. Inner-node Card/Cost are carried
-// over as estimates; Solve's final recost pass replaces them with
-// original-graph figures.
+// plan tree of the underlying vertex. It keeps only the tree's shape:
+// Solve prices the stitched plan against the original graph.
 func expand(sp *plan.Node, grp []int, verts []vertex) *plan.Node {
 	if sp.IsLeaf() {
 		return verts[grp[sp.Rel]].pl
@@ -412,9 +435,6 @@ func expand(sp *plan.Node, grp []int, verts []vertex) *plan.Node {
 		Left: l, Right: r,
 		Rel:  -1,
 		Rels: l.Rels.Union(r.Rels),
-		Card: sp.Card,
-		Cost: sp.Cost,
-		Phys: sp.Phys,
 	}
 }
 
@@ -425,7 +445,8 @@ func expand(sp *plan.Node, grp []int, verts []vertex) *plan.Node {
 // degrade to a simple edge between the groups holding their U- and
 // V-minima — an approximation, but one that only steers the NEXT
 // round's clustering and final enumeration; the predicate itself is
-// re-applied exactly during the final recost against the original graph.
+// applied exactly when the stitched plan is priced against the original
+// graph.
 func compress(cur *hypergraph.Graph, verts []vertex, groups [][]int, next []vertex) *hypergraph.Graph {
 	ng := hypergraph.New()
 	for i, v := range next {
@@ -462,36 +483,12 @@ func compress(cur *hypergraph.Graph, verts []vertex, groups [][]int, next []vert
 		// pair; the selectivity product then underflows float64 to 0,
 		// which AddEdge rejects. Clamp to the smallest positive value —
 		// compression selectivities only steer clustering and the
-		// compound-level enumeration, and the final recost re-applies
-		// every original edge exactly.
+		// compound-level enumeration, and pricing the stitched plan
+		// applies every original edge exactly.
 		if sels[j] <= 0 {
 			sels[j] = math.SmallestNonzeroFloat64
 		}
 		ng.AddSimpleEdge(p[0], p[1], sels[j])
 	}
 	return ng
-}
-
-// recost recomputes Card, Cost, and the applied-edge list of every
-// inner node bottom-up against the original graph, mirroring the §3.5
-// plan construction: the cardinality of a join is the product of the
-// input cardinalities and the selectivities of all connecting edges,
-// and the cost model prices the node on top of its children.
-func recost(g *hypergraph.Graph, n *plan.Node, model cost.Model) {
-	if n.IsLeaf() {
-		n.Card = g.Relation(n.Rel).Card
-		n.Cost = 0
-		return
-	}
-	recost(g, n.Left, model)
-	recost(g, n.Right, model)
-	var edges []int
-	g.EachConnectingEdge(n.Left.Rels, n.Right.Rels, func(idx int, _ bool) {
-		edges = append(edges, idx)
-	})
-	sel := g.SelectivityBetween(n.Left.Rels, n.Right.Rels)
-	n.Edges = edges
-	n.Card = cost.EstimateCard(n.Op, n.Left.Card, n.Right.Card, sel)
-	n.Cost = model.JoinCost(n.Op, n.Left.Cost, n.Right.Cost,
-		n.Left.Card, n.Right.Card, n.Card)
 }

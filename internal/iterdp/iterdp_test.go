@@ -70,7 +70,12 @@ func oracleChecked(t *testing.T, model cost.Model,
 }
 
 // checkPlan asserts the stitched plan is structurally valid, covers the
-// whole graph, and carries self-consistent recosted figures.
+// whole graph, and carries the figures the plan builder gives it. On an
+// inner-join graph, §3.5's rule of charging every edge's selectivity at
+// exactly one join makes the root cardinality Π card · Π sel for any
+// tree, so a pricing step that misses or double-charges an edge — a
+// hyperedge completed at a join that splits its hypernodes, say — shows
+// at the root.
 func checkPlan(t *testing.T, tag string, g *hypergraph.Graph, p *plan.Node) {
 	t.Helper()
 	if err := p.Validate(); err != nil {
@@ -84,8 +89,29 @@ func checkPlan(t *testing.T, tag string, g *hypergraph.Graph, p *plan.Node) {
 			tag, p.Relations(), p.Joins(), g.NumRels(), g.NumRels()-1)
 	}
 	if p.Cost <= 0 || math.IsNaN(p.Cost) || math.IsInf(p.Cost, 0) {
-		t.Fatalf("%s: suspicious recosted plan cost %v", tag, p.Cost)
+		t.Fatalf("%s: suspicious plan cost %v", tag, p.Cost)
 	}
+	if want, ok := innerProduct(g); ok && !(math.Abs(p.Card-want) <= 1e-9*want) {
+		t.Fatalf("%s: root cardinality %.10g, want Π card · Π sel = %.10g", tag, p.Card, want)
+	}
+}
+
+// innerProduct returns Π card · Π sel over the relations and edges of g,
+// and whether g has only inner-join edges and the product is finite and
+// nonzero.
+func innerProduct(g *hypergraph.Graph) (float64, bool) {
+	prod := 1.0
+	for i := 0; i < g.NumRels(); i++ {
+		prod *= g.Relation(i).Card
+	}
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.Edge(i)
+		if e.Op != algebra.Join {
+			return 0, false
+		}
+		prod *= e.Sel
+	}
+	return prod, prod != 0 && !math.IsInf(prod, 0)
 }
 
 // TestLargeShapesOracleDifferential is the headline acceptance test:
@@ -112,6 +138,7 @@ func TestLargeShapesOracleDifferential(t *testing.T) {
 			checked := 0
 			p, stats, err := iterdp.Solve(sh.g, iterdp.Options{
 				Model: model,
+				Pool:  pool,
 				Exact: oracleChecked(t, model, exactSolver(model, pool), &checked),
 			})
 			if err != nil {
@@ -151,6 +178,7 @@ func TestRandomLargeOracleDifferential(t *testing.T) {
 		checked := 0
 		p, stats, err := iterdp.Solve(g, iterdp.Options{
 			Model: model,
+			Pool:  pool,
 			Exact: oracleChecked(t, model, exactSolver(model, pool), &checked),
 		})
 		if err != nil {
@@ -207,6 +235,8 @@ func TestSmallGraphIsExact(t *testing.T) {
 		{"chain10", workload.Chain(10, cfg)},
 		{"star8", workload.Star(8, cfg)},
 		{"clique8", workload.Clique(8, cfg)},
+		{"cycle-hyper10/2", workload.CycleHyper(10, 2, cfg)},
+		{"star-hyper8/3", workload.StarHyper(8, 3, cfg)},
 	}
 	for _, tc := range graphs {
 		tc.g.Freeze()
@@ -337,7 +367,7 @@ func TestCancellation(t *testing.T) {
 
 // TestHyperedgeDegradation: hyperedges that span clusters degrade to
 // simple proxies during compression, but the final plan still covers
-// everything and applies every predicate in the recost.
+// everything and applies every predicate when it is priced.
 func TestHyperedgeDegradation(t *testing.T) {
 	cfg := workload.LargeConfig()
 	model := cost.Default()
@@ -365,8 +395,8 @@ func TestHyperedgeDegradation(t *testing.T) {
 // built. Both graphs have finite, valid inputs: 1e30-row relations
 // joined without reduction overflow in round 1, and a 300-relation
 // DefaultConfig chain overflows in a later round. The tier must clamp
-// and return a complete plan. The recosted figures may still be
-// infinite; that is the open finite-cost item, not this test's concern.
+// and return a complete plan. The priced figures may still be infinite;
+// that is the open finite-cost item, not this test's concern.
 func TestOverflowingCardinalities(t *testing.T) {
 	huge := hypergraph.New()
 	for i := 0; i < 100; i++ {
@@ -402,7 +432,7 @@ func TestOverflowingCardinalities(t *testing.T) {
 			t.Fatalf("%s: no compression round ran", tc.name)
 		}
 		if !math.IsInf(p.Card, 1) {
-			t.Errorf("%s: recosted root card %g, want the overflowed +Inf this test exercises", tc.name, p.Card)
+			t.Errorf("%s: priced root card %g, want the overflowed +Inf this test exercises", tc.name, p.Card)
 		}
 	}
 }

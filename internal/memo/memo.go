@@ -26,9 +26,9 @@
 // The semantic half of plan construction — operator recovery, dependency
 // constraints, conflict filters, selectivity and cardinality estimation,
 // costing — lives in a Backend (internal/dp.Builder), which EmitPair
-// calls for every admitted csg-cmp-pair. Solvers talk to the engine
-// through EmitBase/EmitPair plus the Contains/Step/Aborted tests their
-// enumeration orders need.
+// calls for every offered pair and which is also the pair test. Solvers
+// talk to the engine through EmitBase/EmitPair plus the
+// Contains/Step/Aborted tests their enumeration orders need.
 package memo
 
 import (
@@ -73,7 +73,7 @@ const pollInterval = 1024
 // function calls of any dynamic programming algorithm is exactly the
 // number of csg-cmp-pairs" (§2.2).
 type Stats struct {
-	CsgCmpPairs   int // EmitPair invocations (unordered pairs)
+	CsgCmpPairs   int // pairs admitted through ChargePair (unordered pairs)
 	CostedPlans   int // plans actually priced (2x for commutative ops)
 	FilterReject  int // plans rejected by the generate-and-test filter
 	InvalidReject int // plans rejected by dependency constraints
@@ -135,10 +135,10 @@ type Stats struct {
 // plan-construction logic (operator recovery, dependency constraints,
 // filters, costing) and stores candidates back through Improve.
 type Backend interface {
-	// BuildPair prices the csg-cmp-pair (S1, S2) and stores improvements.
-	// Bookkeeping (pair budget, Stats.CsgCmpPairs, OnEmit) has already
-	// happened in EmitPair by the time BuildPair runs.
-	BuildPair(S1, S2 bitset.Set)
+	// BuildPair reports whether (S1, S2) is a csg-cmp-pair that
+	// Engine.ChargePair admitted, and if so prices it and stores
+	// improvements.
+	BuildPair(S1, S2 bitset.Set) bool
 	// Release drops per-run references (graph, cost model, filter) so a
 	// pooled engine does not pin them; the backend itself stays attached
 	// to the engine and is revived by the next run.
@@ -254,7 +254,7 @@ func (e *Engine) Aborted() error { return e.abortErr }
 // Step records one unit of enumeration work (a loop iteration or
 // recursive call) and reports whether the run may continue. The context
 // is polled every pollInterval steps; budget limits are enforced in
-// EmitPair and ChargePlan where the counted events happen.
+// ChargePair and ChargePlan where the counted events happen.
 //
 //dp:hotpath
 func (e *Engine) Step() bool {
@@ -296,30 +296,39 @@ func (e *Engine) EmitBase(rel int, card float64) {
 	e.table.Put(S, idx)
 }
 
-// EmitPair admits the csg-cmp-pair (S1, S2): it enforces the pair
-// budget, counts the emission, fires the observation hook, and hands the
-// pair to the backend for plan construction. Solvers must only emit
-// pairs whose sides already have memo entries (subsets before supersets)
-// and which are connected by at least one edge.
+// EmitPair offers the disjoint pair (S1, S2) to the backend and reports
+// whether it was admitted: both sides have memo entries, an edge
+// connects them, and the pair budget allows it. A pair that fails the
+// test leaves Stats, OnEmit and the memo untouched, so a solver need not
+// test connectivity or membership first.
 //
 //dp:hotpath
-func (e *Engine) EmitPair(S1, S2 bitset.Set) {
+func (e *Engine) EmitPair(S1, S2 bitset.Set) bool {
 	if e.abortErr != nil {
-		return
+		return false
 	}
+	return e.backend.BuildPair(S1, S2)
+}
+
+// ChargePair admits one csg-cmp-pair found by the backend: it enforces
+// the pair budget (aborting the run on a trip, like ChargePlan), counts
+// the emission and fires the observation hook.
+//
+//dp:hotpath
+func (e *Engine) ChargePair(S1, S2 bitset.Set) bool {
 	if max := e.limits.MaxCsgCmpPairs; max > 0 && e.Stats.CsgCmpPairs >= max {
 		e.abortErr = pairBudgetErr(e.Stats.CsgCmpPairs, max)
-		return
+		return false
 	}
 	e.Stats.CsgCmpPairs++
 	if e.OnEmit != nil {
 		e.OnEmit(S1, S2)
 	}
-	e.backend.BuildPair(S1, S2)
+	return true
 }
 
 // pairBudgetErr builds the csg-cmp-pair budget-trip error. Split out of
-// EmitPair so the fmt machinery stays off the emission hot path.
+// ChargePair so the fmt machinery stays off the emission hot path.
 //
 //dp:coldpath runs at most once per enumeration, when the pair budget trips
 func pairBudgetErr(n, max int) error {

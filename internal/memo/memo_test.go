@@ -206,13 +206,19 @@ func TestTableResetShrinksOversized(t *testing.T) {
 	}
 }
 
-// recordBackend is a minimal Backend that records emitted pairs.
+// recordBackend is a minimal Backend that admits every offered pair
+// through ChargePair and records the pairs it admitted.
 type recordBackend struct {
+	e     *Engine
 	pairs [][2]bitset.Set
 }
 
-func (b *recordBackend) BuildPair(S1, S2 bitset.Set) {
+func (b *recordBackend) BuildPair(S1, S2 bitset.Set) bool {
+	if !b.e.ChargePair(S1, S2) {
+		return false
+	}
 	b.pairs = append(b.pairs, [2]bitset.Set{S1, S2})
+	return true
 }
 func (b *recordBackend) Release() {}
 
@@ -368,20 +374,24 @@ func TestParallelMergePrefersCheaper(t *testing.T) {
 	}
 }
 
-// improveBackend prices every emitted pair at cost(S1, S2) and stores
-// it through ChargePlan and Improve, the path a solver's backend takes.
+// improveBackend admits every offered pair through ChargePair, prices it
+// at cost(S1, S2) and stores it through ChargePlan and Improve, the path
+// a solver's backend takes.
 type improveBackend struct {
 	e    *Engine
 	cost func(S1, S2 bitset.Set) float64
 }
 
-func (b *improveBackend) BuildPair(S1, S2 bitset.Set) {
+func (b *improveBackend) BuildPair(S1, S2 bitset.Set) bool {
 	lh, _ := b.e.Lookup(S1)
 	rh, _ := b.e.Lookup(S2)
-	if !b.e.ChargePlan() {
-		return
+	if !b.e.ChargePair(S1, S2) {
+		return false
 	}
-	b.e.Improve(S1.Union(S2), lh, rh, algebra.Join, algebra.PhysNone, 1, b.cost(S1, S2), nil)
+	if b.e.ChargePlan() {
+		b.e.Improve(S1.Union(S2), lh, rh, algebra.Join, algebra.PhysNone, 1, b.cost(S1, S2), nil)
+	}
+	return true
 }
 
 func (b *improveBackend) Release() {}
@@ -409,17 +419,22 @@ func TestSerialImproveTieBreakMatchesMerge(t *testing.T) {
 
 func sameSplit(a, b [2]bitset.Set) bool { return a[0].Equal(b[0]) && a[1].Equal(b[1]) }
 
+// TestEnginePairBudget: ChargePair admits exactly the budgeted number of
+// pairs, and EmitPair reports false for the pair that trips the budget
+// and for every pair after it.
 func TestEnginePairBudget(t *testing.T) {
 	e := NewEngine()
 	e.Reset(2)
-	b := &recordBackend{}
+	b := &recordBackend{e: e}
 	e.SetBackend(b)
 	e.SetLimits(Limits{MaxCsgCmpPairs: 2})
 	for i := 0; i < 5; i++ {
-		e.EmitPair(bitset.New(0), bitset.New(1))
+		if got, want := e.EmitPair(bitset.New(0), bitset.New(1)), i < 2; got != want {
+			t.Fatalf("EmitPair %d = %v, want %v", i, got, want)
+		}
 	}
 	if len(b.pairs) != 2 {
-		t.Fatalf("backend saw %d pairs, want 2", len(b.pairs))
+		t.Fatalf("backend admitted %d pairs, want 2", len(b.pairs))
 	}
 	if e.Stats.CsgCmpPairs != 2 {
 		t.Fatalf("CsgCmpPairs = %d want 2", e.Stats.CsgCmpPairs)

@@ -41,7 +41,7 @@ const (
 	PhaseEnumerate         // one exact/greedy enumeration (or iterdp's final pass)
 	PhaseFallback          // the greedy second pass after a budget trip
 	PhaseCluster           // one iterdp compression round (cluster, sub-solve, compress)
-	PhaseRecost            // iterdp's bottom-up recost against the original graph
+	PhaseRecost            // iterdp pricing its stitched plan against the original graph
 	PhaseMaterialize       // arena → *plan.Node materialization of the winner
 )
 

@@ -16,10 +16,11 @@ import (
 // edges.
 //
 // Subproblems run one after another and share the session's memo pool,
-// so the tier's per-subproblem setup cost is a table memclr, not an
-// allocation. The Budget limits apply to each subproblem individually
-// (the engine resets its counters per run); cancellation through the
-// limits' context applies to the whole tier, clustering loops included.
+// as does the run that prices the stitched plan, so the tier's
+// per-subproblem setup cost is a table memclr, not an allocation. The
+// Budget limits apply to each subproblem individually (the engine
+// resets its counters per run); cancellation through the limits'
+// context applies to the whole tier, clustering loops included.
 //
 // Graphs the tier cannot handle (non-inner operators, dependent
 // relations, graphs held together only by wide hyperedges) fail with an
@@ -37,6 +38,7 @@ func runIterDP(g *Graph, clusterSize int, run dp.Options) (*PlanNode, Stats, err
 	return iterdp.Solve(g, iterdp.Options{
 		ClusterSize: clusterSize,
 		Model:       run.Model,
+		Pool:        run.Pool,
 		Ctx:         run.Limits.Ctx,
 		Exact:       exact,
 		Explain:     run.Explain,

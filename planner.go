@@ -391,7 +391,7 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 	// cache for both. The key is built in a stack buffer: a hit
 	// allocates no key at all, and only a miss copies it into the string
 	// the cache stores.
-	cacheable := p.cache != nil && filter == nil && o.trace == nil && o.onEmit == nil
+	cacheable := p.cache != nil && filter == nil && o.trace == nil
 	var keyBuf [keyBufSize]byte
 	var key []byte
 	if cacheable {

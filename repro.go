@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/algebra"
-	"repro/internal/bitset"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -195,7 +194,6 @@ type options struct {
 	noSimplify bool
 	trace      *Trace
 	explain    *obs.Trace
-	onEmit     func(s1, s2 bitset.Set)
 
 	// Session knobs (see Planner).
 	ctx         context.Context
@@ -323,7 +321,6 @@ func runSolver(g *Graph, o options, filter dp.Filter) (*PlanNode, Stats, error) 
 	run := dp.Options{
 		Model:  o.model,
 		Filter: filter,
-		OnEmit: o.onEmit,
 		Limits: dp.Limits{
 			Ctx:            o.ctx,
 			MaxCsgCmpPairs: o.budget.MaxCsgCmpPairs,

@@ -18,8 +18,8 @@ type PlanRequest struct {
 	Query *repro.QueryJSON `json:"query"`
 
 	// Algorithm selects the enumeration algorithm (dphyp | dpsize |
-	// dpsub | dpccp | topdown | greedy | auto). Empty uses the server's
-	// planner default.
+	// dpsub | dpccp | topdown | greedy | iterdp | auto). Empty uses the
+	// server's planner default.
 	Algorithm string `json:"algorithm,omitempty"`
 	// CostModel selects the cost model (cout | cmm | nlj | hash |
 	// physical). Empty uses the server's planner default.

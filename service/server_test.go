@@ -308,6 +308,51 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyLimit: /plan and /batch refuse a body one byte over
+// Config.MaxBodyBytes with 413 and a JSON error, and plan a body of
+// exactly that many bytes.
+func TestBodyLimit(t *testing.T) {
+	for _, c := range []struct {
+		path string
+		req  any
+	}{
+		{"/plan", PlanRequest{Query: starDoc(3, 100)}},
+		{"/batch", BatchRequest{Queries: []*repro.QueryJSON{starDoc(3, 100)}}},
+	} {
+		t.Run(strings.TrimPrefix(c.path, "/"), func(t *testing.T) {
+			body, err := json.Marshal(c.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(Config{MaxBodyBytes: int64(len(body))})
+			srv := httptest.NewServer(s.Handler())
+			defer srv.Close()
+			post := func(b []byte) (int, []byte) {
+				resp, err := srv.Client().Post(srv.URL+c.path, "application/json", bytes.NewReader(b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				out, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, out
+			}
+			// Trailing whitespace keeps the longer body valid JSON, so
+			// only its size can refuse it.
+			code, out := post(append(body, ' '))
+			var e ErrorResponse
+			if code != http.StatusRequestEntityTooLarge || json.Unmarshal(out, &e) != nil || e.Error == "" {
+				t.Errorf("body of %d bytes: %d %q, want 413 with a JSON error", len(body)+1, code, out)
+			}
+			if code, out := post(body); code != http.StatusOK {
+				t.Errorf("body of exactly %d bytes: %d %q, want 200", len(body), code, out)
+			}
+		})
+	}
+}
+
 // TestCoalescing64Gated: 64 concurrent identical requests, with the
 // backend gated so all of them are provably in flight at once, call the
 // planner exactly once; 63 responses are marked coalesced.
