@@ -136,11 +136,17 @@
 //     (§5.6) and the optional generate-and-test filter (§5.8),
 //     estimates cardinalities, prices candidates under the configured
 //     cost model, and finally materializes the winning tree out of the
-//     arena into the pointer-based PlanNode form callers consume. It
-//     prices a pair from the edges both sides touch. An edge applied at
-//     the join of disjoint S1 and S2 touches both, so it lies in
-//     inc(S1) ∩ inc(S2), where inc(S) is the set of edges touching S;
-//     an edge in that intersection is applied iff S1 ∪ S2 covers it.
+//     arena into the pointer-based PlanNode form callers consume. A
+//     commutative pair has two candidate orientations; under a model
+//     that declares cost.Symmetric (see Cost models), an inner pair of
+//     a run without a filter or dependent relations is priced with one
+//     cost call and one memo write, in the orientation the memo's
+//     tie-break keeps, which leaves the memo as pricing both would.
+//     The builder prices a pair from the edges both sides touch. An
+//     edge applied at the join of disjoint S1 and S2 touches both, so
+//     it lies in inc(S1) ∩ inc(S2), where inc(S) is the set of edges
+//     touching S; an edge in that intersection is applied iff S1 ∪ S2
+//     covers it.
 //     The builder keeps each edge's node set, built once per run, and
 //     one inc(S) row per memo entry (one bit per edge, in plain words),
 //     in arena-handle order: a relation's row comes from the graph, and
@@ -478,4 +484,11 @@
 //     tree doubles as a physical plan. Custom models can do the same by
 //     implementing cost.PhysicalModel (ChooseJoin must return the cost
 //     JoinCost reports).
+//
+// Cout and NestedLoop declare cost.Symmetric: an inner join costs the
+// same, to the bit, with its inputs swapped, so the plan builder prices
+// each inner csg-cmp-pair with one JoinCost call instead of one per
+// orientation. A custom model declares the same property with a
+// SymmetricJoin() method; a model without it is priced in both
+// orientations.
 package repro

@@ -22,6 +22,12 @@
 // through the planner's WithCostModel option. Implementations provided
 // here: Cout (default), NestedLoop, Hash, Cmm (per-operator main-memory
 // weights), and Physical (operator selection).
+//
+// A model whose inner-join cost does not depend on the orientation
+// declares it by implementing Symmetric, as Cout and NestedLoop do. The
+// plan generator then prices an inner csg-cmp-pair with one JoinCost
+// call instead of one per orientation, the §2.2 minimum of one cost
+// function call per csg-cmp-pair.
 package cost
 
 import (
@@ -34,31 +40,34 @@ import (
 // with cardinalities leftCard and rightCard under the combined predicate
 // selectivity sel (the product of the selectivities of all edges
 // connecting the two sides).
+//
+// An inner join's estimate is leftCard · rightCard · sel, which IEEE
+// multiplication gives bit for bit under swapped inputs.
 func EstimateCard(op algebra.Op, leftCard, rightCard, sel float64) float64 {
 	inner := leftCard * rightCard * sel
-	// matchFrac approximates the fraction of left rows with at least one
-	// join partner. For independent matches, a left row expects
-	// rightCard*sel partners, capped at probability 1.
-	matchFrac := math.Min(1, rightCard*sel)
 	switch op.RegularVariant() {
 	case algebra.Join:
 		return inner
 	case algebra.SemiJoin:
-		return leftCard * matchFrac
+		return leftCard * matchFrac(rightCard, sel)
 	case algebra.AntiJoin:
-		return leftCard * (1 - matchFrac)
+		return leftCard * (1 - matchFrac(rightCard, sel))
 	case algebra.LeftOuter:
 		// Matching rows plus NULL-padded non-matching left rows.
-		return inner + leftCard*(1-matchFrac)
+		return inner + leftCard*(1-matchFrac(rightCard, sel))
 	case algebra.FullOuter:
-		rightMatchFrac := math.Min(1, leftCard*sel)
-		return inner + leftCard*(1-matchFrac) + rightCard*(1-rightMatchFrac)
+		return inner + leftCard*(1-matchFrac(rightCard, sel)) + rightCard*(1-matchFrac(leftCard, sel))
 	case algebra.NestJoin:
 		// One output row per left row (§5.1: RT S = {r ∘ ν(r) | r ∈ R}).
 		return leftCard
 	}
 	return inner
 }
+
+// matchFrac approximates the fraction of one side's rows with at least
+// one join partner on the other side, of otherCard rows. For independent
+// matches, a row expects otherCard*sel partners, capped at probability 1.
+func matchFrac(otherCard, sel float64) float64 { return math.Min(1, otherCard*sel) }
 
 // Model prices a single join node given the costs and cardinalities of
 // its inputs and the estimated output cardinality. Implementations must
@@ -70,6 +79,26 @@ type Model interface {
 	JoinCost(op algebra.Op, leftCost, rightCost, leftCard, rightCard, outCard float64) float64
 	// Name identifies the model in reports.
 	Name() string
+}
+
+// Symmetric is a Model that declares its inner-join cost independent of
+// the orientation, to the bit: for all inputs,
+//
+//	JoinCost(algebra.Join, a, b, ca, cb, out) == JoinCost(algebra.Join, b, a, cb, ca, out)
+//
+// with equal float64 bits, NaN inputs aside (IEEE arithmetic may take a
+// NaN result's payload from either operand). A model that is also a
+// PhysicalModel must return the same PhysOp and cost bits from
+// ChooseJoin under the swap.
+// The plan generator (dp.Builder) then prices an inner join of two sides
+// with one call and stores the orientation the memo's tie-break would
+// keep; a model that does not declare the property is priced in both
+// orientations. Inner-join cardinalities are symmetric already
+// (EstimateCard).
+type Symmetric interface {
+	Model
+	// SymmetricJoin marks the declaration; it is never called.
+	SymmetricJoin()
 }
 
 // Cout is the C_out cost model: the cost of a plan is the sum of the
@@ -84,6 +113,9 @@ func (Cout) JoinCost(_ algebra.Op, leftCost, rightCost, _, _, outCard float64) f
 // Name implements Model.
 func (Cout) Name() string { return "Cout" }
 
+// SymmetricJoin implements Symmetric: IEEE addition commutes exactly.
+func (Cout) SymmetricJoin() {}
+
 // NestedLoop models a tuple-at-a-time nested-loop evaluation: each join
 // reads the full cross product of its inputs.
 type NestedLoop struct{}
@@ -95,6 +127,10 @@ func (NestedLoop) JoinCost(_ algebra.Op, leftCost, rightCost, leftCard, rightCar
 
 // Name implements Model.
 func (NestedLoop) Name() string { return "Cnlj" }
+
+// SymmetricJoin implements Symmetric: IEEE addition and multiplication
+// commute exactly.
+func (NestedLoop) SymmetricJoin() {}
 
 // Hash models a main-memory hash join: build on the right input, probe
 // with the left, pay for the output.

@@ -1,6 +1,9 @@
 package cost
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
@@ -94,5 +97,48 @@ func TestModelNamesDistinct(t *testing.T) {
 			t.Errorf("duplicate model name %q", m.Name())
 		}
 		seen[m.Name()] = true
+	}
+}
+
+// TestSymmetricModelsSwap: Cout and NestedLoop, and only they, declare
+// Symmetric, and each gives the same inner-join cost bits under swapped
+// inputs; EstimateCard gives the same inner-join cardinality bits under
+// a swap. Inputs are random across scales and the edge values zero,
+// subnormal, 1e308, MaxFloat64 and +Inf, whose products and sums
+// overflow and make NaNs.
+func TestSymmetricModelsSwap(t *testing.T) {
+	var declared []string
+	var symmetric []Model
+	for _, m := range []Model{Cout{}, NestedLoop{}, Hash{}, Cmm{}, Physical{}} {
+		if _, ok := m.(Symmetric); ok {
+			declared = append(declared, m.Name())
+			symmetric = append(symmetric, m)
+		}
+	}
+	if !slices.Equal(declared, []string{"Cout", "Cnlj"}) {
+		t.Fatalf("models declaring Symmetric: %v, want [Cout Cnlj]", declared)
+	}
+	edge := []float64{0, math.SmallestNonzeroFloat64, 1e-310, 1, 1e308, math.MaxFloat64, math.Inf(1)}
+	rng := rand.New(rand.NewSource(26))
+	draw := func() float64 {
+		if rng.Intn(3) == 0 {
+			return edge[rng.Intn(len(edge))]
+		}
+		return math.Exp(rng.Float64()*1400 - 700)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 20000; trial++ {
+		lcost, rcost, lcard, rcard, sel := draw(), draw(), draw(), draw(), draw()
+		card := EstimateCard(algebra.Join, lcard, rcard, sel)
+		if swapped := EstimateCard(algebra.Join, rcard, lcard, sel); !same(card, swapped) {
+			t.Fatalf("EstimateCard(Join, %g, %g, %g) = %g, swapped %g", lcard, rcard, sel, card, swapped)
+		}
+		for _, m := range symmetric {
+			c := m.JoinCost(algebra.Join, lcost, rcost, lcard, rcard, card)
+			if swapped := m.JoinCost(algebra.Join, rcost, lcost, rcard, lcard, card); !same(c, swapped) {
+				t.Fatalf("%s.JoinCost(Join, %g, %g, %g, %g, %g) = %g, swapped %g",
+					m.Name(), lcost, rcost, lcard, rcard, card, c, swapped)
+			}
+		}
 	}
 }

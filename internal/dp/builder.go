@@ -11,8 +11,11 @@
 // switching to dependent variants when the right side references the
 // left (§5.6), applying the optional generate-and-test filter (the
 // TES-check alternative measured in Fig. 8a), estimating cardinalities,
-// and costing both orientations of commutative operators — and
-// materializes the winning plan tree out of the engine's arena.
+// and costing the orientations of commutative operators — and
+// materializes the winning plan tree out of the engine's arena. A model
+// that declares cost.Symmetric prices an inner-join pair with one cost
+// call, §2.2's minimum; every other pair is priced in each orientation
+// it may take.
 //
 // A pair is priced from the edges both of its sides touch, never from a
 // scan over every edge. An edge applied at the join of disjoint S1 and
@@ -33,6 +36,7 @@ package dp
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -86,6 +90,12 @@ type Builder struct {
 	// Engine is the memo this run stores plans into.
 	Engine *memo.Engine
 
+	// What Model declares, read once per run by NewRun: physical is the
+	// model as a cost.PhysicalModel (nil if it is not one), and
+	// symmetric reports that it implements cost.Symmetric.
+	physical  cost.PhysicalModel
+	symmetric bool
+
 	// The per-run graph index. edgeNodes[i] is U ∪ V ∪ W of edge i.
 	// inc holds words uint64 words per memo entry, in arena-handle
 	// order: inc[h*words:(h+1)*words] is inc(S) for the entry at handle
@@ -119,6 +129,8 @@ func NewRun(pool *memo.Pool, g *hypergraph.Graph, m cost.Model) (*memo.Engine, *
 		e.SetBackend(b)
 	}
 	b.G, b.Model, b.Engine = g, m, e
+	b.physical, _ = m.(cost.PhysicalModel)
+	_, b.symmetric = m.(cost.Symmetric)
 	b.indexGraph()
 	return e, b
 }
@@ -198,6 +210,7 @@ func NewBuilder(g *hypergraph.Graph, m cost.Model) *Builder {
 func (b *Builder) Release() {
 	b.G = nil
 	b.Model = nil
+	b.physical = nil
 	b.Filter = nil
 	b.Engine = nil
 	clear(b.edgeNodes)
@@ -251,8 +264,10 @@ func (b *Builder) Final() (*plan.Node, error) {
 // pair: both children are looked up, one walk over the edges both sides
 // touch yields the applied edges and their selectivity product, the
 // connecting edges and the operator, and the free tables of each side
-// are computed only when the graph has dependent relations. When the
-// pair made S's memo entry, the entry's incidence row is appended.
+// are computed only when the graph has dependent relations. An inner
+// join under a cost.Symmetric model, on a run without dependent
+// relations or a filter, is priced once (buildSymmetric). When the pair
+// made S's memo entry, the entry's incidence row is appended.
 //
 //dp:hotpath
 func (b *Builder) BuildPair(S1, S2 bitset.Set) bool {
@@ -269,25 +284,57 @@ func (b *Builder) BuildPair(S1, S2 bitset.Set) bool {
 	if ambiguous {
 		b.Engine.Stats.AmbiguousOps++
 	}
-	l, r := side{rels: S1, h: lh}, side{rels: S2, h: rh}
-	if b.dependent {
-		l.free, r.free = b.G.FreeTables(S1), b.G.FreeTables(S2)
-	}
 
 	made := b.Engine.Entries()
-	switch {
-	case op.Commutative():
-		b.tryBuild(S, &l, &r, op, sel, false)
-		b.tryBuild(S, &r, &l, op, sel, true)
-	case leftIsS1:
-		b.tryBuild(S, &l, &r, op, sel, false)
-	default:
-		b.tryBuild(S, &r, &l, op, sel, true)
+	if op == algebra.Join && b.symmetric && !b.dependent && b.Filter == nil {
+		b.buildSymmetric(S, S1, S2, lh, rh, sel)
+	} else {
+		l, r := side{rels: S1, h: lh}, side{rels: S2, h: rh}
+		if b.dependent {
+			l.free, r.free = b.G.FreeTables(S1), b.G.FreeTables(S2)
+		}
+		switch {
+		case op.Commutative():
+			b.tryBuild(S, &l, &r, op, sel, false)
+			b.tryBuild(S, &r, &l, op, sel, true)
+		case leftIsS1:
+			b.tryBuild(S, &l, &r, op, sel, false)
+		default:
+			b.tryBuild(S, &r, &l, op, sel, true)
+		}
 	}
 	if b.Engine.Entries() > made {
 		b.appendRow(lh, rh)
 	}
 	return true
+}
+
+// buildSymmetric prices the inner join of S1 and S2, at arena handles lh
+// and rh, with one cost call and stores it with one Engine.Improve,
+// leaving the memo as pricing both orientations would. Both orientations
+// get the same card and cost bits (cost.Symmetric), and among
+// equal-cost candidates Improve keeps the smaller left side, so the join
+// is stored as (S1, S2) when S1.Less(S2) and as (S2, S1) otherwise. A
+// NaN cost replaces any incumbent, so the second orientation, (S2, S1),
+// would win; it is stored that way. The second ChargePlan, after the
+// write, counts the orientation that was not priced, so CostedPlans and
+// the plan budget read as they do with two calls.
+//
+//dp:hotpath
+func (b *Builder) buildSymmetric(S, S1, S2 bitset.Set, lh, rh int32, sel float64) {
+	e := b.Engine
+	if !e.ChargePlan() {
+		return
+	}
+	lcard, lcost := e.PlanInfo(lh)
+	rcard, rcost := e.PlanInfo(rh)
+	card := cost.EstimateCard(algebra.Join, lcard, rcard, sel)
+	phys, c := b.price(algebra.Join, lcost, rcost, lcard, rcard, card)
+	if math.IsNaN(c) || S2.Less(S1) {
+		lh, rh = rh, lh
+	}
+	e.Improve(S, lh, rh, algebra.Join, phys, card, c, b.edgeBuf)
+	e.ChargePlan()
 }
 
 // PriceJoin prices the inner join of memoed left and right in that
@@ -419,17 +466,20 @@ func (b *Builder) tryBuild(S bitset.Set, left, right *side, op algebra.Op, sel f
 	lcard, lcost := e.PlanInfo(left.h)
 	rcard, rcost := e.PlanInfo(right.h)
 	card := cost.EstimateCard(op, lcard, rcard, sel)
-	var (
-		c    float64
-		phys algebra.PhysOp
-	)
-	if pm, ok := b.Model.(cost.PhysicalModel); ok {
-		phys, c = pm.ChooseJoin(op, lcost, rcost, lcard, rcard, card)
-	} else {
-		c = b.Model.JoinCost(op, lcost, rcost, lcard, rcard, card)
-	}
-
+	phys, c := b.price(op, lcost, rcost, lcard, rcard, card)
 	e.Improve(S, left.h, right.h, op, phys, card, c, b.edgeBuf)
+}
+
+// price returns the total cost of "left op right" under the run's model,
+// and the physical operator a cost.PhysicalModel chooses for it
+// (PhysNone under any other model).
+//
+//dp:hotpath
+func (b *Builder) price(op algebra.Op, lcost, rcost, lcard, rcard, card float64) (algebra.PhysOp, float64) {
+	if b.physical != nil {
+		return b.physical.ChooseJoin(op, lcost, rcost, lcard, rcard, card)
+	}
+	return algebra.PhysNone, b.Model.JoinCost(op, lcost, rcost, lcard, rcard, card)
 }
 
 // flipRefs inverts the Flipped flags into the reusable flip buffer.

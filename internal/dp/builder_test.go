@@ -42,7 +42,8 @@ func TestEmitCsgCmpInnerJoinBothOrientations(t *testing.T) {
 	if b.Engine.Stats.CsgCmpPairs != 1 {
 		t.Errorf("pairs = %d", b.Engine.Stats.CsgCmpPairs)
 	}
-	// Commutative: both orientations priced.
+	// Commutative: both orientations count as candidate plans, although
+	// Cout, a symmetric model, prices them with one call.
 	if b.Engine.Stats.CostedPlans != 2 {
 		t.Errorf("costed = %d, want 2", b.Engine.Stats.CostedPlans)
 	}
@@ -275,6 +276,9 @@ func TestFinalChecksRowPerEntry(t *testing.T) {
 // a warmed builder, pricing a pair — child lookups, the walk over the
 // edges both sides touch, free tables, dependency checks, filter and
 // Improve — allocates nothing, with incidence rows of one word or two.
+// The plain row prices its inner joins with Cout's one call, and
+// plain-hash prices them in both orientations, since Hash does not
+// declare cost.Symmetric.
 func TestBuildPairAllocs(t *testing.T) {
 	g := straddleGraph()
 	dep := g.Clone()
@@ -292,15 +296,17 @@ func TestBuildPairAllocs(t *testing.T) {
 		name   string
 		g      *hypergraph.Graph
 		filter Filter
+		model  cost.Model
 	}{
-		{"plain", g, nil},
-		{"dependent", dep, nil},
-		{"filter", g, func(_, _ bitset.Set, conn []EdgeRef) bool { return len(conn) > 0 }},
-		{"generalized", gen, nil},
-		{"clique12", clique, nil}, // 66 edges: two words per incidence row
+		{"plain", g, nil, cost.Cout{}},
+		{"plain-hash", g, nil, cost.Hash{}},
+		{"dependent", dep, nil, cost.Cout{}},
+		{"filter", g, func(_, _ bitset.Set, conn []EdgeRef) bool { return len(conn) > 0 }, cost.Cout{}},
+		{"generalized", gen, nil, cost.Cout{}},
+		{"clique12", clique, nil, cost.Cout{}}, // 66 edges: two words per incidence row
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			b := NewBuilder(c.g, cost.Cout{})
+			b := NewBuilder(c.g, c.model)
 			b.Filter = c.filter
 			b.Init()
 			b.Engine.EmitPair(bitset.New(0), bitset.New(1))

@@ -24,24 +24,24 @@ import (
 	"repro/internal/workload"
 )
 
+// namedGraph is a test graph and the name its subtests carry.
+type namedGraph struct {
+	name string
+	g    *hypergraph.Graph
+}
+
 // kernelGraphs returns the graphs the pricing kernel is checked on:
 // simple edges, hyperedges and generalized edges (W ≠ ∅), non-inner
 // operators, dependent relations, incidence rows of one, two, three and
 // seventeen words, more memo entries than the rows are pre-sized for,
 // and sets wider than one word.
-func kernelGraphs() []struct {
-	name string
-	g    *hypergraph.Graph
-} {
+func kernelGraphs() []namedGraph {
 	rng := rand.New(rand.NewSource(22))
 	cfg := workload.DefaultConfig()
 	dep := workload.RandomSimple(rng, 10, 6, cfg)
 	dep.SetFree(7, bitset.New(2))
 	dep.SetFree(4, bitset.New(1, 8))
-	return []struct {
-		name string
-		g    *hypergraph.Graph
-	}{
+	return []namedGraph{
 		{"simple10", workload.RandomSimple(rng, 10, 12, cfg)},
 		{"hyper10", workload.RandomHyper(rng, 10, 10, cfg)},
 		{"generalized-ops10", kernelGraph(rng, 10, false, 12)},
@@ -224,19 +224,8 @@ func TestPairEdgesMatchScan(t *testing.T) {
 // exactly the edges the reference scan finds for its two inputs, with
 // the cardinality their selectivity product gives.
 func TestPlansApplyScannedEdges(t *testing.T) {
-	type solver func(*hypergraph.Graph, dp.Options) (*plan.Node, dp.Stats, error)
-	exact := []struct {
-		name  string
-		solve solver
-	}{
-		{"dphyp", core.Solve},
-		{"dpsize", dpsize.Solve},
-		{"dpsub", dpsub.Solve},
-		{"dpccp", dpccp.Solve},
-		{"topdown", topdown.Solve},
-	}
 	shared := &memo.Pool{}
-	check := func(t *testing.T, g *hypergraph.Graph, solve solver, pool *memo.Pool) {
+	check := func(t *testing.T, g *hypergraph.Graph, solve solveFunc, pool *memo.Pool) {
 		p, _, err := solve(g, dp.Options{Pool: pool})
 		if err != nil {
 			t.Fatal(err)
@@ -255,7 +244,7 @@ func TestPlansApplyScannedEdges(t *testing.T) {
 				pool, exactRuns = nil, true
 			}
 			if exactRuns {
-				for _, s := range exact {
+				for _, s := range exactSolvers {
 					if s.name == "dpccp" && hasHyperedge(g) {
 						continue
 					}
@@ -268,6 +257,21 @@ func TestPlansApplyScannedEdges(t *testing.T) {
 			}
 		})
 	}
+}
+
+type solveFunc func(*hypergraph.Graph, dp.Options) (*plan.Node, dp.Stats, error)
+
+// exactSolvers are the exact enumerators; DPccp plans simple graphs
+// only.
+var exactSolvers = []struct {
+	name  string
+	solve solveFunc
+}{
+	{"dphyp", core.Solve},
+	{"dpsize", dpsize.Solve},
+	{"dpsub", dpsub.Solve},
+	{"dpccp", dpccp.Solve},
+	{"topdown", topdown.Solve},
 }
 
 // iterDP runs IterDP with clusters of at most 4 relations and DPhyp

@@ -12,8 +12,11 @@
 // The solver is a pure enumerator: memoization, budgets, and plan
 // construction route through the shared memo engine (internal/memo),
 // and neighborhood subsets are generated with the bitset.SubsetsOf
-// iterator. A set a filter or dependency constraint left without a plan
-// makes Engine.EmitPair decline every pair it is a side of.
+// iterator. As in DPhyp's recursion, each set travels with the union of
+// its members' simple neighbours, so N(S, X) is that union minus S ∪ X
+// and growing S by n adds only n's neighbours. A set a filter or
+// dependency constraint left without a plan makes Engine.EmitPair
+// decline every pair it is a side of.
 //
 // Solve fails with ErrHyperedge if the graph contains hyperedges; use
 // DPhyp for those.
@@ -48,8 +51,9 @@ func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
 		s := &solver{g: g, e: b.Engine}
 		for v := g.NumRels() - 1; v >= 0 && s.e.Aborted() == nil; v-- {
 			S := bitset.Single(v)
-			s.emitCmp(S)
-			s.enumerateCsgRec(S, bitset.BelowEq(v))
+			su := g.SimpleNeighborUnion(S)
+			s.emitCmp(S, su)
+			s.enumerateCsgRec(S, bitset.BelowEq(v), su)
 		}
 		return nil
 	})
@@ -57,14 +61,15 @@ func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
 
 // enumerateCsgRec grows connected subgraphs along the adjacency
 // structure. On simple graphs S1 ∪ N' is connected for every non-empty
-// N' ⊆ N(S1), so no membership test is required.
+// N' ⊆ N(S1), so no membership test is required. su is the
+// SimpleNeighborUnion of S1.
 //
 //dp:hotpath
-func (s *solver) enumerateCsgRec(S1, X bitset.Set) {
+func (s *solver) enumerateCsgRec(S1, X, su bitset.Set) {
 	if !s.e.Step() {
 		return
 	}
-	N := s.g.Neighborhood(S1, X)
+	N := su.Minus(S1.Union(X))
 	if N.IsEmpty() {
 		return
 	}
@@ -72,44 +77,46 @@ func (s *solver) enumerateCsgRec(S1, X bitset.Set) {
 		if !s.e.Step() {
 			return
 		}
-		s.emitCmp(S1.Union(n))
+		s.emitCmp(S1.Union(n), su.Union(s.g.SimpleNeighborUnion(n)))
 	}
 	newX := X.Union(N)
 	for n := range N.SubsetsOf() {
-		s.enumerateCsgRec(S1.Union(n), newX)
+		s.enumerateCsgRec(S1.Union(n), newX, su.Union(s.g.SimpleNeighborUnion(n)))
 	}
 }
 
-// emitCmp enumerates all connected complements of the csg S1. Nodes
-// ordered before min(S1) are excluded to avoid duplicate pairs; each
-// complement is grown from its ≺-minimal neighbor.
+// emitCmp enumerates all connected complements of the csg S1, whose
+// SimpleNeighborUnion is su. Nodes ordered before min(S1) are excluded
+// to avoid duplicate pairs; each complement is grown from its
+// ≺-minimal neighbor.
 //
 //dp:hotpath
-func (s *solver) emitCmp(S1 bitset.Set) {
+func (s *solver) emitCmp(S1, su bitset.Set) {
 	if !s.e.Step() {
 		return
 	}
 	X := S1.Union(bitset.BelowEq(S1.Min()))
-	N := s.g.Neighborhood(S1, X)
+	N := su.Minus(X)
 	if N.IsEmpty() {
 		return
 	}
 	for v := N.Max(); v >= 0 && s.e.Aborted() == nil; v = prevElem(N, v) {
 		S2 := bitset.Single(v)
 		s.e.EmitPair(S1, S2)
-		s.growCmp(S1, S2, X.Union(N.Intersect(bitset.BelowEq(v))))
+		s.growCmp(S1, S2, X.Union(N.Intersect(bitset.BelowEq(v))), s.g.SimpleNeighborUnion(S2))
 	}
 }
 
-// growCmp extends the complement S2; every grown set remains connected
-// and adjacent to S1, so every grown set is offered to EmitPair.
+// growCmp extends the complement S2, whose SimpleNeighborUnion is su;
+// every grown set remains connected and adjacent to S1, so every grown
+// set is offered to EmitPair.
 //
 //dp:hotpath
-func (s *solver) growCmp(S1, S2, X bitset.Set) {
+func (s *solver) growCmp(S1, S2, X, su bitset.Set) {
 	if !s.e.Step() {
 		return
 	}
-	N := s.g.Neighborhood(S2, X)
+	N := su.Minus(S2.Union(X))
 	if N.IsEmpty() {
 		return
 	}
@@ -121,7 +128,7 @@ func (s *solver) growCmp(S1, S2, X bitset.Set) {
 	}
 	newX := X.Union(N)
 	for n := range N.SubsetsOf() {
-		s.growCmp(S1, S2.Union(n), newX)
+		s.growCmp(S1, S2.Union(n), newX, su.Union(s.g.SimpleNeighborUnion(n)))
 	}
 }
 

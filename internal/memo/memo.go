@@ -14,7 +14,9 @@
 //     enumeration no plan nodes are heap-allocated at all, table entries
 //     are overwritten in place when a cheaper plan is found, and only the
 //     winning tree is materialized into *plan.Node form by Final;
-//   - centralized budget accounting (csg-cmp-pairs and costed plans),
+//   - centralized budget accounting (csg-cmp-pairs and candidate plans,
+//     where a commutative pair's two orientations count as two plans
+//     even when a symmetric cost model prices them with one call),
 //     context-cancellation polling (Step), cost-based pruning (Improve
 //     keeps an entry only when it beats the incumbent), and the counting
 //     and observation hooks (Stats, OnEmit);
@@ -74,7 +76,7 @@ const pollInterval = 1024
 // number of csg-cmp-pairs" (§2.2).
 type Stats struct {
 	CsgCmpPairs   int // pairs admitted through ChargePair (unordered pairs)
-	CostedPlans   int // plans actually priced (2x for commutative ops)
+	CostedPlans   int // candidate plans; a commutative pair counts 2, even when one cost call prices both
 	FilterReject  int // plans rejected by the generate-and-test filter
 	InvalidReject int // plans rejected by dependency constraints
 	AmbiguousOps  int // pairs connected by more than one non-inner edge

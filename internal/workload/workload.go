@@ -44,13 +44,14 @@ func DefaultConfig() Config {
 }
 
 // LargeConfig is tuned for queries beyond the historical 64-relation
-// ceiling. DefaultConfig's per-join growth factor (card·sel) averages
-// about 10×, which overflows float64 cardinality estimates near 100
-// joins — every plan, including the true optimum, prices to +Inf and
-// cost comparison degenerates. Real schemas at that scale are joined
-// along PK–FK chains whose selectivity is the reciprocal of a key
-// count, so the growth factor hovers near one; this config mirrors
-// that (E[ln(card·sel)] ≈ 0.3), keeping estimates finite out to a few
+// ceiling. DefaultConfig's per-join growth factor (card·sel) is about
+// 1.4e3× (E[ln(card·sel)] ≈ 7.3), which overflows float64 cardinality
+// estimates (ln MaxFloat64 ≈ 710) near 100 joins — every plan,
+// including the true optimum, prices to +Inf and cost comparison
+// degenerates. Real schemas at that scale are joined along PK–FK
+// chains whose selectivity is the reciprocal of a key count, so the
+// growth factor hovers near one; this config mirrors that
+// (E[ln(card·sel)] ≈ 0.3), keeping estimates finite out to a few
 // hundred relations.
 func LargeConfig() Config {
 	return Config{

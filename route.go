@@ -30,8 +30,8 @@ const autoMaxGreedyRels = 64
 // Every exact solver prices the same csg-cmp-pairs through the same
 // plan builder and the same order-independent tie-break, so routing
 // never changes the plan, only the time to find it. The ratios below
-// were measured on 2 CPUs (Planner, cache off, 15 interleaved pairs
-// per cell; medians):
+// were measured on 2 CPUs (Planner, cache off, DefaultConfig; 9–41
+// interleaved reps per cell; ratios of medians):
 //
 //   - Any query with hyperedges goes to DPhyp, the only enumerator that
 //     handles them without generating connectivity-failing pairs
@@ -41,9 +41,12 @@ const autoMaxGreedyRels = 64
 //     and a traced call already bypasses the cache.
 //   - Every other graph goes to DPccp. On a graph without hyperedges it
 //     emits the same pairs as DPhyp (§4.4) and needs no DP-table
-//     membership test: serial DPccp takes 0.80–0.94× of DPhyp's time
-//     on stars, grids, cycles and chains, 0.14–0.48× of DPsize's on
-//     chains of 8–24, and 0.94–0.98× of TopDown's on clique10–14.
+//     membership test: DPhyp takes 1.06–1.15× of DPccp's time on
+//     chains of 5–20, 1.09–1.13× on cycles of 8–20, 1.11–1.13× on
+//     grid3×4 and grid4×4, 1.10–1.22× on stars of 6–14 and 1.01–1.31×
+//     on clique8–12 (two runs). Earlier runs put DPccp at 0.14–0.48×
+//     of DPsize's time on chains of 8–24 and 0.94–0.98× of TopDown's
+//     on clique10–14.
 //
 // Every route enumerates on one goroutine: no parallel route beat
 // serial DPccp on a clique a benchmark workload plans (see Concurrency
