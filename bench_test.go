@@ -164,11 +164,16 @@ func BenchmarkAblationCostModels(b *testing.B) {
 // plus a 64-relation LargeConfig chain, the exact path's long-query
 // case. enumerate-auto plans one cell per route through SolverAuto, so
 // a route change shows as a time change there — LargeConfig grid10x10
-// (IterDP, lib-large's slowest shape) and clique20 (Greedy) among them —
-// plus chain5 and star6, where a fixed per-pair or per-run cost of the
-// plan builder shows against the few pairs such small queries have.
+// (IterDP, lib-large's slowest shape), and clique20 and clique40
+// (Greedy; clique40's 780 edges are its worst case) among them — plus
+// chain5 and star6, where a fixed per-pair or per-run cost of the plan
+// builder shows against the few pairs such small queries have.
+// clique40 draws selectivities from [0.1, 1), as lib-large's cliques
+// do, so its cardinalities do not underflow to 0.
 func BenchmarkPlannerSession(b *testing.B) {
 	cfg := workload.DefaultConfig()
+	cliqueCfg := workload.LargeConfig() // lib-large's clique selectivities
+	cliqueCfg.MinSel, cliqueCfg.MaxSel = 0.1, 1
 	g := workload.Clique(8, cfg)
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -204,6 +209,7 @@ func BenchmarkPlannerSession(b *testing.B) {
 		{"cycle-hyper12-5", workload.CycleHyper(12, 5, cfg)},
 		{"grid10x10-large", workload.Grid(10, 10, workload.LargeConfig())},
 		{"clique20-large", workload.Clique(20, workload.LargeConfig())},
+		{"clique40-large", workload.Clique(40, cliqueCfg)},
 	} {
 		b.Run("enumerate-auto/"+c.name, func(b *testing.B) {
 			p := NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0))

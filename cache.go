@@ -3,12 +3,15 @@ package repro
 import (
 	"container/list"
 	"sync"
+
+	"repro/internal/plan"
 )
 
 // planCache is a bounded LRU mapping configuration+fingerprint keys to
-// finished plans. Entries store a private clone of the plan tree and
-// hand out a fresh clone on every hit, so cached state can never be
-// corrupted by a caller mutating its Result.
+// finished plans. Entries store the plan packed (plan.Pack: about 40
+// bytes per node, where the tree takes 112) and hand out a fresh tree
+// unpacked from it on every hit, so cached state can never be corrupted
+// by a caller mutating its Result.
 //
 // Invalidation is structural rather than explicit: the key embeds the
 // full canonical description of the graph (cardinalities, free sets,
@@ -25,7 +28,7 @@ type planCache struct {
 
 type cacheEntry struct {
 	key   string
-	plan  *PlanNode
+	plan  plan.Packed
 	stats Stats
 	alg   Algorithm
 }
@@ -39,7 +42,7 @@ func newPlanCache(capacity int) *planCache {
 }
 
 // get returns a Result for key, or false. The returned Result carries a
-// clone of the cached plan, the original run's Stats with CacheHit set,
+// fresh tree of the cached plan, the original run's Stats with CacheHit set,
 // and no Graph (the caller fills in the graph it planned against). The
 // key is probed as bytes, so a lookup allocates no key string.
 func (c *planCache) get(key []byte) (*Result, bool) {
@@ -51,33 +54,31 @@ func (c *planCache) get(key []byte) (*Result, bool) {
 	}
 	c.ll.MoveToFront(el)
 	e := el.Value.(*cacheEntry)
-	// The entry's plan is a private clone that is only ever replaced
-	// wholesale, so the pointer can be read under the lock and the
-	// O(plan-size) deep copy done outside it — concurrent hits would
-	// otherwise serialize on the clone.
+	// The entry's packed plan is never written, only replaced wholesale,
+	// so it can be read under the lock and the O(plan-size) unpack done
+	// outside it — concurrent hits would otherwise serialize on it.
 	cached := e.plan
 	stats := e.stats
 	alg := e.alg
 	c.mu.Unlock()
 
 	stats.CacheHit = true
-	return &Result{Plan: cached.Clone(), Stats: stats, Algorithm: alg}, true
+	return &Result{Plan: cached.Unpack(), Stats: stats, Algorithm: alg}, true
 }
 
-// add stores a clone of plan under key, evicting the least recently
-// used entry when the cache is full.
-func (c *planCache) add(key string, plan *PlanNode, stats Stats, alg Algorithm) {
-	clone := plan.Clone()
+// add stores a packed plan (plan.Pack) under key, evicting the least
+// recently used entry when the cache is full.
+func (c *planCache) add(key string, packed plan.Packed, stats Stats, alg Algorithm) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).plan = clone
+		el.Value.(*cacheEntry).plan = packed
 		el.Value.(*cacheEntry).stats = stats
 		el.Value.(*cacheEntry).alg = alg
 		return
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, plan: clone, stats: stats, alg: alg})
+	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, plan: packed, stats: stats, alg: alg})
 	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -88,10 +89,10 @@ func (c *planCache) add(key string, plan *PlanNode, stats Stats, alg Algorithm) 
 
 // snapshotEntries returns the cache contents oldest-first, so replaying
 // them through add() reproduces the LRU recency order. The returned
-// entries share the cached plan trees: those are private clones that
-// are only ever replaced wholesale (never mutated in place), so reading
-// them after the lock is released is safe — the same contract get()
-// relies on to clone outside the lock.
+// entries share the packed plans: those are only ever replaced
+// wholesale (never written in place), so reading them after the lock is
+// released is safe — the same contract get() relies on to unpack
+// outside the lock.
 func (c *planCache) snapshotEntries() []cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()

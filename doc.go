@@ -60,13 +60,13 @@
 // WithBudget caps enumeration effort by csg-cmp-pairs (the §2.2
 // yardstick) and/or costed plans. When the budget trips, the planner
 // adaptively degrades: it discards the partial exact enumeration and
-// plans with Greedy (GOO) instead, which needs only O(n³) pair
-// inspections and always produces a valid — though not necessarily
-// optimal — plan. The downgrade is recorded in Stats.BudgetExhausted
-// and Stats.FallbackGreedy, and Result.Algorithm reports Greedy. With
-// WithoutGreedyFallback the trip is instead a hard error wrapping
-// ErrBudgetExhausted. Huge or adversarial queries therefore degrade
-// gracefully instead of hanging a server.
+// plans with Greedy (GOO) instead, which needs only about n²
+// rankings, each an incidence-row walk, and always produces a valid —
+// though not necessarily optimal — plan. The downgrade is recorded in
+// Stats.BudgetExhausted and Stats.FallbackGreedy, and Result.Algorithm
+// reports Greedy. With WithoutGreedyFallback the trip is instead a hard
+// error wrapping ErrBudgetExhausted. Huge or adversarial queries
+// therefore degrade gracefully instead of hanging a server.
 //
 // # Plan cache and scratch reuse
 //
@@ -76,12 +76,15 @@
 // the planning configuration (algorithm, cost model, conflict rule,
 // edge mode, budget and fallback policy, IterDP cluster size).
 // Repeated traffic over the same query shapes skips enumeration
-// entirely. A hit builds its key in a 2 KB stack buffer, so up to an
-// 11-relation clique or a 35-relation chain the lookup allocates
-// nothing, and it returns a private copy of the cached plan made in two
-// allocations whatever the plan's size — one slab of nodes, one of edge
-// indices — with the original run's Stats and Stats.CacheHit set.
-// Only a miss allocates the key string the cache stores.
+// entirely. The cache stores each plan packed (plan.Pack: about 40
+// bytes per node, where the plan tree takes 112). A hit builds its key
+// in a 2 KB stack buffer, so up to an 11-relation clique or a
+// 35-relation chain the lookup allocates nothing, and it returns a
+// fresh tree unpacked from the cached plan in two allocations whatever
+// the plan's size — one slab of nodes, one of edge indices; a plan over
+// more than 64 relations adds one per node that covers a relation ≥ 64
+// — with the original run's Stats and Stats.CacheHit set. Only a miss
+// allocates the key string the cache stores.
 //
 // Invalidation is structural: there is nothing to invalidate
 // explicitly, because any change to the graph or the configuration

@@ -56,9 +56,12 @@ func main() {
 	fmt.Println("\nAll algorithms search the same space and find the same optimum;")
 	fmt.Println("they differ in wasted work, which grows with query size (see cmd/dpbench).")
 
-	// Replanning the same query shape hits the fingerprint cache.
+	// Replanning the same query shape hits the fingerprint cache. Only
+	// the deterministic counters are printed: ArenaReuses, for one,
+	// depends on whether sync.Pool kept an engine across a collection.
 	if r, err := planner.Plan(ctx, buildQuery()); err == nil {
-		fmt.Printf("\nreplanned the same shape: cache hit = %t (metrics: %+v)\n",
-			r.Stats.CacheHit, planner.Metrics())
+		m := planner.Metrics()
+		fmt.Printf("\nreplanned the same shape: cache hit = %t (plans %d, cache hits %d, cache misses %d)\n",
+			r.Stats.CacheHit, m.Plans, m.CacheHits, m.CacheMisses)
 	}
 }

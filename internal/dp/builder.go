@@ -26,8 +26,9 @@
 // of an entry the builder makes is the union of its two children's rows,
 // so a pair reads both sides' rows by handle. The walk is in ascending
 // edge index, so estimates are bit-identical across solvers and
-// orientations. The walk is also EmitPair's pair test, and IterDP prices
-// its stitched plan through it (PriceJoin).
+// orientations. The walk is also EmitPair's pair test, IterDP prices
+// its stitched plan through it (PriceJoin), and GOO ranks its candidate
+// merges with it (JoinCard).
 //
 // The package also holds the run contract the solvers share: Options
 // configures any of them, and Run does the set-up and epilogue of every
@@ -111,13 +112,32 @@ type Builder struct {
 	connBuf []EdgeRef
 	flipBuf []EdgeRef
 	edgeBuf []int
+	ranks   []Rank
+}
+
+// Rank is one candidate merge as GOO ranks it: the join cardinality
+// JoinCard estimates, and whether an edge connects the two sides.
+type Rank struct {
+	Card      float64
+	Connected bool
+}
+
+// Ranks returns storage for n rankings that stays with the builder, so
+// a pooled engine recycles it like the other scratch buffers; storage
+// more than memo's shrink factor too large is dropped. The contents are
+// stale: the caller writes each ranking before reading it.
+func (b *Builder) Ranks(n int) []Rank {
+	b.ranks = slices.Grow(memo.Recycle(b.ranks, n), n)[:n]
+	return b.ranks
 }
 
 // NewRun obtains an engine (recycled from pool when possible), resets it
 // for a run over g, and attaches a Builder using the given cost model
-// (cost.Default() if nil). Return the engine to the pool with pool.Put
-// when the run's statistics have been read.
-func NewRun(pool *memo.Pool, g *hypergraph.Graph, m cost.Model) (*memo.Engine, *Builder) {
+// (cost.Default() if nil). entries is the number of memo entries the
+// run makes, when the solver knows it (Options.Entries), and 0
+// otherwise. Return the engine to the pool with pool.Put when the run's
+// statistics have been read.
+func NewRun(pool *memo.Pool, g *hypergraph.Graph, m cost.Model, entries int) (*memo.Engine, *Builder) {
 	if m == nil {
 		m = cost.Default()
 	}
@@ -131,7 +151,7 @@ func NewRun(pool *memo.Pool, g *hypergraph.Graph, m cost.Model) (*memo.Engine, *
 	b.G, b.Model, b.Engine = g, m, e
 	b.physical, _ = m.(cost.PhysicalModel)
 	_, b.symmetric = m.(cost.Symmetric)
-	b.indexGraph()
+	b.indexGraph(entries)
 	return e, b
 }
 
@@ -139,11 +159,14 @@ func NewRun(pool *memo.Pool, g *hypergraph.Graph, m cost.Model) (*memo.Engine, *
 // node set and the relation rows of inc. The rows are plain words, not
 // bitset.Set: a row has one bit per edge, Greedy plans cliques of up to
 // 64 relations (2016 edges), and Set operations allocate above 64
-// elements and stop at 1024. Their capacity covers the run's
-// memo.EntryHint entries, the memo's own pre-size, so a fresh engine
-// does not regrow them by doubling; their storage follows memo's shrink
-// policy.
-func (b *Builder) indexGraph() {
+// elements and stop at 1024. Their capacity covers the run's entries,
+// or memo.EntryHint entries, the memo's own pre-size, when entries is 0,
+// so a fresh engine does not regrow them by doubling. Their storage
+// follows memo's shrink policy against the memo.EntryHint size, so a
+// pooled engine that alternates a Greedy run's 2n−1 rows with an exact
+// run's dense pre-size keeps its storage instead of reallocating it on
+// every switch.
+func (b *Builder) indexGraph(entries int) {
 	g := b.G
 	nodes := b.edgeNodes[:0]
 	for i := 0; i < g.NumEdges(); i++ {
@@ -151,8 +174,11 @@ func (b *Builder) indexGraph() {
 	}
 	b.edgeNodes = nodes
 	w := (len(nodes) + 63) / 64
-	hint := memo.EntryHint(g.NumRels()) * w
-	rows := slices.Grow(memo.Recycle(b.inc, hint), hint)[:g.NumRels()*w]
+	dense := memo.EntryHint(g.NumRels())
+	if entries <= 0 {
+		entries = dense
+	}
+	rows := slices.Grow(memo.Recycle(b.inc, dense*w), entries*w)[:g.NumRels()*w]
 	clear(rows)
 	for i, ns := range nodes {
 		for r := ns.NextElem(0); r >= 0; r = ns.NextElem(r + 1) {
@@ -201,7 +227,7 @@ func (b *Builder) growRows() { b.inc = slices.Grow(b.inc, b.words) }
 // tooling that drive plan construction directly. Production runs go
 // through Run.
 func NewBuilder(g *hypergraph.Graph, m cost.Model) *Builder {
-	_, b := NewRun(nil, g, m)
+	_, b := NewRun(nil, g, m, 0)
 	return b
 }
 
@@ -354,6 +380,27 @@ func (b *Builder) PriceJoin(left, right bitset.Set) {
 	if b.Engine.Entries() > made {
 		b.appendRow(lh, rh)
 	}
+}
+
+// JoinCard returns the inner-join cardinality of memoed S1 and S2 from
+// the edges the join applies, and whether an edge connects them: the
+// walk BuildPair prices the pair from, so the estimate equals the card
+// of an inner join BuildPair would store, hyperedges completed across
+// split hypernodes included. It charges nothing (no pair, no plan, no
+// AmbiguousOps) and stores nothing, so GOO ranks candidate merges with
+// it.
+//
+//dp:hotpath
+func (b *Builder) JoinCard(S1, S2 bitset.Set) (card float64, connected bool) {
+	lh, lok := b.Engine.Lookup(S1)
+	rh, rok := b.Engine.Lookup(S2)
+	if !lok || !rok {
+		panic("dp: JoinCard of a set without a memo entry")
+	}
+	sel, _, _, _ := b.pairEdges(S1, S2, S1.Union(S2), lh, rh)
+	lcard, _ := b.Engine.PlanInfo(lh)
+	rcard, _ := b.Engine.PlanInfo(rh)
+	return cost.EstimateCard(algebra.Join, lcard, rcard, sel), len(b.connBuf) > 0
 }
 
 // pairEdges finds the edges of the pair (S1, S2) over S = S1 ∪ S2, whose

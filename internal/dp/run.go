@@ -41,6 +41,13 @@ type Options struct {
 	// arena, and backend scratch) from previous runs.
 	Pool *memo.Pool
 
+	// Entries is the number of memo entries the run makes, for a solver
+	// that knows it: Greedy and IterDP's replay make 2n−1. It pre-sizes
+	// the plan builder's incidence rows; zero pre-sizes them for
+	// memo.EntryHint(n) entries, the dense end the memo table is always
+	// sized for.
+	Entries int
+
 	// Explain, when non-nil, receives phase spans for the run (the
 	// engine records the materialize phase; the planner wraps the whole
 	// enumeration).
@@ -67,7 +74,7 @@ type Options struct {
 // the arena and stays valid. The Stats are returned on error too, so a
 // caller can account for an aborted run.
 func Run(g *hypergraph.Graph, opts Options, enumerate func(b *Builder) error) (*plan.Node, Stats, error) {
-	e, b := NewRun(opts.Pool, g, opts.Model)
+	e, b := NewRun(opts.Pool, g, opts.Model, opts.Entries)
 	defer opts.Pool.Put(e)
 	b.Filter = opts.Filter
 	e.OnEmit = opts.OnEmit

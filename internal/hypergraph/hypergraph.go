@@ -522,24 +522,6 @@ func (g *Graph) ConnectsTo(S1, S2 bitset.Set) bool {
 	return false
 }
 
-// SelectivityBetween returns the product, in ascending edge order, of
-// the selectivities of all edges connecting S1 and S2 (as ConnectsTo
-// defines them). GOO ranks candidate merges by it. It omits a hyperedge
-// completed at a join that splits its hypernodes across the sides; the
-// plan builder charges such an edge when it prices the join.
-func (g *Graph) SelectivityBetween(S1, S2 bitset.Set) float64 {
-	both := S1.Union(S2)
-	sel := 1.0
-	for i := range g.edges {
-		e := &g.edges[i]
-		if e.W.SubsetOf(both) && (e.U.SubsetOf(S1) && e.V.SubsetOf(S2) ||
-			e.U.SubsetOf(S2) && e.V.SubsetOf(S1)) {
-			sel *= e.Sel
-		}
-	}
-	return sel
-}
-
 // IsConnected implements the recursive connectivity test of Definition 3:
 // S is connected iff |S| = 1 or there is a partition S = V' ∪ V” bridged
 // by an edge with both halves connected. Results are memoized until the

@@ -341,21 +341,6 @@ func TestComponentsAndMakeConnected(t *testing.T) {
 	}
 }
 
-func TestSelectivityBetween(t *testing.T) {
-	g := New()
-	g.AddRelations(3, "R", 10)
-	g.AddSimpleEdge(0, 1, 0.1)
-	g.AddSimpleEdge(1, 2, 0.2)
-	g.AddSimpleEdge(0, 2, 0.5)
-	got := g.SelectivityBetween(bitset.New(0, 1), bitset.New(2))
-	if got != 0.2*0.5 {
-		t.Errorf("sel = %g, want 0.1", got)
-	}
-	if g.SelectivityBetween(bitset.New(0), bitset.New(1)) != 0.1 {
-		t.Error("single edge selectivity")
-	}
-}
-
 // Property: the neighborhood of S never intersects S or X, and every
 // representative is genuinely reachable (some candidate hypernode
 // contains it as its minimum).

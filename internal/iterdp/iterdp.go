@@ -228,7 +228,8 @@ func Solve(g *hypergraph.Graph, opts Options) (*plan.Node, dp.Stats, error) {
 // builder over the original graph, making one memo entry per plan node,
 // and returns the materialized plan. Only the context bounds it.
 func price(g *hypergraph.Graph, stitched *plan.Node, opts Options) (*plan.Node, dp.Stats, error) {
-	run := dp.Options{Model: opts.Model, Pool: opts.Pool, Limits: dp.Limits{Ctx: opts.Ctx}}
+	run := dp.Options{Model: opts.Model, Pool: opts.Pool, Limits: dp.Limits{Ctx: opts.Ctx},
+		Entries: 2*g.NumRels() - 1}
 	return dp.Run(g, run, func(b *dp.Builder) error {
 		var replay func(n *plan.Node)
 		replay = func(n *plan.Node) {

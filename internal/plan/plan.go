@@ -6,6 +6,11 @@
 // estimated output cardinality, the accumulated cost, and the hypergraph
 // edges whose predicates are applied at the node, so that EmitCsgCmp can
 // assemble the conjunction p = ⋀ P(u,v) of §3.5.
+//
+// Packed is the compact form of a tree for plans kept long and read
+// rarely, such as the planner's plan cache: Pack stores a tree as
+// post-order records of about 40 bytes per node, and Unpack rebuilds a
+// fresh tree from them.
 package plan
 
 import (
@@ -212,26 +217,6 @@ func (n *Node) Equal(m *Node) bool {
 		n.Left.Equal(m.Left) && n.Right.Equal(m.Right)
 }
 
-// Clone returns a deep copy of the tree, including the applied-edge
-// slices. The planner's plan cache hands out clones so that one caller
-// mutating a returned plan cannot corrupt another caller's result.
-//
-// The copy takes two allocations whatever the tree's size: one slab
-// holds every node and one every edge index. Each node's Edges is
-// capped at its own length, so appending to it reallocates instead of
-// overwriting the next node's edges.
-func (n *Node) Clone() *Node {
-	if n == nil {
-		return nil
-	}
-	nodes, edges := n.size()
-	c := slabCopier{nodes: make([]Node, 0, nodes)}
-	if edges > 0 {
-		c.edges = make([]int, 0, edges)
-	}
-	return c.copy(n)
-}
-
 // size counts the nodes of the tree and the edge indices they apply.
 func (n *Node) size() (nodes, edges int) {
 	if n == nil {
@@ -240,30 +225,6 @@ func (n *Node) size() (nodes, edges int) {
 	ln, le := n.Left.size()
 	rn, re := n.Right.size()
 	return 1 + ln + rn, len(n.Edges) + le + re
-}
-
-// slabCopier copies a tree into slabs sized by size; appends within that
-// capacity never move a node already handed out.
-type slabCopier struct {
-	nodes []Node
-	edges []int
-}
-
-func (c *slabCopier) copy(n *Node) *Node {
-	if n == nil {
-		return nil
-	}
-	c.nodes = append(c.nodes, *n)
-	m := &c.nodes[len(c.nodes)-1]
-	m.Edges = nil
-	if len(n.Edges) > 0 {
-		start := len(c.edges)
-		c.edges = append(c.edges, n.Edges...)
-		m.Edges = c.edges[start:len(c.edges):len(c.edges)]
-	}
-	m.Left = c.copy(n.Left)
-	m.Right = c.copy(n.Right)
-	return m
 }
 
 // Walk calls f for every node in pre-order.

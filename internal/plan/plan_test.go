@@ -3,6 +3,7 @@ package plan
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/bitset"
@@ -45,27 +46,44 @@ func TestJoinNode(t *testing.T) {
 	}
 }
 
-// TestCloneSlab: Clone is a deep copy in two allocations, and appending
-// to one copied node's Edges cannot reach the node copied after it.
-func TestCloneSlab(t *testing.T) {
+// TestUnpackSlab: Unpack builds a fresh tree in two allocations, and
+// appending to one node's Edges cannot reach the node unpacked after
+// it.
+func TestUnpackSlab(t *testing.T) {
 	p := leftDeep3()
-	c := p.Clone()
+	packed := Pack(p)
+	c := packed.Unpack()
 	if c.String() != p.String() || c.Left == p.Left {
-		t.Fatalf("clone differs from or shares nodes with the original:\n%s\n%s", c, p)
+		t.Fatalf("unpacked tree differs from or shares nodes with the original:\n%s\n%s", c, p)
 	}
-	if a := testing.AllocsPerRun(20, func() { c = p.Clone() }); a != 2 {
-		t.Errorf("Clone made %v allocations, want 2 (node slab and edge slab)", a)
+	if a := testing.AllocsPerRun(20, func() { c = packed.Unpack() }); a != 2 {
+		t.Errorf("Unpack made %v allocations, want 2 (node slab and edge slab)", a)
 	}
 	c.Edges = append(c.Edges, 7)
 	c.Left.Cost = -1
 	if len(c.Left.Edges) != 1 || c.Left.Edges[0] != 0 {
 		t.Errorf("append to the root's Edges overwrote its child's: %v", c.Left.Edges)
 	}
-	if len(p.Edges) != 1 || p.Left.Cost != 50 {
-		t.Error("writing the clone changed the original")
+	if again := packed.Unpack(); len(again.Edges) != 1 || again.Left.Cost != 50 {
+		t.Error("writing an unpacked tree changed the packed one")
 	}
-	if Leaf(0, 1).Clone().Edges != nil {
-		t.Error("a leaf's clone gained an Edges slice")
+	if Pack(Leaf(0, 1)).Unpack().Edges != nil {
+		t.Error("an unpacked leaf gained an Edges slice")
+	}
+	if Pack(nil).Unpack() != nil {
+		t.Error("Pack(nil) unpacked to a tree")
+	}
+}
+
+// TestPackedSize: the packed form takes at most 48 bytes per node plus
+// 4 per edge, against a Node's 112 bytes plus 8 per edge.
+func TestPackedSize(t *testing.T) {
+	tree := leftDeep3()
+	nodes, edges := tree.size()
+	p := Pack(tree)
+	got := uintptr(cap(p.nodes))*unsafe.Sizeof(p.nodes[0]) + uintptr(cap(p.edges))*unsafe.Sizeof(p.edges[0])
+	if want := uintptr(48*nodes + 4*edges); got > want {
+		t.Errorf("%d nodes and %d edges pack into %d bytes, want at most %d", nodes, edges, got, want)
 	}
 }
 

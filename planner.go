@@ -13,6 +13,7 @@ import (
 	"repro/internal/dp"
 	"repro/internal/memo"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/shape"
 )
 
@@ -412,7 +413,7 @@ func (p *Planner) planGraph(ctx context.Context, g *Graph, o options, filter dp.
 	// trace — a trace is per-request state, and a cached pointer would
 	// leak one request's spans into every later hit.
 	if cacheable {
-		p.cache.add(string(key), res.Plan, res.Stats, res.Algorithm)
+		p.cache.add(string(key), plan.Pack(res.Plan), res.Stats, res.Algorithm)
 	}
 	return p.finish(res, &rt, o.explain, start), nil
 }
@@ -495,7 +496,7 @@ func (p *Planner) enumerate(g *Graph, o options, filter dp.Filter) (*Result, err
 	}
 	// Budget trip: degrade to GOO. The greedy pass keeps the context
 	// (cancellation still applies) but runs without a pair budget — it
-	// needs only O(n³) pair inspections.
+	// needs only about n² rankings, each an incidence-row walk.
 	og := o
 	og.alg = Greedy
 	og.budget = Budget{}

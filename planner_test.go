@@ -244,7 +244,7 @@ func TestPlanCache(t *testing.T) {
 		t.Errorf("cache hit stats pairs = %d, want %d", second.Stats.CsgCmpPairs, first.Stats.CsgCmpPairs)
 	}
 
-	// Clone isolation: corrupting a returned plan must not leak into the
+	// Isolation: corrupting a returned plan must not leak into the
 	// cache or other callers.
 	second.Plan.Cost = -1
 	second.Plan.Edges = append(second.Plan.Edges, 999)

@@ -18,12 +18,13 @@ const (
 
 // autoMaxGreedyRels is the ceiling of the plain Greedy degradation: the
 // historical single-machine-word limit (§2.3). Up to here oversize
-// queries keep their pre-multi-word behavior (GOO's O(n³) scan is still
-// interactive and its plans are adequate at this scale); beyond it the
-// IterDP simplification tier takes over — its greedy clustering plus
-// exact subproblems beat pure GOO on plan quality, and its near-linear
-// compression keeps 100–1000-relation queries inside an interactive
-// budget where GOO's cubic scan would not.
+// queries keep their pre-multi-word behavior (GOO's about n² rankings,
+// each an incidence-row walk, stay interactive and its plans are
+// adequate at this scale); beyond it the IterDP simplification tier
+// takes over — its greedy clustering plus exact subproblems beat pure
+// GOO on plan quality, and its near-linear compression keeps
+// 100–1000-relation queries inside an interactive budget where GOO's
+// rankings and its scan over every pair at each merge would not.
 const autoMaxGreedyRels = 64
 
 // routeAuto maps a topology profile to the enumeration algorithm.

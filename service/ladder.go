@@ -16,8 +16,9 @@ import (
 //	tier 1  tighten    — an effective plan budget is imposed (or the
 //	                     request's own is capped), so the budget router
 //	                     degrades expensive shapes to cheaper rungs
-//	tier 2  greedy     — every request plans greedy-only: O(n³) per
-//	                     plan, no enumeration can pile up
+//	tier 2  greedy     — every request plans greedy-only: about n²
+//	                     rankings per plan, each an incidence-row
+//	                     walk, so no enumeration can pile up
 //	tier 3  shed       — new planning requests are rejected with 429 +
 //	                     Retry-After; admitted work keeps draining
 //

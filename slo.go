@@ -52,7 +52,7 @@ func WithPlanBudget(d time.Duration) Option {
 const (
 	rungExact  = 0 // full exact enumeration (DPhyp, DPccp, ...)
 	rungIterDP = 1 // iterative DP: exact subproblems, heuristic composition
-	rungGreedy = 2 // GOO: O(n³) heuristic, no optimality claim
+	rungGreedy = 2 // GOO: about n² rankings, each an incidence-row walk; no optimality claim
 )
 
 // SLORungName returns the stable name of a Stats.SLORung value:
@@ -220,10 +220,12 @@ func staticPairs(shapeClass string, n int) float64 {
 // ladder ordering is all that matters, and float exponentials for
 // hundred-relation cliques would overflow time.Duration.
 func staticPlanCost(shapeClass string, alg Algorithm, n, clusterSize int) time.Duration {
+	// perGreedyNs prices GOO per n³: it makes about n² rankings, each an
+	// incidence-row walk, and scans the ranked pairs at each merge.
 	const (
 		baseNs       = 30e3  // fixed per-call overhead: freeze, classify, memo setup
 		perPairNs    = 500.0 // amortized cost of one csg-cmp-pair (build + price)
-		perGreedyNs  = 4.0   // one GOO scan step; greedy performs O(n³) of them
+		perGreedyNs  = 4.0   // one n³ unit of a GOO run
 		perClusterNs = 2e3   // per-relation clustering overhead in the iterdp tier
 	)
 	f := float64(n)

@@ -148,7 +148,7 @@ func (p *Planner) SaveCacheSnapshot(path string) error {
 			Key:       e.key,
 			Algorithm: e.alg.String(),
 			Stats:     e.stats,
-			Plan:      encodePlan(e.plan),
+			Plan:      encodePlan(e.plan.Unpack()),
 		})
 	}
 	data, err := json.Marshal(doc)
@@ -216,7 +216,7 @@ func (p *Planner) LoadCacheSnapshot(path string) (int, error) {
 		st.Trace = nil
 		st.PlanBudget, st.PredictedCost = 0, 0
 		st.SLORung, st.SLODegraded, st.SLOMet = 0, false, false
-		restored = append(restored, cacheEntry{key: e.Key, plan: pl, stats: st, alg: alg})
+		restored = append(restored, cacheEntry{key: e.Key, plan: plan.Pack(pl), stats: st, alg: alg})
 	}
 	for i := range restored {
 		p.cache.add(restored[i].key, restored[i].plan, restored[i].stats, restored[i].alg)
