@@ -27,16 +27,13 @@ func autoShapes() []struct {
 		shape  string
 		routed Algorithm
 	}{
-		// Every graph without hyperedges goes to DPccp; a clique goes to
-		// DPsub only when more than one worker plans it.
-		{"chain8", workload.Chain(8, cfg), "chain", DPccp},
-		{"cycle8", workload.Cycle(8, cfg), "cycle", DPccp},
-		{"star8", workload.Star(8, cfg), "star", DPccp},
-		{"clique6", workload.Clique(6, cfg), "clique", DPccp},
-		{"grid3x3", workload.Grid(3, 3, cfg), "grid", DPccp},
-		// Hyperedges go to DPhyp: DPccp does not accept them, and DPhyp
-		// is the only enumerator that never generates failing pairs on
-		// them.
+		// Every graph below the exact cutoffs goes to DPhyp, with or
+		// without hyperedges.
+		{"chain8", workload.Chain(8, cfg), "chain", DPhyp},
+		{"cycle8", workload.Cycle(8, cfg), "cycle", DPhyp},
+		{"star8", workload.Star(8, cfg), "star", DPhyp},
+		{"clique6", workload.Clique(6, cfg), "clique", DPhyp},
+		{"grid3x3", workload.Grid(3, 3, cfg), "grid", DPhyp},
 		{"cyclehyper", workload.CycleHyper(8, 1, cfg), "cycle", DPhyp},
 		// Beyond the exact cutoffs the router degrades to Greedy up
 		// front.
@@ -72,9 +69,9 @@ func TestSolverAutoRouting(t *testing.T) {
 }
 
 // TestSolverAutoTracedCallsUseDPhyp: only DPhyp records the Fig. 3
-// steps, so SolverAuto routes a traced exact call to it. The trace must
-// equal a direct DPhyp call's and the plan an untraced call's; a call
-// routed to Greedy stays there and records nothing.
+// steps, and SolverAuto routes every exact call to it, traced or not.
+// The trace must equal a direct DPhyp call's and the plan an untraced
+// call's; a call routed to Greedy stays there and records nothing.
 func TestSolverAutoTracedCallsUseDPhyp(t *testing.T) {
 	p := NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0))
 	ctx := context.Background()
@@ -170,9 +167,9 @@ func TestSolverAutoBudgetFallback(t *testing.T) {
 	if !st.AutoRouted || st.Shape != "star" {
 		t.Errorf("routing not recorded: %+v", st)
 	}
-	if st.RoutedAlgorithm != DPccp.String() {
+	if st.RoutedAlgorithm != DPhyp.String() {
 		t.Errorf("RoutedAlgorithm = %q, want %q (the router's pick must survive the fallback)",
-			st.RoutedAlgorithm, DPccp)
+			st.RoutedAlgorithm, DPhyp)
 	}
 	if !st.BudgetExhausted || !st.FallbackGreedy {
 		t.Errorf("budget trip not recorded: exhausted=%t fallback=%t", st.BudgetExhausted, st.FallbackGreedy)
@@ -271,13 +268,13 @@ func TestSolverAutoCacheHit(t *testing.T) {
 	if !second.Stats.CacheHit {
 		t.Error("second auto call missed the cache")
 	}
-	if !second.Stats.AutoRouted || second.Stats.Shape != "star" || second.Stats.RoutedAlgorithm != DPccp.String() {
+	if !second.Stats.AutoRouted || second.Stats.Shape != "star" || second.Stats.RoutedAlgorithm != DPhyp.String() {
 		t.Errorf("cache hit lost routing annotation: %+v", second.Stats)
 	}
 
-	// A direct DPccp call shares the entry (routing is deterministic)
+	// A direct DPhyp call shares the entry (routing is deterministic)
 	// but must not look auto-routed.
-	direct, err := p.PlanGraph(ctx, g, WithAlgorithm(DPccp))
+	direct, err := p.PlanGraph(ctx, g, WithAlgorithm(DPhyp))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,9 +161,10 @@
 //     bit-identical. The walk is also the pair test: it finds the
 //     connecting edges ("∃(u,v) ∈ E : u ⊆ S1 ∧ v ⊆ S2"), and a pair
 //     without one, or with a side that has no memo entry, is declined
-//     before it is counted. DPhyp and DPccp, the serving routes, rely on
-//     it instead of testing each pair first; DPsize, DPsub and TopDown
-//     keep the paper's explicit tests, whose cost Figures 5–7 measure.
+//     before it is counted. DPhyp, the exact serving route, and DPccp
+//     rely on it instead of testing each pair first; DPsize, DPsub and
+//     TopDown keep the paper's explicit tests, whose cost Figures 5–7
+//     measure.
 //     IterDP prices its stitched plan through the same walk
 //     (Builder.PriceJoin), so every plan any solver returns is priced
 //     by one kernel.
@@ -179,10 +180,11 @@
 // across requests: concurrent Plan calls, PlanBatch and the service's
 // worker pool each plan on their own pooled engine. No solver has an
 // intra-query parallel mode. DPsub's was the last; its level-parallel
-// clique route took 0.96–1.49× of serial DPccp's time on clique10, the
-// only clique a benchmark workload plans, and won only on clique12
-// (0.81–0.90×; 2 workers on 2 CPUs, medians of 15 interleaved pairs),
-// so it was deleted and WithParallelism does nothing. Equal-cost ties
+// clique route took 0.96–1.49× of the time of serial DPccp, then the
+// serial clique route, on clique10, the only clique a benchmark
+// workload plans, and won only on clique12 (0.81–0.90×; 2 workers on 2
+// CPUs, medians of 15 interleaved pairs), so it was deleted and
+// WithParallelism does nothing. Equal-cost ties
 // are broken order-independently (the lexicographically lowest (left,
 // right) relation-set split wins), so the winning plan is a pure
 // function of the candidate set: solvers that emit the same pairs in
@@ -338,12 +340,14 @@
 // Six enumeration strategies share one memo engine and plan-construction
 // backend (see Architecture):
 //
-//   - DPhyp (the paper's contribution, default): enumerates exactly the
-//     csg-cmp-pairs of the hypergraph.
+//   - DPhyp (the paper's contribution, default, and SolverAuto's one
+//     exact route): enumerates exactly the csg-cmp-pairs of the
+//     hypergraph.
 //   - DPsize (Fig. 1): Selinger-style size-driven DP with hyperedge-
 //     capable connectivity tests.
 //   - DPsub: subset-driven DP with Vance–Maier subset enumeration.
-//   - DPccp (VLDB 2006): the simple-graph special case of DPhyp.
+//   - DPccp (VLDB 2006): the simple-graph special case of DPhyp. It
+//     serves WithAlgorithm(DPccp) and the §4 comparisons.
 //   - TopDown: naive memoization, the §1 competitor.
 //   - Greedy: GOO, the heuristic used beyond exact reach and as the
 //     budget fallback.
@@ -361,28 +365,25 @@
 // depends on the query's shape. WithAlgorithm(SolverAuto) acts on it:
 // before enumeration the planner classifies the hypergraph's topology
 // (internal/shape — chain, cycle, star, clique, grid, or mixed, in
-// O(edges) and invariant under relation relabeling) and routes it to
-// one of two exact solvers, each route backed by a measured ratio:
+// O(relations) on the graph's derived index and invariant under
+// relation relabeling) and routes on the class and the relation count:
 //
-//   - hyperedges present → DPhyp (Figs. 5/6: lowest on every hyperedge
-//     workload; DPccp does not accept hyperedges)
-//   - a traced call (WithTrace) → DPhyp, the one solver that records the
-//     Fig. 3 steps; the plan is the same
-//   - every other graph → DPccp. Without hyperedges it emits the same
-//     csg-cmp-pairs as DPhyp (§4.4) and needs no DP-table membership
-//     test. Serially it takes 0.80–0.94× of DPhyp's time on stars,
-//     grids, cycles and chains, 0.14–0.48× of DPsize's on chains of
-//     8–24 and 0.94–0.98× of TopDown's on clique10–14
+//   - within the per-shape size cutoffs → DPhyp, the one exact route.
+//     It is lowest on every hyperedge workload (Figs. 5/6), it alone
+//     records the Fig. 3 steps WithTrace asks for, and on a graph
+//     without hyperedges it emits the same csg-cmp-pairs as DPccp
+//     (§4.4) and computes N(S, X) as DPccp does, from the carried
+//     simple-neighbour union alone. It takes 0.97–1.02× of DPccp's
+//     time on chains, cycles, stars, cliques and grids of 4–20
+//     relations (see routeAuto for the method)
 //   - beyond per-shape size cutoffs → Greedy up front (cliques emit
 //     Θ(3ⁿ) csg-cmp-pairs, stars Θ(n·2ⁿ); exact enumeration leaves the
 //     interactive regime in the mid-teens)
 //   - beyond 64 relations → IterDP, the large-query simplification
 //     tier (see "Large queries" below)
 //
-// The ratios were measured through the Planner with the plan cache off,
-// 15 interleaved pairs per cell on 2 CPUs, medians. DPsize and TopDown
-// serve no route: they stay for the §4 experiments and for direct
-// WithAlgorithm calls.
+// DPccp, DPsize, DPsub and TopDown serve no route: they stay for the §4
+// experiments and for direct WithAlgorithm calls.
 //
 // The decision is observable: Stats.Shape and Stats.RoutedAlgorithm
 // record what the router saw and picked, and Result.Algorithm reports

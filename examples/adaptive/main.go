@@ -1,9 +1,10 @@
 // Command adaptive demonstrates the adaptive planning layer: one
 // Planner in SolverAuto mode classifies each query's topology and routes
-// it to an enumeration algorithm (DPhyp when a predicate spans more than
-// two relations, DPccp for the simple graphs below), and the Physical
-// cost model annotates every join with the physical operator it chose
-// (hash join, sort-merge join, or index nested-loop).
+// it by shape and size (DPhyp, the one exact route, for every query
+// below, including the one whose predicate spans three relations;
+// Greedy and IterDP take queries beyond the exact cutoffs), and the
+// Physical cost model annotates every join with the physical operator it
+// chose (hash join, sort-merge join, or index nested-loop).
 package main
 
 import (

@@ -23,7 +23,9 @@
 // representative node of the far side (Equation 1); the remaining nodes
 // of a hypernode are picked up by recursive growth and validated against
 // the DP table ("this exploits the fact that DP strategies enumerate
-// subsets before supersets").
+// subsets before supersets"). The simple-edge part of Equation 1 is
+// su ∖ (S ∪ X), su being the simple-neighbour union each set carries;
+// only on a graph with hyperedges is the graph asked for the rest.
 //
 // Duplicate complements are avoided with the refinement inherited from
 // DPccp [17]: the seed v additionally forbids all neighborhood members
@@ -49,6 +51,7 @@ type solver struct {
 	g     *hypergraph.Graph
 	e     *memo.Engine
 	trace *dp.Trace
+	hyper bool // g has hyperedges: N(S, X) needs g.HyperNeighborhood
 
 	// sc is the reusable neighborhood candidate buffer; together with
 	// the incrementally maintained simple-neighbor unions it removes
@@ -62,7 +65,7 @@ type solver struct {
 // count.
 func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
 	return dp.Run(g, opts, func(b *dp.Builder) error {
-		s := &solver{g: g, e: b.Engine, trace: opts.Trace}
+		s := &solver{g: g, e: b.Engine, trace: opts.Trace, hyper: g.HasHyperedges()}
 		s.enumerate()
 		return nil
 	})
@@ -93,7 +96,10 @@ func (s *solver) enumerateCsgRec(S1, X, su bitset.Set) {
 	if !s.e.Step() {
 		return
 	}
-	N := s.g.NeighborhoodWith(S1, X, su, &s.sc)
+	N := su.Minus(S1.Union(X))
+	if s.hyper {
+		N = s.g.HyperNeighborhood(S1, X, N, &s.sc)
+	}
 	if N.IsEmpty() {
 		return
 	}
@@ -134,7 +140,10 @@ func (s *solver) emitCsg(S1, su bitset.Set) {
 		return
 	}
 	X := S1.Union(bitset.BelowEq(S1.Min()))
-	N := s.g.NeighborhoodWith(S1, X, su, &s.sc)
+	N := su.Minus(X)
+	if s.hyper {
+		N = s.g.HyperNeighborhood(S1, X, N, &s.sc)
+	}
 	if N.IsEmpty() {
 		return
 	}
@@ -174,7 +183,10 @@ func (s *solver) enumerateCmpRec(S1, S2, X, su bitset.Set) {
 	if !s.e.Step() {
 		return
 	}
-	N := s.g.NeighborhoodWith(S2, X, su, &s.sc)
+	N := su.Minus(S2.Union(X))
+	if s.hyper {
+		N = s.g.HyperNeighborhood(S2, X, N, &s.sc)
+	}
 	if N.IsEmpty() {
 		return
 	}

@@ -245,7 +245,7 @@ func TestPlansApplyScannedEdges(t *testing.T) {
 			}
 			if exactRuns {
 				for _, s := range exactSolvers {
-					if s.name == "dpccp" && hasHyperedge(g) {
+					if s.name == "dpccp" && g.HasHyperedges() {
 						continue
 					}
 					t.Run(s.name, func(t *testing.T) { check(t, g, s.solve, pool) })
@@ -302,17 +302,6 @@ func innerOnly(g *hypergraph.Graph) bool {
 		}
 	}
 	return true
-}
-
-// hasHyperedge reports whether some edge of g is not simple, which
-// DPccp rejects.
-func hasHyperedge(g *hypergraph.Graph) bool {
-	for i := 0; i < g.NumEdges(); i++ {
-		if !g.Edge(i).Simple() {
-			return true
-		}
-	}
-	return false
 }
 
 // checkPlanEdges compares every join of p with the reference scan.

@@ -59,7 +59,7 @@ func TestCostCallsPerPair(t *testing.T) {
 		g := ig.g
 		g.Freeze()
 		for _, s := range exactSolvers {
-			if s.name == "dpccp" && hasHyperedge(g) {
+			if s.name == "dpccp" && g.HasHyperedges() {
 				continue
 			}
 			t.Run(ig.name+"/"+s.name, func(t *testing.T) {
@@ -142,7 +142,7 @@ func TestSymmetricPricingMatchesTwoCalls(t *testing.T) {
 		g := gr.g
 		g.Freeze()
 		for _, s := range solvers {
-			if s.name == "dpccp" && hasHyperedge(g) || s.name == "iterdp" && !innerOnly(g) {
+			if s.name == "dpccp" && g.HasHyperedges() || s.name == "iterdp" && !innerOnly(g) {
 				continue
 			}
 			t.Run(gr.name+"/"+s.name, func(t *testing.T) {

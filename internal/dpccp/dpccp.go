@@ -7,7 +7,8 @@
 // emission is a valid csg-cmp-pair, which is why it meets the §2.2 lower
 // bound exactly. The package exists as a cross-check for §4.4's claim
 // that "DPhyp performs exactly like DPccp on regular graphs": the tests
-// verify both emit identical pair sequences.
+// verify both emit identical pair sequences. It serves direct calls and
+// the §4 comparisons only; SolverAuto plans with DPhyp.
 //
 // The solver is a pure enumerator: memoization, budgets, and plan
 // construction route through the shared memo engine (internal/memo),
@@ -42,10 +43,8 @@ type solver struct {
 
 // Solve runs DPccp over the simple graph g.
 func Solve(g *hypergraph.Graph, opts dp.Options) (*plan.Node, dp.Stats, error) {
-	for i := 0; i < g.NumEdges(); i++ {
-		if !g.Edge(i).Simple() {
-			return nil, dp.Stats{}, ErrHyperedge
-		}
+	if g.HasHyperedges() {
+		return nil, dp.Stats{}, ErrHyperedge
 	}
 	return dp.Run(g, opts, func(b *dp.Builder) error {
 		s := &solver{g: g, e: b.Engine}

@@ -387,8 +387,8 @@ func minimalHypernodes(cands []bitset.Set) []bitset.Set {
 	// smaller ones. Candidate lists are bounded by the edge count and
 	// typically tiny, so an insertion sort beats sort.Slice here — and
 	// unlike sort.Slice it neither boxes the slice nor allocates the
-	// comparison closure (this runs on the DPhyp/DPccp neighborhood hot
-	// path).
+	// comparison closure (this runs on DPhyp's neighborhood hot path on
+	// hypergraphs).
 	for i := 1; i < len(cands); i++ {
 		for j := i; j > 0 && candLess(cands[j], cands[j-1]); j-- {
 			cands[j], cands[j-1] = cands[j-1], cands[j]
@@ -415,11 +415,12 @@ func minimalHypernodes(cands []bitset.Set) []bitset.Set {
 // minimal candidate hypernode; the remaining nodes of a hypernode are
 // reached through recursive growth and validated against the DP table, as
 // described in §3 ("the algorithm therefore picks a canonical end node").
+// It composes the two parts DPhyp computes separately.
 func (g *Graph) Neighborhood(S, X bitset.Set) bitset.Set {
-	return g.neighborhoodFrom(S, X, g.SimpleNeighborUnion(S), nil)
+	return g.HyperNeighborhood(S, X, g.SimpleNeighborUnion(S).Minus(S.Union(X)), nil)
 }
 
-// NeighborScratch holds the candidate buffer NeighborhoodWith reuses
+// NeighborScratch holds the candidate buffer HyperNeighborhood reuses
 // across calls, removing the per-call allocation that dominates the
 // DPhyp neighborhood computation on hypergraph workloads. Each
 // enumeration goroutine owns its own scratch.
@@ -430,8 +431,8 @@ type NeighborScratch struct {
 // SimpleNeighborUnion returns the union of the simple-edge partners of
 // every node in S, before any forbidden-set filtering. DPhyp maintains
 // this union incrementally while growing subgraphs — extending S by n
-// only needs the union over n — and passes it to NeighborhoodWith,
-// replacing the O(|S|) per-call recomputation inside Neighborhood.
+// only needs the union over n — so the simple-edge part of N(S,X),
+// su ∖ (S ∪ X), costs it no pass over S.
 func (g *Graph) SimpleNeighborUnion(S bitset.Set) bitset.Set {
 	g.ensureIndex()
 	var su bitset.Set
@@ -441,21 +442,21 @@ func (g *Graph) SimpleNeighborUnion(S bitset.Set) bitset.Set {
 	return su
 }
 
-// NeighborhoodWith computes N(S,X) like Neighborhood, given the
-// precomputed SimpleNeighborUnion of S and a reusable candidate
-// buffer. It is the allocation-free hot path of the DPhyp enumeration.
-func (g *Graph) NeighborhoodWith(S, X, su bitset.Set, sc *NeighborScratch) bitset.Set {
+// HasHyperedges reports whether g has an edge that is not simple. Like
+// SimpleNeighborUnion it reads the derived index, so concurrent callers
+// need a frozen graph.
+func (g *Graph) HasHyperedges() bool {
 	g.ensureIndex()
-	return g.neighborhoodFrom(S, X, su, sc)
+	return len(g.complexEdges) > 0
 }
 
-func (g *Graph) neighborhoodFrom(S, X, su bitset.Set, sc *NeighborScratch) bitset.Set {
+// HyperNeighborhood completes N(S,X) from its simple-edge part n =
+// SimpleNeighborUnion(S) ∖ (S ∪ X): it adds min(v) for every ⊆-minimal
+// hyperedge candidate v of E↓(S,X) that n does not subsume. A non-nil
+// sc supplies the candidate buffer, so the call does not allocate.
+func (g *Graph) HyperNeighborhood(S, X, n bitset.Set, sc *NeighborScratch) bitset.Set {
+	g.ensureIndex()
 	forbidden := S.Union(X)
-	n := su.Minus(forbidden)
-
-	if len(g.complexEdges) == 0 {
-		return n
-	}
 
 	// Complex candidates, filtered against the singleton candidates and
 	// each other for ⊆-minimality.

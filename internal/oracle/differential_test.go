@@ -58,13 +58,27 @@ var allModels = []cost.Model{
 // hypergraph.
 const shapeClassCount = 7
 
+// corpora are the workload configs the differential suite draws its
+// graphs from. Under DefaultConfig each join grows the cardinality
+// about 1.4e3-fold, so a plan's cost is mostly its root cardinality,
+// which every plan of a graph shares, and the 1e-9 comparison accepts
+// many worse plans. LargeConfig's PK–FK selectivities keep the growth
+// near one, where costs separate plans.
+var corpora = []struct {
+	name string
+	cfg  workload.Config
+}{
+	{"default", workload.DefaultConfig()},
+	{"large", workload.LargeConfig()},
+}
+
 // genGraph derives a deterministic random graph of the given shape
-// class from seed. Sizes stay within the oracle's brute-force range
-// (cliques are capped tighter — their Θ(3ⁿ) oracle walk dominates the
-// suite's runtime).
-func genGraph(seed int64, class int) *hypergraph.Graph {
+// class from seed, with cardinalities and selectivities drawn from cfg
+// (whose Seed it replaces). Sizes stay within the oracle's brute-force
+// range (cliques are capped tighter — their Θ(3ⁿ) oracle walk dominates
+// the suite's runtime).
+func genGraph(seed int64, class int, cfg workload.Config) *hypergraph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	cfg := workload.DefaultConfig()
 	cfg.Seed = seed
 	switch ((class % shapeClassCount) + shapeClassCount) % shapeClassCount {
 	case 0:
@@ -85,15 +99,6 @@ func genGraph(seed int64, class int) *hypergraph.Graph {
 	}
 }
 
-func isSimple(g *hypergraph.Graph) bool {
-	for i := 0; i < g.NumEdges(); i++ {
-		if !g.Edge(i).Simple() {
-			return false
-		}
-	}
-	return true
-}
-
 // costsMatch compares plan costs with a relative tolerance: equal-cost
 // optima reached through different tree shapes may differ in the last
 // few bits of floating-point accumulation.
@@ -104,36 +109,31 @@ func costsMatch(a, b float64) bool {
 }
 
 // checkSolver runs one solver under one model and compares it against
-// the oracle optimum.
-func checkSolver(t *testing.T, tag string, g *hypergraph.Graph, m cost.Model,
-	name string, solve solverFn, optimal *plan.Node) {
-	t.Helper()
+// the oracle optimum. It returns what differs, or nil.
+func checkSolver(g *hypergraph.Graph, m cost.Model, name string, solve solverFn, optimal *plan.Node) error {
 	p, _, err := solve(g, m)
 	if err != nil {
-		t.Errorf("%s: %s/%s failed: %v", tag, name, m.Name(), err)
-		return
+		return fmt.Errorf("%s/%s failed: %v", name, m.Name(), err)
 	}
 	if err := p.Validate(); err != nil {
-		t.Errorf("%s: %s/%s returned invalid plan: %v", tag, name, m.Name(), err)
-		return
+		return fmt.Errorf("%s/%s returned invalid plan: %v", name, m.Name(), err)
 	}
 	if !p.Rels.Equal(g.AllNodes()) {
-		t.Errorf("%s: %s/%s plan covers %v, want %v", tag, name, m.Name(), p.Rels, g.AllNodes())
-		return
+		return fmt.Errorf("%s/%s plan covers %v, want %v", name, m.Name(), p.Rels, g.AllNodes())
 	}
 	if !costsMatch(p.Cost, optimal.Cost) {
-		t.Errorf("%s: %s/%s cost %.10g != optimal %.10g\nsolver plan:\n%s\noracle plan:\n%s",
-			tag, name, m.Name(), p.Cost, optimal.Cost, p, optimal)
+		return fmt.Errorf("%s/%s cost %.10g != optimal %.10g\nsolver plan:\n%s\noracle plan:\n%s",
+			name, m.Name(), p.Cost, optimal.Cost, p, optimal)
 	}
+	return nil
 }
 
-// TestDifferentialSolversAgainstOracle is the headline suite: ~500
-// seeded random graphs spanning every shape class, every exact solver
-// under every cost model, all asserted equal to the brute-force
-// optimum. Greedy (GOO) rides along with the weaker assertion that it
-// never beats the optimum (it must not — that would mean the exact
-// space missed a plan) and always returns a valid plan.
-func TestDifferentialSolversAgainstOracle(t *testing.T) {
+// sweep draws the differential corpus from cfg, 500 seeded graphs (100
+// with -short) cycling through the shape classes, and calls visit with
+// every graph, cost model and the oracle's optimum.
+func sweep(t *testing.T, cfg workload.Config,
+	visit func(tag string, class int, g *hypergraph.Graph, m cost.Model, optimal *plan.Node)) {
+	t.Helper()
 	graphs := 500
 	if testing.Short() {
 		graphs = 100
@@ -141,21 +141,36 @@ func TestDifferentialSolversAgainstOracle(t *testing.T) {
 	for i := 0; i < graphs; i++ {
 		seed := int64(1000 + i)
 		class := i % shapeClassCount
-		g := genGraph(seed, class)
+		g := genGraph(seed, class, cfg)
 		g.Freeze()
-		simple := isSimple(g)
 		tag := fmt.Sprintf("graph %d (seed %d class %d, n=%d)", i, seed, class, g.NumRels())
-
 		for _, m := range allModels {
 			optimal, err := Optimal(g, m)
 			if err != nil {
 				t.Fatalf("%s: oracle failed: %v", tag, err)
 			}
+			visit(tag, class, g, m, optimal)
+		}
+	}
+}
+
+// TestDifferentialSolversAgainstOracle is the headline suite: on each
+// corpus, seeded random graphs spanning every shape class, every exact
+// solver under every cost model, all asserted equal to the brute-force
+// optimum. Greedy (GOO) rides along with the weaker assertion that it
+// never beats the optimum (it must not — that would mean the exact
+// space missed a plan) and always returns a valid plan.
+func TestDifferentialSolversAgainstOracle(t *testing.T) {
+	for _, c := range corpora {
+		sweep(t, c.cfg, func(tag string, _ int, g *hypergraph.Graph, m cost.Model, optimal *plan.Node) {
+			tag = c.name + " " + tag
 			for _, s := range exactSolvers {
-				if s.needsSimple && !simple {
+				if s.needsSimple && g.HasHyperedges() {
 					continue
 				}
-				checkSolver(t, tag, g, m, s.name, s.solve, optimal)
+				if err := checkSolver(g, m, s.name, s.solve, optimal); err != nil {
+					t.Errorf("%s: %v", tag, err)
+				}
 			}
 			gp, _, err := goo.Solve(g, dp.Options{Model: m})
 			if err != nil {
@@ -166,6 +181,29 @@ func TestDifferentialSolversAgainstOracle(t *testing.T) {
 				t.Errorf("%s: greedy/%s cost %.10g beats the 'optimal' %.10g — oracle bug",
 					tag, m.Name(), gp.Cost, optimal.Cost)
 			}
+		})
+	}
+}
+
+// TestDifferentialRejectsGreedy is the suite's mutation test: GOO, put
+// in place of an exact solver, must fail checkSolver's comparison in
+// every shape class of the LargeConfig corpus, or the suite could not
+// tell a heuristic from an exact solver there.
+func TestDifferentialRejectsGreedy(t *testing.T) {
+	greedy := func(g *hypergraph.Graph, m cost.Model) (*plan.Node, dp.Stats, error) {
+		return goo.Solve(g, dp.Options{Model: m})
+	}
+	var rejected, cases [shapeClassCount]int
+	sweep(t, workload.LargeConfig(), func(_ string, class int, g *hypergraph.Graph, m cost.Model, optimal *plan.Node) {
+		cases[class]++
+		if checkSolver(g, m, "greedy", greedy, optimal) != nil {
+			rejected[class]++
+		}
+	})
+	for class := range rejected {
+		t.Logf("class %d: GOO rejected in %d of %d cases", class, rejected[class], cases[class])
+		if rejected[class] == 0 {
+			t.Errorf("class %d: GOO passed all %d cost comparisons", class, cases[class])
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/goo"
+	"repro/internal/workload"
 )
 
 // FuzzSolverEquivalence is the cross-solver differential fuzzer: from a
@@ -23,21 +24,21 @@ func FuzzSolverEquivalence(f *testing.F) {
 	}
 	models := []cost.Model{cost.Cout{}, cost.Cmm{}, cost.Physical{}}
 	f.Fuzz(func(t *testing.T, seed int64, class uint8) {
-		g := genGraph(seed, int(class))
+		g := genGraph(seed, int(class), workload.DefaultConfig())
 		g.Freeze()
-		simple := isSimple(g)
 
 		for _, m := range models {
 			optimal, err := Optimal(g, m)
 			if err != nil {
 				t.Fatalf("oracle failed on generated graph (seed %d class %d): %v", seed, class, err)
 			}
-			tag := "fuzz"
 			for _, s := range exactSolvers {
-				if s.needsSimple && !simple {
+				if s.needsSimple && g.HasHyperedges() {
 					continue
 				}
-				checkSolver(t, tag, g, m, s.name, s.solve, optimal)
+				if err := checkSolver(g, m, s.name, s.solve, optimal); err != nil {
+					t.Error(err)
+				}
 			}
 			gp, _, err := goo.Solve(g, dp.Options{Model: m})
 			if err != nil {

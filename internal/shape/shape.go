@@ -7,15 +7,16 @@
 // DPhyp by orders of magnitude (Figs. 5–7). An adaptive planner
 // therefore needs a cheap, label-invariant classifier that recognizes
 // the canonical shapes before enumeration starts; the Planner's
-// SolverAuto mode routes on the result.
+// SolverAuto mode routes on the result, the class and the relation
+// count, to pick where exact enumeration stops.
 //
-// Classify runs in O(|V| + |E|): it reads the degree sequence of the
-// simple-edge skeleton (hyperedges are counted separately — they do not
-// change the skeleton class, mirroring the paper's "cycle/star with
-// hyperedges" families) and the connectivity the graph's derived index
-// records, and matches the degree profile against the canonical shapes.
-// Degree profiles are permutation-invariant, so the classification
-// cannot depend on relation labels or insertion order.
+// Classify runs in O(|V|) on the graph's derived index: it reads the
+// degree sequence of the simple-edge skeleton (hyperedges do not change
+// the skeleton class, mirroring the paper's "cycle/star with
+// hyperedges" families) and the skeleton's connectivity, and matches
+// the degree profile against the canonical shapes. Degree profiles are
+// permutation-invariant, so the classification cannot depend on
+// relation labels or insertion order.
 package shape
 
 import (
@@ -60,44 +61,26 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// Profile describes a hypergraph's topology: the skeleton class plus the
-// quantitative features (relation count, edge counts, densities) the
-// routing policy combines with the paper's §4 crossover data.
+// Profile describes a hypergraph's topology by the two features the
+// router reads: the skeleton class and the relation count.
 type Profile struct {
 	// Class is the topology class of the simple-edge skeleton.
 	Class Class
 	// Rels is the number of relations, |V|.
 	Rels int
-	// SimpleEdges counts distinct unordered simple-edge pairs
-	// (duplicate predicates between the same two relations collapse).
-	SimpleEdges int
-	// HyperEdges counts non-simple edges (complex and generalized
-	// hyperedges, §2.1/§6), duplicates included.
-	HyperEdges int
-	// Density is SimpleEdges / (n choose 2): 0 for edgeless graphs,
-	// 1 for cliques.
-	Density float64
-	// HyperDensity is HyperEdges / (SimpleEdges + HyperEdges), the
-	// fraction of join predicates that are hyperedges.
-	HyperDensity float64
-	// MaxDegree is the largest simple-edge degree of any relation.
-	MaxDegree int
-	// Connected reports whether the full hypergraph (hyperedges
-	// included) is one reachability component.
-	Connected bool
 }
 
-// Classify computes the Profile of g in O(|V| + |E|) time. Degrees and
-// connectivity come from the graph's derived index, which Classify
-// builds under the graph's lock if needed; on a frozen graph, as the
-// Planner hands it, Classify allocates nothing. It never otherwise
-// mutates the graph and is safe for concurrent use.
+// Classify computes the Profile of g. Degrees and skeleton connectivity
+// come from the graph's derived index, which Classify builds under the
+// graph's lock if needed, in O(|V| + |E|); on a frozen graph, as the
+// Planner hands it, Classify takes O(|V|) and allocates nothing. It
+// never otherwise mutates the graph and is safe for concurrent use.
 //
 // The Grid class is matched by its degree profile (edge count and degree
 // histogram of some a×b factorization), which is a necessary but not
 // sufficient condition for being a lattice; the router only uses the
-// class to pick among exact solvers, so a false Grid positive costs at
-// most a suboptimal-speed — never a suboptimal-plan — choice.
+// class to pick where exact enumeration stops, so a false Grid positive
+// can move only that cutoff, never the plan an exact route returns.
 func Classify(g *hypergraph.Graph) Profile {
 	n := g.NumRels()
 	p := Profile{Rels: n}
@@ -105,36 +88,25 @@ func Classify(g *hypergraph.Graph) Profile {
 		return p
 	}
 
-	var skelConnected bool
-	p.Connected, skelConnected = g.Connectivity()
+	_, skelConnected := g.Connectivity()
 	var hist degreeHist
-	degrees := 0
+	degrees, maxDegree := 0, 0
 	for i := 0; i < n; i++ {
 		d := g.SimpleDegree(i)
 		hist[min(d, len(hist)-1)]++
 		degrees += d
-		p.MaxDegree = max(p.MaxDegree, d)
-	}
-	p.SimpleEdges = degrees / 2
-	for i := 0; i < g.NumEdges(); i++ {
-		if !g.Edge(i).Simple() {
-			p.HyperEdges++
-		}
-	}
-	if n >= 2 {
-		p.Density = float64(p.SimpleEdges) / float64(n*(n-1)/2)
-	}
-	if total := p.SimpleEdges + p.HyperEdges; total > 0 {
-		p.HyperDensity = float64(p.HyperEdges) / float64(total)
+		maxDegree = max(maxDegree, d)
 	}
 
-	m := p.SimpleEdges
+	// m counts distinct unordered simple-edge pairs: duplicate
+	// predicates between the same two relations collapse.
+	m := degrees / 2
 	switch {
 	case n == 1:
 		p.Class = Chain
 	case !skelConnected:
 		p.Class = Mixed
-	case m == n-1 && p.MaxDegree <= 2:
+	case m == n-1 && maxDegree <= 2:
 		// A connected graph with n-1 edges is a tree; max degree 2
 		// makes it a path.
 		p.Class = Chain
@@ -142,11 +114,11 @@ func Classify(g *hypergraph.Graph) Profile {
 		// All distinct pairs present. Checked before Cycle so that the
 		// triangle — which is both — reports as Clique.
 		p.Class = Clique
-	case m == n && p.MaxDegree == 2:
+	case m == n && maxDegree == 2:
 		// Connected and 2-regular (sum of degrees is 2n, so max 2
 		// forces all 2): a single cycle.
 		p.Class = Cycle
-	case m == n-1 && p.MaxDegree == n-1:
+	case m == n-1 && maxDegree == n-1:
 		// A tree with a universal hub.
 		p.Class = Star
 	case gridDegreeProfile(n, m, hist):

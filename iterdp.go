@@ -9,10 +9,10 @@ import (
 )
 
 // runIterDP dispatches a hypergraph to the large-query simplification
-// tier (internal/iterdp), supplying DPhyp as the exact solver for the
-// subproblems. A first-round subproblem is a cluster of the original
-// graph and keeps the hyperedges that lie inside it, which DPccp does
-// not accept; compression turns every later round's edges into simple
+// tier (internal/iterdp), supplying DPhyp, SolverAuto's exact route,
+// as the exact solver for the subproblems. A first-round subproblem is
+// a cluster of the original graph and keeps the hyperedges that lie
+// inside it; compression turns every later round's edges into simple
 // edges.
 //
 // Subproblems run one after another and share the session's memo pool,

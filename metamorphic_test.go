@@ -88,7 +88,7 @@ func TestRelabelingKeepsOptimalCost(t *testing.T) {
 		switch {
 		case c.name == "clique12":
 			algs = []Algorithm{DPhyp}
-		case !simpleGraph(c.g):
+		case c.g.HasHyperedges():
 			algs = []Algorithm{DPhyp, DPsize, DPsub, TopDown}
 		}
 		var optimum float64

@@ -154,7 +154,7 @@ type PlannerMetrics struct {
 	ParallelRuns uint64
 
 	// AutoRouted counts SolverAuto routing decisions keyed by the
-	// algorithm name the topology router picked (e.g. "dpccp"). Nil
+	// algorithm name the topology router picked (e.g. "dphyp"). Nil
 	// when no call has been routed.
 	AutoRouted map[string]uint64
 
@@ -440,7 +440,7 @@ func (p *Planner) route(g *Graph, o *options) routing {
 	}
 	span := o.explain.Start(obs.PhaseRoute)
 	prof := shape.Classify(g)
-	rt.alg = routeAuto(prof, o.trace != nil)
+	rt.alg = routeAuto(prof)
 	if rt.slo.budget > 0 {
 		// Budget-aware routing happens before the cache lookup for the
 		// same reason SolverAuto resolution does: the key must name the

@@ -54,17 +54,6 @@ func treeJSON(root *optree.Node, rels []optree.RelInfo) *QueryJSON {
 	return doc
 }
 
-// simpleGraph reports whether every edge of g is a simple edge, the
-// input class DPccp accepts.
-func simpleGraph(g *Graph) bool {
-	for i := 0; i < g.NumEdges(); i++ {
-		if !g.Edge(i).Simple() {
-			return false
-		}
-	}
-	return true
-}
-
 // pricingCorpus is the golden corpus: one document per lib-cold family
 // planned by every exact solver that accepts it; the densest
 // exact-routed graph; a 100-relation chain, whose sets are wider than
@@ -97,7 +86,7 @@ func pricingCorpus(t *testing.T) []pricingCase {
 			t.Fatalf("%s: deriving the graph: %v", f.name, err)
 		}
 		algs := exactSolvers
-		if !simpleGraph(r.Graph) {
+		if r.Graph.HasHyperedges() {
 			algs = []Algorithm{DPhyp, DPsize, DPsub, TopDown}
 		}
 		cases = append(cases, pricingCase{name: f.name, doc: f.doc, algs: algs})

@@ -237,9 +237,9 @@ func WithGenerateAndTest() Option { return func(o *options) { o.genAndTest = tru
 func WithoutSimplification() Option { return func(o *options) { o.noSimplify = true } }
 
 // WithTrace records DPhyp's enumeration steps (Fig. 3) into t; the
-// other solvers leave it empty. SolverAuto routes a traced call that
-// would plan exactly to DPhyp, which returns the same plan. A traced
-// call plans serially and bypasses the plan cache.
+// other solvers leave it empty. SolverAuto routes every exact call to
+// DPhyp, so a traced SolverAuto call records its steps unless it is
+// routed to Greedy or IterDP. A traced call bypasses the plan cache.
 func WithTrace(t *Trace) Option { return func(o *options) { o.trace = t } }
 
 // WithExplain records a phase/span trace of the planning call into t

@@ -27,35 +27,33 @@ const (
 // rankings and its scan over every pair at each merge would not.
 const autoMaxGreedyRels = 64
 
-// routeAuto maps a topology profile to the enumeration algorithm.
-// Every exact solver prices the same csg-cmp-pairs through the same
-// plan builder and the same order-independent tie-break, so routing
-// never changes the plan, only the time to find it. The ratios below
-// were measured on 2 CPUs (Planner, cache off, DefaultConfig; 9–41
-// interleaved reps per cell; ratios of medians):
+// routeAuto maps a topology profile to the enumeration algorithm:
+// IterDP above autoMaxGreedyRels relations, Greedy above the class's
+// exact cutoff, and DPhyp otherwise. DPhyp is the one exact route. It
+// handles hyperedges without generating connectivity-failing pairs
+// (Figures 5 and 6), it alone records the Fig. 3 steps WithTrace asks
+// for, and on a graph without hyperedges it emits the same pairs as
+// DPccp (§4.4) and computes N(S, X) as DPccp does, from the carried
+// simple-neighbour union alone. Every exact solver prices the same
+// csg-cmp-pairs through the same plan builder and the same
+// order-independent tie-break, so routing never changes the plan, only
+// the time to find it.
 //
-//   - Any query with hyperedges goes to DPhyp, the only enumerator that
-//     handles them without generating connectivity-failing pairs
-//     (Figures 5 and 6).
-//   - A traced call (traced, from WithTrace) goes to DPhyp, the one
-//     solver that records the Fig. 3 steps. The plan stays the same,
-//     and a traced call already bypasses the cache.
-//   - Every other graph goes to DPccp. On a graph without hyperedges it
-//     emits the same pairs as DPhyp (§4.4) and needs no DP-table
-//     membership test: DPhyp takes 1.06–1.15× of DPccp's time on
-//     chains of 5–20, 1.09–1.13× on cycles of 8–20, 1.11–1.13× on
-//     grid3×4 and grid4×4, 1.10–1.22× on stars of 6–14 and 1.01–1.31×
-//     on clique8–12 (two runs). Earlier runs put DPccp at 0.14–0.48×
-//     of DPsize's time on chains of 8–24 and 0.94–0.98× of TopDown's
-//     on clique10–14.
+// DPhyp ÷ DPccp time, measured on 2 CPUs (one Planner per solver,
+// cache off, DefaultConfig; per cell 5 warm-up plans per side, then 20
+// blocks of at least 100 ms per side, 400 ms for star14, clique10 and
+// grid4x4, of alternating single plans whose first side flips on every
+// plan; median block ratio, two runs): chains of 4–20 0.98–1.02,
+// cycle12 and cycle20 0.98–0.99, stars of 6–14 0.99–1.02, clique8 and
+// clique10 0.99–1.00, grid3x4 and grid4x4 0.97–1.00.
 //
-// Every route enumerates on one goroutine: no parallel route beat
-// serial DPccp on a clique a benchmark workload plans (see Concurrency
-// in the package documentation).
+// Every route enumerates on one goroutine: no parallel route beat the
+// serial clique route on a clique a benchmark workload plans (see
+// Concurrency in the package documentation).
 //
 // Queries whose class/size combination is beyond the exact cutoffs
 // degrade to Greedy up front rather than tripping a budget mid-flight.
-func routeAuto(p shape.Profile, traced bool) Algorithm {
+func routeAuto(p shape.Profile) Algorithm {
 	limit := autoMaxDenseRels
 	switch p.Class {
 	case shape.Clique:
@@ -71,8 +69,5 @@ func routeAuto(p shape.Profile, traced bool) Algorithm {
 	if p.Rels > limit {
 		return Greedy
 	}
-	if p.HyperEdges > 0 || traced {
-		return DPhyp
-	}
-	return DPccp
+	return DPhyp
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // detGraph derives the i-th routing-test graph: shapes and random
-// graphs of 10–13 relations mixed, so SolverAuto takes each of its exact
-// routes.
+// graphs of 10–13 relations mixed, with and without hyperedges, all
+// below the exact cutoffs.
 func detGraph(i int) *Graph {
 	seed := int64(7000 + i)
 	rng := rand.New(rand.NewSource(seed))
@@ -64,30 +64,38 @@ func depGraph(i int) *Graph {
 // TestRoutingKeepsPlan: SolverAuto's choice of solver never changes the
 // plan. Every exact solver prices the same csg-cmp-pairs through the
 // same builder, so over the routing corpus, half of it with a dependent
-// relation, the routed plan renders byte-identically to DPhyp's, with
-// equal pair and costed-plan counts. Two further inputs can leave a
-// connected set without a plan, where DPhyp's membership test skips the
-// set: generate-and-test runs over operator trees, whose filter rejects
-// plans, and relations that reference each other, whose join the
-// dependency check rejects both ways.
+// relation, the routed plan renders byte-identically to an independent
+// enumerator's, with equal pair and costed-plan counts: DPccp's on a
+// graph without hyperedges, DPsize's on the rest. Two further inputs
+// can leave a connected set without a plan, where DPhyp's membership
+// test skips the set: generate-and-test runs over operator trees, whose
+// filter rejects plans, and relations that reference each other, whose
+// join the dependency check rejects both ways.
 func TestRoutingKeepsPlan(t *testing.T) {
 	graphs := 200
 	if testing.Short() {
 		graphs = 20
 	}
 	ctx := context.Background()
-	ref := NewPlanner(WithAlgorithm(DPhyp), WithPlanCacheSize(0))
 	routed := NewPlanner(WithAlgorithm(SolverAuto), WithPlanCacheSize(0))
+	dpccp := NewPlanner(WithAlgorithm(DPccp), WithPlanCacheSize(0))
+	dpsize := NewPlanner(WithAlgorithm(DPsize), WithPlanCacheSize(0))
 	check := func(name string, plan func(p *Planner) (*Result, error)) {
 		t.Helper()
+		rp, rerr := plan(routed)
+		// A failed call carries no graph, so DPsize, which plans any
+		// graph, is its reference.
+		ref, refName := dpsize, "DPsize"
+		if rerr == nil && !rp.Graph.HasHyperedges() {
+			ref, refName = dpccp, "DPccp"
+		}
 		rs, err := plan(ref)
 		var want []byte
 		if err == nil {
 			want, err = json.Marshal(rs.Plan)
 		}
-		rp, rerr := plan(routed)
 		if (rerr == nil) != (err == nil) {
-			t.Errorf("%s: error %v, DPhyp's %v", name, rerr, err)
+			t.Errorf("%s: error %v, %s's %v", name, rerr, refName, err)
 			return
 		}
 		if err != nil {
@@ -98,18 +106,20 @@ func TestRoutingKeepsPlan(t *testing.T) {
 			t.Fatal(jerr)
 		}
 		if string(got) != string(want) {
-			t.Errorf("%s (routed %s): plan differs from DPhyp's\ndphyp:  %s\nrouted: %s",
-				name, rp.Stats.RoutedAlgorithm, want, got)
+			t.Errorf("%s (routed %s): plan differs from %s's\n%s: %s\nrouted: %s",
+				name, rp.Stats.RoutedAlgorithm, refName, refName, want, got)
 		}
 		if rp.Stats.CsgCmpPairs != rs.Stats.CsgCmpPairs || rp.Stats.CostedPlans != rs.Stats.CostedPlans {
-			t.Errorf("%s (routed %s): pairs %d, costed %d; DPhyp's %d, %d",
+			t.Errorf("%s (routed %s): pairs %d, costed %d; %s's %d, %d",
 				name, rp.Stats.RoutedAlgorithm, rp.Stats.CsgCmpPairs, rp.Stats.CostedPlans,
-				rs.Stats.CsgCmpPairs, rs.Stats.CostedPlans)
+				refName, rs.Stats.CsgCmpPairs, rs.Stats.CostedPlans)
 		}
 	}
 	for i := 0; i < graphs; i++ {
+		// Alternate blocks of eight, so every detGraph class, random
+		// hypergraphs included, is planned.
 		g := detGraph(i)
-		if i%2 == 1 {
+		if (i/8)%2 == 1 {
 			g = depGraph(i)
 		}
 		check(fmt.Sprintf("graph %d", i), func(p *Planner) (*Result, error) { return p.PlanGraph(ctx, g) })
@@ -131,7 +141,7 @@ func TestRoutingKeepsPlan(t *testing.T) {
 
 	// R1 and R2 reference each other, so no join of a side holding R1
 	// with a side holding R2 is valid: {R1,R2} has no plan, and neither
-	// has the query. Every route must fail as DPhyp does.
+	// has the query. The routed call must fail as DPsize does.
 	mutual := workload.Chain(10, cfg)
 	mutual.SetFree(1, bitset.New(2))
 	mutual.SetFree(2, bitset.New(1))

@@ -101,8 +101,8 @@ func TestConcurrentPlansThroughWorkerPool(t *testing.T) {
 	}
 
 	pm := planner.Metrics()
-	if pm.Plans != clients*requests || pm.AutoRouted["dpccp"] != clients*requests {
-		t.Errorf("Plans = %d, AutoRouted = %v; want %d plans, every one routed to dpccp",
+	if pm.Plans != clients*requests || pm.AutoRouted["dphyp"] != clients*requests {
+		t.Errorf("Plans = %d, AutoRouted = %v; want %d plans, every one routed to dphyp",
 			pm.Plans, pm.AutoRouted, clients*requests)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"sort"
@@ -316,11 +317,18 @@ func (s *Server) timeoutFor(ms int64) time.Duration {
 	if ms <= 0 {
 		return s.cfg.DefaultTimeout
 	}
-	d := time.Duration(ms) * time.Millisecond
+	d := msDuration(ms)
 	if d > s.cfg.MaxTimeout {
 		return s.cfg.MaxTimeout
 	}
 	return d
+}
+
+// msDuration converts a wire field in milliseconds to a Duration. It
+// saturates at ±292 years, where the product would wrap around int64.
+func msDuration(ms int64) time.Duration {
+	const limit = math.MaxInt64 / int64(time.Millisecond)
+	return time.Duration(min(max(ms, -limit), limit)) * time.Millisecond
 }
 
 // decodeRequest is the prologue of both planning handlers. It evaluates
@@ -381,7 +389,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// rewrites flow into the option key, so degraded requests coalesce
 	// — and fill the plan cache — strictly among themselves.
 	algorithm := req.Algorithm
-	planBudget := time.Duration(req.PlanBudgetMS) * time.Millisecond
+	planBudget := msDuration(req.PlanBudgetMS)
 	if tier >= tierTighten {
 		if db := s.ladder.cfg.DegradedBudget; planBudget <= 0 || planBudget > db {
 			planBudget = db
@@ -533,8 +541,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("service: batch has no queries"))
 		return
 	}
-	opts, optKey, err := planOptions(req.Algorithm, req.CostModel, req.Budget,
-		time.Duration(req.PlanBudgetMS)*time.Millisecond)
+	opts, optKey, err := planOptions(req.Algorithm, req.CostModel, req.Budget, msDuration(req.PlanBudgetMS))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

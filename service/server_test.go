@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -159,8 +160,8 @@ func TestPlanRoundTrip(t *testing.T) {
 	if resp.Plan == nil || resp.Cost <= 0 {
 		t.Fatalf("degenerate response: %+v", resp)
 	}
-	if resp.Stats.Shape != "star" || resp.Stats.RoutedAlgorithm != "dpccp" {
-		t.Errorf("routing: shape=%q routed=%q, want star/dpccp", resp.Stats.Shape, resp.Stats.RoutedAlgorithm)
+	if resp.Stats.Shape != "star" || resp.Stats.RoutedAlgorithm != "dphyp" {
+		t.Errorf("routing: shape=%q routed=%q, want star/dphyp", resp.Stats.Shape, resp.Stats.RoutedAlgorithm)
 	}
 
 	// The served cost matches planning the same document directly.
@@ -610,6 +611,90 @@ func TestDeadlines(t *testing.T) {
 	}
 }
 
+// TestMillisecondFieldsSaturate: timeout_ms and plan_budget_ms values
+// past the Duration range (about 292 years) saturate instead of
+// wrapping, on /plan and on /batch. A huge timeout clamps to MaxTimeout
+// and the request plans; a huge plan budget plans on the exact rung,
+// undegraded; a huge negative budget is still refused.
+func TestMillisecondFieldsSaturate(t *testing.T) {
+	s := New(Config{Planner: repro.NewPlanner(repro.WithPlanCacheSize(0))})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	client := srv.Client()
+
+	const limit = math.MaxInt64 / int64(time.Millisecond) // 9223372036854
+	for _, tc := range []struct {
+		name                string
+		timeoutMS, budgetMS int64
+		code                int
+	}{
+		{"timeout at the limit", limit, 0, http.StatusOK},
+		{"timeout past the limit", limit + 1, 0, http.StatusOK},
+		{"timeout 1e13", 1e13, 0, http.StatusOK},
+		{"timeout MaxInt64", math.MaxInt64, 0, http.StatusOK},
+		{"budget 1e13", 0, 1e13, http.StatusOK},
+		{"budget wrapping to 448us", 0, 18446744073710, http.StatusOK},
+		{"budget MaxInt64", 0, math.MaxInt64, http.StatusOK},
+		{"budget -1e13", 0, -1e13, http.StatusBadRequest},
+	} {
+		// check wants a saturated budget, when the case sets one, to
+		// plan exactly and to report the whole Duration range.
+		check := func(path string, st StatsJSON) {
+			t.Helper()
+			if tc.budgetMS == 0 {
+				return
+			}
+			if st.SLORung != "exact" || st.SLODegraded || st.PlanBudgetMS < float64(limit) {
+				t.Errorf("%s %s: rung %q, degraded %t, budget %g ms; want exact, undegraded, %d ms",
+					path, tc.name, st.SLORung, st.SLODegraded, st.PlanBudgetMS, limit)
+			}
+		}
+
+		code, body := postPlan(t, client, srv.URL, PlanRequest{
+			Query: starDoc(8, 1000), Algorithm: "auto", TimeoutMS: tc.timeoutMS, PlanBudgetMS: tc.budgetMS,
+		})
+		if code != tc.code {
+			t.Errorf("/plan %s: %d %s, want %d", tc.name, code, body, tc.code)
+		} else if code == http.StatusOK {
+			var resp PlanResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatalf("/plan %s: %v", tc.name, err)
+			}
+			check("/plan", resp.Stats)
+		}
+
+		req, _ := json.Marshal(BatchRequest{
+			Queries: []*repro.QueryJSON{starDoc(8, 2000)}, Algorithm: "auto",
+			TimeoutMS: tc.timeoutMS, PlanBudgetMS: tc.budgetMS,
+		})
+		resp, err := client.Post(srv.URL+"/batch", "application/json", bytes.NewReader(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.code {
+			t.Errorf("/batch %s: %d %s, want %d", tc.name, resp.StatusCode, body, tc.code)
+			continue
+		}
+		if resp.StatusCode != http.StatusOK {
+			continue
+		}
+		var out BatchResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatalf("/batch %s: %v", tc.name, err)
+		}
+		if len(out.Results) != 1 || out.Results[0].PlanResponse == nil {
+			t.Errorf("/batch %s: %s, want one plan", tc.name, body)
+			continue
+		}
+		check("/batch", out.Results[0].Stats)
+	}
+}
+
 // TestShutdownDrains: Shutdown refuses new work with 503 but lets the
 // admitted request finish; it returns only after the last in-flight
 // request completed.
@@ -763,7 +848,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"planner_cache_hits_total 2",
 		"planner_cache_misses_total 1",
 		// Routing happens before the cache lookup, so hits count too.
-		`planner_auto_routed_total{algorithm="dpccp"} 3`,
+		`planner_auto_routed_total{algorithm="dphyp"} 3`,
 		`dpserved_http_requests_total{path="/plan",code="200"} 3`,
 		"dpserved_request_duration_seconds_count 3",
 		"dpserved_workers",

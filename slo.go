@@ -50,7 +50,7 @@ func WithPlanBudget(d time.Duration) Option {
 // Stats.SLORung so a caller (or the serving tier) can tell how much
 // plan quality a budgeted call actually got.
 const (
-	rungExact  = 0 // full exact enumeration (DPhyp, DPccp, ...)
+	rungExact  = 0 // full exact enumeration (DPhyp, or any exact WithAlgorithm)
 	rungIterDP = 1 // iterative DP: exact subproblems, heuristic composition
 	rungGreedy = 2 // GOO: about n² rankings, each an incidence-row walk; no optimality claim
 )
