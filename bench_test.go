@@ -256,10 +256,12 @@ func BenchmarkPlannerSession(b *testing.B) {
 }
 
 // BenchmarkMemo isolates the memo claim of the unified enumeration
-// engine: open-addressing table + flat arena (internal/memo) versus the
-// map[bitset.Set]*plan.Node each solver used to carry. The key stream is
-// every non-empty subset of a 14-relation universe in Vance–Maier order
-// — the exact access pattern of a clique enumeration.
+// engine: the memo Table (internal/memo) versus the
+// map[bitset.Set]*plan.Node each solver used to carry, with the table's
+// open-addressing mode (engine) and its direct-indexed mode (direct),
+// which every run of at most memo.DirectMaxRels relations uses. The key
+// stream is every non-empty subset of a 14-relation universe in
+// Vance–Maier order — the exact access pattern of a clique enumeration.
 func BenchmarkMemo(b *testing.B) {
 	keys := bitset.Subsets(bitset.Full(14))
 	leaf := plan.Leaf(0, 100)
@@ -289,13 +291,28 @@ func BenchmarkMemo(b *testing.B) {
 			}
 		}
 	})
+	b.Run("insert/direct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var tb memo.Table
+			tb.ResetDirect(14)
+			for j, k := range keys {
+				tb.Put(k, int32(j))
+			}
+			if tb.Len() != len(keys) {
+				b.Fatal("bad size")
+			}
+		}
+	})
 
 	mm := make(map[string]*plan.Node, len(keys))
-	var tb memo.Table
+	var tb, td memo.Table
 	tb.Reset(len(keys))
+	td.ResetDirect(14)
 	for j, k := range keys {
 		mm[k.Key()] = leaf
 		tb.Put(k, int32(j))
+		td.Put(k, int32(j))
 	}
 	b.Run("lookup/map", func(b *testing.B) {
 		b.ReportAllocs()
@@ -311,20 +328,25 @@ func BenchmarkMemo(b *testing.B) {
 			}
 		}
 	})
-	b.Run("lookup/engine", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			hits := 0
-			for _, k := range keys {
-				if _, ok := tb.Get(k); ok {
-					hits++
+	for _, side := range []struct {
+		name string
+		tb   *memo.Table
+	}{{"engine", &tb}, {"direct", &td}} {
+		b.Run("lookup/"+side.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hits := 0
+				for _, k := range keys {
+					if _, ok := side.tb.Get(k); ok {
+						hits++
+					}
+				}
+				if hits != len(keys) {
+					b.Fatal("bad hits")
 				}
 			}
-			if hits != len(keys) {
-				b.Fatal("bad hits")
-			}
-		}
-	})
+		})
+	}
 
 	// arena-reset measures the steady-state cycle a pooled engine lives
 	// in: clear storage that is already sized, then re-fill it.
@@ -344,6 +366,17 @@ func BenchmarkMemo(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			t2.Reset(len(keys))
+			for j, k := range keys {
+				t2.Put(k, int32(j))
+			}
+		}
+	})
+	b.Run("arena-reset/direct", func(b *testing.B) {
+		var t2 memo.Table
+		t2.ResetDirect(14)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t2.ResetDirect(14)
 			for j, k := range keys {
 				t2.Put(k, int32(j))
 			}

@@ -95,8 +95,8 @@
 // (WithTrace, generate-and-test filters) bypass the cache entirely.
 // WithPlanCacheSize sizes the cache; 0 disables it.
 //
-// Internally, memo engines — open-addressing DP table, plan-node arena,
-// and builder scratch — are recycled through a per-planner pool, so
+// Internally, memo engines — DP table, plan-node arena, and builder
+// scratch — are recycled through a per-planner pool, so
 // steady traffic reaches a steady state in which an enumeration run
 // performs no table or plan-node allocations at all (see Architecture).
 // Stats.ArenaReused reports per run whether recycled storage was used;
@@ -124,10 +124,13 @@
 //     was a csg-cmp-pair, and uses Contains/Step/Aborted for its other
 //     tests and cancellation polling. No solver carries its own memo
 //     map.
-//   - The memo engine (internal/memo) owns storage and accounting: an
-//     open-addressing hash table specialized for the relation-set keys
-//     (Fibonacci hashing, linear probing, power-of-two growth), a
-//     flat plan-node arena addressed by indices instead of pointers
+//   - The memo engine (internal/memo) owns storage and accounting: a
+//     DP table specialized for the relation-set keys — indexed
+//     directly by the set's word in a run of at most 16 relations
+//     (memo.DirectMaxRels; one load per lookup), and an open-addressing
+//     hash table (Fibonacci hashing, linear probing, power-of-two
+//     growth) in a wider run — a flat plan-node arena addressed by
+//     indices instead of pointers
 //     (improved entries overwrite their slot in place; nothing is
 //     heap-allocated per candidate plan), budget enforcement for the
 //     §2.2 effort yardsticks, context-cancellation polling, and the
@@ -150,9 +153,12 @@
 //     it lies in inc(S1) ∩ inc(S2), where inc(S) is the set of edges
 //     touching S; an edge in that intersection is applied iff S1 ∪ S2
 //     covers it.
-//     The builder keeps each edge's node set, built once per run, and
-//     one inc(S) row per memo entry (one bit per edge, in plain words),
-//     in arena-handle order: a relation's row comes from the graph, and
+//     The builder indexes each edge once per run. On a graph of at
+//     most 64 relations (dp.WordMaxRels) it keeps the edge's node set,
+//     hypernodes, selectivity and operator as words and plain values,
+//     so the walk tests hypernodes with word masks; on a wider graph
+//     it keeps the node set. It also keeps one inc(S) row per memo
+//     entry (one bit per edge, in plain words), in arena-handle order: a relation's row comes from the graph, and
 //     the row of an entry the builder makes is the union of its two
 //     children's rows, so a pair reads both rows by handle. The walk
 //     visits inc(S1) ∩ inc(S2) in ascending edge index, so the

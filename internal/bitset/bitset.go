@@ -29,7 +29,10 @@
 // Set is deliberately NOT comparable with ==: compare with Equal, order
 // with Less, and key maps with Key. No code outside this package may
 // assume the word count or index words directly (the bitsetwidth
-// analyzer guards the operator half of that invariant).
+// analyzer guards the operator half of that invariant). The one
+// sanctioned exception is the one-word view, Word and FromWord: a
+// caller that has checked its sets fit one word (a run over at most 64
+// relations) may work on that word and convert back.
 package bitset
 
 import (
@@ -295,6 +298,27 @@ func (s Set) minusWide(t Set) Set {
 //
 //dp:hotpath
 func (s Set) IsEmpty() bool { return s.lo == 0 && s.hi == nil }
+
+// Word returns s as one machine word, bit i set iff i ∈ s, and reports
+// whether s fits one: every element is below 64. It is the one
+// sanctioned one-word view of a Set outside this package, for the
+// word-sized kernels of runs over at most 64 relations (the memo's
+// direct-indexed table, the plan builder's edge walk, the simple-edge
+// neighbour union). For a wider set it returns 0 and false.
+//
+//dp:hotpath
+func (s Set) Word() (uint64, bool) {
+	if s.hi != nil {
+		return 0, false
+	}
+	return s.lo, true
+}
+
+// FromWord returns the set whose elements are the set bits of w, the
+// inverse of Word.
+//
+//dp:hotpath
+func FromWord(w uint64) Set { return Set{lo: w} }
 
 // Len returns |s|.
 func (s Set) Len() int {

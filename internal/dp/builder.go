@@ -3,7 +3,7 @@
 // DPccp, TopDown, and the GOO fallback).
 //
 // Storage and accounting live one layer down, in internal/memo: the
-// open-addressing DP table, the flat plan-node arena, budget and
+// DP table, the flat plan-node arena, budget and
 // cancellation enforcement, and the counting hooks. This package
 // contributes the Backend the engine calls for every offered pair:
 // Builder implements the plan-construction logic of EmitCsgCmp (§3.5) —
@@ -26,9 +26,13 @@
 // of an entry the builder makes is the union of its two children's rows,
 // so a pair reads both sides' rows by handle. The walk is in ascending
 // edge index, so estimates are bit-identical across solvers and
-// orientations. The walk is also EmitPair's pair test, IterDP prices
-// its stitched plan through it (PriceJoin), and GOO ranks its candidate
-// merges with it (JoinCard).
+// orientations. On a graph of at most WordMaxRels relations every
+// relation set fits one machine word, and the walk tests each edge's
+// hypernodes against the pair's sides as words (bitset.Set.Word); a
+// wider graph's walk makes the same tests on bitset.Set values. The
+// walk is also EmitPair's pair test, IterDP prices its stitched plan
+// through it (PriceJoin), and GOO ranks its candidate merges with it
+// (JoinCard).
 //
 // The package also holds the run contract the solvers share: Options
 // configures any of them, and Run does the set-up and epilogue of every
@@ -97,22 +101,48 @@ type Builder struct {
 	physical  cost.PhysicalModel
 	symmetric bool
 
-	// The per-run graph index. edgeNodes[i] is U ∪ V ∪ W of edge i.
+	// The per-run graph index. On a graph of at most WordMaxRels
+	// relations, wordEdges[i] is edge i with its node set U ∪ V ∪ W, U
+	// and V as words, and edgeNodes is empty; on a wider graph
+	// edgeNodes[i] is U ∪ V ∪ W of edge i, and wordEdges is empty.
 	// inc holds words uint64 words per memo entry, in arena-handle
 	// order: inc[h*words:(h+1)*words] is inc(S) for the entry at handle
 	// h, with bit i set iff edge i touches S. indexGraph writes the
 	// relation rows, handles 0..n-1 (Init emits relation r as handle r),
 	// and BuildPair appends the row of every entry it makes. dependent
 	// reports whether some relation has free variables (§5.6).
+	wordEdges []wordEdge
 	edgeNodes []bitset.Set
 	inc       []uint64
 	words     int
+	oneWord   bool
 	dependent bool
 
 	connBuf []EdgeRef
 	flipBuf []EdgeRef
 	edgeBuf []int
 	ranks   []Rank
+}
+
+// WordMaxRels is the largest relation count whose runs pair edges as
+// machine words: every relation set of such a graph fits one word
+// (bitset.Set.Word), so pairEdges tests an edge's hypernodes against
+// the pair's sides with word masks instead of bitset.Set calls. Where
+// the memo table still hashes (above memo.DirectMaxRels relations), a
+// paired probe on 2 CPUs (6 alternating rounds; the runs are recorded
+// in CHANGES.md) read the word walk at 0.89× and 0.92× of the Set
+// walk's time on Greedy's clique40 and clique20, and within noise on
+// chain20 and chain64. Wider graphs, IterDP's 65–100-relation replays
+// through PriceJoin, keep the Set walk.
+const WordMaxRels = 64
+
+// wordEdge is an edge of a graph of at most WordMaxRels relations in
+// the form pairEdges walks: its node set U ∪ V ∪ W, U and V as words,
+// its selectivity and its operator.
+type wordEdge struct {
+	nodes, u, v uint64
+	sel         float64
+	op          algebra.Op
 }
 
 // Rank is one candidate merge as GOO ranks it: the join cardinality
@@ -155,32 +185,46 @@ func NewRun(pool *memo.Pool, g *hypergraph.Graph, m cost.Model, entries int) (*m
 	return e, b
 }
 
-// indexGraph builds the per-run graph index BuildPair reads: each edge's
-// node set and the relation rows of inc. The rows are plain words, not
-// bitset.Set: a row has one bit per edge, Greedy plans cliques of up to
-// 64 relations (2016 edges), and Set operations allocate above 64
-// elements and stop at 1024. Their capacity covers the run's entries,
-// or memo.EntryHint entries, the memo's own pre-size, when entries is 0,
-// so a fresh engine does not regrow them by doubling. Their storage
-// follows memo's shrink policy against the memo.EntryHint size, so a
-// pooled engine that alternates a Greedy run's 2n−1 rows with an exact
-// run's dense pre-size keeps its storage instead of reallocating it on
-// every switch.
+// indexGraph builds the per-run graph index BuildPair reads: each edge,
+// as words on a graph of at most WordMaxRels relations and as its node
+// set otherwise, and the relation rows of inc. The rows are plain
+// words, not bitset.Set: a row has one bit per edge, Greedy plans
+// cliques of up to 64 relations (2016 edges), and Set operations
+// allocate above 64 elements and stop at 1024. Their capacity covers
+// the run's entries, or memo.EntryHint entries, the memo's own
+// pre-size, when entries is 0, so a fresh engine does not regrow them
+// by doubling. Their storage follows memo's shrink policy against the
+// memo.EntryHint size, so a pooled engine that alternates a Greedy
+// run's 2n−1 rows with an exact run's dense pre-size keeps its storage
+// instead of reallocating it on every switch.
 func (b *Builder) indexGraph(entries int) {
 	g := b.G
-	nodes := b.edgeNodes[:0]
+	b.oneWord = g.NumRels() <= WordMaxRels
+	b.wordEdges, b.edgeNodes = b.wordEdges[:0], b.edgeNodes[:0]
 	for i := 0; i < g.NumEdges(); i++ {
-		nodes = append(nodes, g.Edge(i).Nodes())
+		ed := g.Edge(i)
+		if !b.oneWord {
+			b.edgeNodes = append(b.edgeNodes, ed.Nodes())
+			continue
+		}
+		u, _ := ed.U.Word()
+		v, _ := ed.V.Word()
+		w, _ := ed.W.Word()
+		b.wordEdges = append(b.wordEdges, wordEdge{nodes: u | v | w, u: u, v: v, sel: ed.Sel, op: ed.Op})
 	}
-	b.edgeNodes = nodes
-	w := (len(nodes) + 63) / 64
+	w := (g.NumEdges() + 63) / 64
 	dense := memo.EntryHint(g.NumRels())
 	if entries <= 0 {
 		entries = dense
 	}
 	rows := slices.Grow(memo.Recycle(b.inc, dense*w), entries*w)[:g.NumRels()*w]
 	clear(rows)
-	for i, ns := range nodes {
+	for i, we := range b.wordEdges {
+		for x := we.nodes; x != 0; x &= x - 1 {
+			rows[bits.TrailingZeros64(x)*w+i/64] |= 1 << uint(i%64)
+		}
+	}
+	for i, ns := range b.edgeNodes {
 		for r := ns.NextElem(0); r >= 0; r = ns.NextElem(r + 1) {
 			rows[r*w+i/64] |= 1 << uint(i%64)
 		}
@@ -427,7 +471,58 @@ func (b *Builder) JoinCard(S1, S2 bitset.Set) (card float64, connected bool) {
 // derived from. Simple predicate edges carry the inner join. At most
 // one connecting edge should be non-inner for TES-derived graphs; if
 // several are, the latest wins and ambiguous reports it.
+//
+// On a graph of at most WordMaxRels relations the walk reads the edges
+// indexGraph recorded as words, and S1, S2 and S as words, so each
+// hypernode test is one mask; a wider graph takes pairEdgesWide.
 func (b *Builder) pairEdges(S1, S2, S bitset.Set, lh, rh int32) (sel float64, op algebra.Op, leftIsS1, ambiguous bool) {
+	if !b.oneWord {
+		return b.pairEdgesWide(S1, S2, S, lh, rh)
+	}
+	s1, _ := S1.Word()
+	s2, _ := S2.Word()
+	s, _ := S.Word()
+	inc1, inc2 := b.row(lh), b.row(rh)
+	sel, op, leftIsS1 = 1.0, algebra.Join, true
+	applied := b.edgeBuf[:0]
+	conn := b.connBuf[:0]
+	nonInner := 0
+	for k, x := range inc1 {
+		for x &= inc2[k]; x != 0; x &= x - 1 {
+			i := k*64 + bits.TrailingZeros64(x)
+			ed := &b.wordEdges[i]
+			if ed.nodes&^s != 0 {
+				continue
+			}
+			sel *= ed.sel
+			applied = append(applied, i)
+			// A connecting edge (u ⊆ S1, v ⊆ S2, w ⊆ S, or flipped) has
+			// its hypernodes on opposite sides, so it is always applied
+			// too.
+			var flipped bool
+			switch {
+			case ed.u&^s1 == 0 && ed.v&^s2 == 0:
+			case ed.u&^s2 == 0 && ed.v&^s1 == 0:
+				flipped = true
+			default:
+				continue
+			}
+			conn = append(conn, EdgeRef{Idx: i, Flipped: flipped})
+			if ed.op != algebra.Join {
+				nonInner++
+				op = ed.op
+				leftIsS1 = !flipped
+			}
+		}
+	}
+	b.edgeBuf, b.connBuf = applied, conn
+	return sel, op, leftIsS1, nonInner > 1
+}
+
+// pairEdgesWide is pairEdges on a graph wider than WordMaxRels
+// relations: the same walk, with the hypernode tests made on
+// bitset.Set values.
+func (b *Builder) pairEdgesWide(S1, S2, S bitset.Set, lh, rh int32) (sel float64, op algebra.Op, leftIsS1, ambiguous bool) {
 	inc1, inc2 := b.row(lh), b.row(rh)
 	sel, op, leftIsS1 = 1.0, algebra.Join, true
 	applied := b.edgeBuf[:0]
@@ -442,9 +537,6 @@ func (b *Builder) pairEdges(S1, S2, S bitset.Set, lh, rh int32) (sel float64, op
 			ed := b.G.Edge(i)
 			sel *= ed.Sel
 			applied = append(applied, i)
-			// A connecting edge (u ⊆ S1, v ⊆ S2, w ⊆ S, or flipped) has
-			// its hypernodes on opposite sides, so it is always applied
-			// too.
 			var flipped bool
 			switch {
 			case ed.U.SubsetOf(S1) && ed.V.SubsetOf(S2):

@@ -34,7 +34,9 @@ type namedGraph struct {
 // simple edges, hyperedges and generalized edges (W ≠ ∅), non-inner
 // operators, dependent relations, incidence rows of one, two, three and
 // seventeen words, more memo entries than the rows are pre-sized for,
-// and sets wider than one word.
+// and sets wider than one word. chain64 and chain65 straddle
+// dp.WordMaxRels: the last graph whose edges the kernel walks as words
+// and the first it walks as sets.
 func kernelGraphs() []namedGraph {
 	rng := rand.New(rand.NewSource(22))
 	cfg := workload.DefaultConfig()
@@ -50,6 +52,8 @@ func kernelGraphs() []namedGraph {
 		{"clique10-wide", kernelGraph(rng, 10, true, 100)},        // 145 edges, three words
 		{"clique12", workload.Clique(12, cfg)},                    // 66 edges, two words
 		{"star13", workload.Star(13, cfg)},                        // 4108 connected sets
+		{"chain64", workload.Chain(64, workload.LargeConfig())},   // the last one-word graph
+		{"chain65", workload.Chain(65, workload.LargeConfig())},   // the first wide graph
 		{"chain100", workload.Chain(100, workload.LargeConfig())}, // sets wider than a word
 		{"clique46", workload.Clique(46, cfg)},                    // 1035 edges, seventeen words
 	}

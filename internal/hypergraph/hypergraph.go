@@ -18,6 +18,7 @@ package hypergraph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -87,9 +88,13 @@ type Graph struct {
 	// written by the single-threaded construction phase.
 	mu sync.Mutex
 
-	// Derived indexes, rebuilt lazily after mutations.
-	dirty           bool
-	simpleNeighbors []bitset.Set // node -> union of simple-edge partners
+	// Derived indexes, rebuilt lazily after mutations. The simple-edge
+	// partners of each node are held as words on a graph of at most 64
+	// relations (simpleWords) and as sets on a wider one
+	// (simpleNeighbors); the other slice is nil.
+	indexed         bool         // the indexes reflect rels and edges
+	simpleWords     []uint64     // node -> simple-edge partners, ≤ 64 relations
+	simpleNeighbors []bitset.Set // node -> simple-edge partners, > 64 relations
 	complexEdges    []int        // indices of non-simple edges
 	connected       bool         // the whole hypergraph is one reachability component
 	skelConnected   bool         // so is the simple-edge skeleton alone
@@ -211,7 +216,7 @@ func (g *Graph) Edge(i int) *Edge { return &g.edges[i] }
 func (g *Graph) AllNodes() bitset.Set { return bitset.Full(len(g.rels)) }
 
 func (g *Graph) invalidate() {
-	g.dirty = true
+	g.indexed = false
 	g.connMemo = nil
 }
 
@@ -227,19 +232,25 @@ func (g *Graph) Freeze() {
 	g.mu.Unlock()
 }
 
-// ensureIndex rebuilds the derived indexes. Besides the neighbour table
-// it records reachability, found with one union-find pass over the
-// edges: O(V+E), and without allocating up to 64 relations. Simple edges
-// are merged first, so the component count after them is the
-// skeleton's.
+// ensureIndex rebuilds the derived indexes unless they are current.
+// Besides the neighbour table it records reachability, found with one
+// union-find pass over the edges: O(V+E), and without allocating up to
+// 64 relations. Simple edges are merged first, so the component count
+// after them is the skeleton's. The neighbour table is one allocation
+// either way: a word per node up to 64 relations, a set per node above.
 //
-//dp:coldpath index rebuild runs once per graph mutation, guarded by g.dirty
+//dp:coldpath index rebuild runs once per graph mutation, guarded by g.indexed
 func (g *Graph) ensureIndex() {
-	if !g.dirty && g.simpleNeighbors != nil {
+	if g.indexed {
 		return
 	}
 	n := len(g.rels)
-	g.simpleNeighbors = make([]bitset.Set, n)
+	g.simpleWords, g.simpleNeighbors = nil, nil
+	if n <= 64 {
+		g.simpleWords = make([]uint64, n)
+	} else {
+		g.simpleNeighbors = make([]bitset.Set, n)
+	}
 	g.complexEdges = g.complexEdges[:0]
 	var small [64]int32
 	uf := small[:0]
@@ -252,8 +263,13 @@ func (g *Graph) ensureIndex() {
 		e := &g.edges[i]
 		if e.Simple() {
 			a, b := e.U.Min(), e.V.Min()
-			g.simpleNeighbors[a] = g.simpleNeighbors[a].Add(b)
-			g.simpleNeighbors[b] = g.simpleNeighbors[b].Add(a)
+			if g.simpleWords != nil {
+				g.simpleWords[a] |= 1 << uint(b)
+				g.simpleWords[b] |= 1 << uint(a)
+			} else {
+				g.simpleNeighbors[a] = g.simpleNeighbors[a].Add(b)
+				g.simpleNeighbors[b] = g.simpleNeighbors[b].Add(a)
+			}
 			if union(uf, int32(a), int32(b)) {
 				comps--
 			}
@@ -274,7 +290,16 @@ func (g *Graph) ensureIndex() {
 		}
 	}
 	g.connected = comps <= 1
-	g.dirty = false
+	g.indexed = true
+}
+
+// simplePartners returns the simple-edge partners of rel from the
+// derived index, which must be current.
+func (g *Graph) simplePartners(rel int) bitset.Set {
+	if g.simpleWords != nil {
+		return bitset.FromWord(g.simpleWords[rel])
+	}
+	return g.simpleNeighbors[rel]
 }
 
 // Connectivity reports whether the whole hypergraph, where an edge links
@@ -294,7 +319,7 @@ func (g *Graph) Connectivity() (whole, skeleton bool) {
 // concurrent callers need a frozen graph.
 func (g *Graph) SimpleDegree(rel int) int {
 	g.ensureIndex()
-	return g.simpleNeighbors[rel].Len()
+	return g.simplePartners(rel).Len()
 }
 
 // newForest resets uf to a union-find forest of singletons.
@@ -339,7 +364,7 @@ func (g *Graph) CandidateHypernodes(S, X bitset.Set) []bitset.Set {
 	// construction.
 	var singles bitset.Set
 	S.ForEach(func(i int) {
-		singles = singles.Union(g.simpleNeighbors[i])
+		singles = singles.Union(g.simplePartners(i))
 	})
 	singles = singles.Minus(forbidden)
 	singles.ForEach(func(b int) {
@@ -432,12 +457,23 @@ type NeighborScratch struct {
 // every node in S, before any forbidden-set filtering. DPhyp maintains
 // this union incrementally while growing subgraphs — extending S by n
 // only needs the union over n — so the simple-edge part of N(S,X),
-// su ∖ (S ∪ X), costs it no pass over S.
+// su ∖ (S ∪ X), costs it no pass over S. On a graph of at most 64
+// relations it ORs the partner words of S's elements; the index test
+// is inlined, so a frozen graph pays no call for it.
 func (g *Graph) SimpleNeighborUnion(S bitset.Set) bitset.Set {
-	g.ensureIndex()
+	if !g.indexed {
+		g.ensureIndex()
+	}
+	if w, ok := S.Word(); ok && g.simpleWords != nil {
+		var su uint64
+		for ; w != 0; w &= w - 1 {
+			su |= g.simpleWords[bits.TrailingZeros64(w)]
+		}
+		return bitset.FromWord(su)
+	}
 	var su bitset.Set
 	for i := S.NextElem(0); i >= 0; i = S.NextElem(i + 1) {
-		su = su.Union(g.simpleNeighbors[i])
+		su = su.Union(g.simplePartners(i))
 	}
 	return su
 }

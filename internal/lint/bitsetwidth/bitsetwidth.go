@@ -17,7 +17,12 @@
 //   - map types keyed by Set are flagged: key by Set.Key() instead.
 //
 // Every diagnostic is a site that silently assumed the historical
-// single-word representation. Suppress individual sites with
+// single-word representation. The one sanctioned one-word view is
+// bitset's own API, Set.Word and FromWord: Word reports whether the set
+// fits one word, so a word-sized kernel (the memo's direct-indexed
+// table, the plan builder's edge walk, the simple-edge neighbour union)
+// works on plain uint64 values it obtained through that check, and the
+// analyzer has nothing to flag there. Suppress individual sites with
 // //nolint:bitsetwidth // <reason>; the suppressed count is still
 // reported by `dplint -json` so the worklist stays visible.
 package bitsetwidth

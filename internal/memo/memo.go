@@ -7,9 +7,12 @@
 // generated and memoized. This package owns the memoization half of that
 // equation so the solvers can be pure enumerators:
 //
-//   - an open-addressing hash Table specialized for bitset.Set keys —
-//     the DP table mapping relation sets to plans — replacing the
-//     generic map[bitset.Set]*plan.Node each solver used to carry;
+//   - a Table specialized for bitset.Set keys — the DP table mapping
+//     relation sets to plans — replacing the generic
+//     map[bitset.Set]*plan.Node each solver used to carry: a run over
+//     at most DirectMaxRels relations indexes it directly by the
+//     relation set's word (one load per lookup), and a wider run uses
+//     open addressing;
 //   - a flat plan-node arena addressed by indices, not pointers: during
 //     enumeration no plan nodes are heap-allocated at all, table entries
 //     are overwritten in place when a cheaper plan is found, and only the
@@ -83,8 +86,8 @@ type Stats struct {
 	TableEntries  int // number of connected subgraphs with a plan
 
 	// Memo-engine accounting, filled by Final.
-	MemoCapacity int  // open-addressing slots at the end of the run
-	MemoGrows    int  // table rehashes during the run
+	MemoCapacity int  // table slots at the end of the run: 2^n in a direct-indexed run
+	MemoGrows    int  // table rehashes during the run; 0 in a direct-indexed run
 	ArenaNodes   int  // arena slots used (≈ TableEntries; leaves included)
 	ArenaReused  bool // the run started on recycled table/arena storage
 
@@ -161,7 +164,7 @@ type node struct {
 	phys             algebra.PhysOp
 }
 
-// Engine is the shared open-addressing memo: DP table, plan-node arena,
+// Engine is the shared memo: DP table, plan-node arena,
 // budget and cancellation enforcement, and counting hooks. It is not
 // safe for concurrent use; the Planner layer gives each in-flight plan
 // its own pooled engine, and every enumeration runs on one goroutine.
@@ -193,13 +196,22 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Reset prepares the engine for a run over n relations: the table is
 // cleared (keeping its storage when possible), the arena truncated, and
-// stats, limits, and hooks zeroed. Stats.ArenaReused reports whether the
-// run actually starts on recycled storage: the engine came back from a
-// pool and the table kept its arrays (a pooled engine whose table had to
-// be reallocated for a larger query does not count as a reuse).
+// stats, limits, and hooks zeroed. A run over at most DirectMaxRels
+// relations indexes the table directly by the relation set's word, a
+// wider one uses open addressing; the table keeps the storage of both,
+// so a pooled engine that alternates small and wide runs reallocates
+// neither. Stats.ArenaReused reports whether the run actually starts on
+// recycled storage: the engine came back from a pool and the table kept
+// the arrays this run uses (a pooled engine whose table had to be
+// reallocated for a larger query does not count as a reuse).
 func (e *Engine) Reset(n int) {
 	hint := EntryHint(n)
-	kept := e.table.Reset(hint)
+	var kept bool
+	if n <= DirectMaxRels {
+		kept = e.table.ResetDirect(n)
+	} else {
+		kept = e.table.Reset(hint)
+	}
 	// Arena storage follows the same shrink policy as the table: one
 	// huge run must not pin its node and edge arrays on a pooled engine
 	// forever.
@@ -476,10 +488,15 @@ func (e *Engine) Scratch(hint int) *Table {
 	return &e.scratch
 }
 
-// ForEach calls f for every memoed relation set, in deterministic slot
-// order. DPsize uses it to collect the connected subgraphs of each size.
+// ForEach calls f for every memoed relation set, in arena-handle order:
+// the order the entries were made, since every entry owns the one arena
+// node its handle names. DPsize uses it to collect the connected
+// subgraphs of each size; the walk costs O(entries) in either table
+// mode.
 func (e *Engine) ForEach(f func(S bitset.Set)) {
-	e.table.ForEach(func(k bitset.Set, _ int32) { f(k) })
+	for i := range e.nodes {
+		f(e.nodes[i].rels)
+	}
 }
 
 // Entries returns the current number of memo entries.

@@ -131,40 +131,80 @@ func TestTableGrowthCollisionHeavy(t *testing.T) {
 }
 
 // TestTableMatchesMap cross-checks a large random workload against a Go
-// map, including overwrites.
+// map, including overwrites, on the open-addressing table and on the
+// direct-indexed one, whose key stream is masked to its 16 relations.
 func TestTableMatchesMap(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reset func(*Table)
+		mask  uint64
+	}{
+		{"hashed", func(tb *Table) { tb.Reset(16) }, ^uint64(0)},
+		{"direct", func(tb *Table) { tb.ResetDirect(DirectMaxRels) }, 1<<DirectMaxRels - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var tb Table
+			tc.reset(&tb)
+			ref := make(map[string]int32)
+			refKey := make(map[string]bitset.Set)
+			r := lcg(42)
+			for i := 0; i < 50_000; i++ {
+				k := fromBits(r.next() & tc.mask)
+				if k.IsEmpty() {
+					continue
+				}
+				v := int32(r.next() >> 33)
+				tb.Put(k, v)
+				ref[k.Key()] = v
+				refKey[k.Key()] = k
+			}
+			if tb.Len() != len(ref) {
+				t.Fatalf("Len = %d want %d", tb.Len(), len(ref))
+			}
+			for key, v := range ref {
+				if got, ok := tb.Get(refKey[key]); !ok || got != v {
+					t.Fatalf("Get(%v) = %d,%t want %d,true", refKey[key], got, ok, v)
+				}
+			}
+			// Keys the workload never stored must miss, on the direct
+			// table too, whose free slots hold 0.
+			for i := 0; i < 1000; i++ {
+				k := fromBits(r.next() & tc.mask)
+				if _, stored := ref[k.Key()]; stored {
+					continue
+				}
+				if v, ok := tb.Get(k); ok {
+					t.Fatalf("Get(%v) = %d,true for a key never stored", k, v)
+				}
+			}
+		})
+	}
+}
+
+// TestTableDirectBounds checks the direct-indexed table's edges: the
+// empty set and sets outside the run's relations miss, Put panics on
+// them, Cap reports 2^n slots and Grows stays 0.
+func TestTableDirectBounds(t *testing.T) {
 	var tb Table
-	tb.Reset(16)
-	ref := make(map[string]int32)
-	refKey := make(map[string]bitset.Set)
-	r := lcg(42)
-	for i := 0; i < 50_000; i++ {
-		k := fromBits(r.next())
-		if k.IsEmpty() {
-			continue
-		}
-		v := int32(r.next() >> 33)
-		tb.Put(k, v)
-		ref[k.Key()] = v
-		refKey[k.Key()] = k
+	tb.ResetDirect(4)
+	tb.Put(bitset.New(0, 3), 7)
+	if tb.Cap() != 16 || tb.Grows() != 0 || tb.Len() != 1 {
+		t.Fatalf("Cap %d Grows %d Len %d, want 16, 0, 1", tb.Cap(), tb.Grows(), tb.Len())
 	}
-	if tb.Len() != len(ref) {
-		t.Fatalf("Len = %d want %d", tb.Len(), len(ref))
-	}
-	for key, v := range ref {
-		if got, ok := tb.Get(refKey[key]); !ok || got != v {
-			t.Fatalf("Get(%v) = %d,%t want %d,true", refKey[key], got, ok, v)
+	for _, k := range []bitset.Set{bitset.Empty, bitset.New(4), bitset.New(0, 3, 63), bitset.New(0, 3, 64)} {
+		if v, ok := tb.Get(k); ok {
+			t.Errorf("Get(%v) = %d,true outside a 4-relation run", k, v)
 		}
 	}
-	seen := 0
-	tb.ForEach(func(k bitset.Set, v int32) {
-		seen++
-		if ref[k.Key()] != v {
-			t.Fatalf("ForEach yielded %v=%d, want %d", k, v, ref[k.Key()])
-		}
-	})
-	if seen != len(ref) {
-		t.Fatalf("ForEach visited %d entries, want %d", seen, len(ref))
+	for _, k := range []bitset.Set{bitset.Empty, bitset.New(4), bitset.New(70)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Put(%v) did not panic in a 4-relation run", k)
+				}
+			}()
+			tb.Put(k, 1)
+		}()
 	}
 }
 
@@ -519,6 +559,65 @@ func TestPoolRecyclesStorage(t *testing.T) {
 		t.Fatal("nil pool Get returned nil engine")
 	}
 	np.Put(e3) // must not panic
+}
+
+// TestEngineResetClearsAcrossTableModes resets one engine for runs of
+// 16, 20 and 8 relations in turn, and in the reverse order, twice over,
+// so it switches between the direct-indexed table (16, 8) and the
+// open-addressing one (20) in every direction. After each reset no key
+// of any earlier run may be found and Entries must be 0: a direct run
+// clears only its own 2^n prefix, so this is the check that a slot an
+// earlier run wrote is never read. Stats.ArenaReused must report
+// whether the run's storage was kept: the first pass grows each table
+// the first time a run needs it, and the second pass keeps everything.
+func TestEngineResetClearsAcrossTableModes(t *testing.T) {
+	for _, tc := range []struct {
+		sizes  []int
+		reused [2][]bool // per pass
+	}{
+		{[]int{16, 20, 8}, [2][]bool{{false, false, true}, {true, true, true}}},
+		{[]int{8, 20, 16}, [2][]bool{{false, false, false}, {true, true, true}}},
+	} {
+		e := NewEngine()
+		r := lcg(29)
+		var earlier []bitset.Set
+		for pass := 0; pass < 2; pass++ {
+			for i, n := range tc.sizes {
+				e.Reset(n)
+				if e.Entries() != 0 {
+					t.Fatalf("%v pass %d: %d entries after Reset(%d)", tc.sizes, pass, e.Entries(), n)
+				}
+				if got, want := e.Stats.ArenaReused, tc.reused[pass][i]; got != want {
+					t.Errorf("%v pass %d: Reset(%d) ArenaReused = %v, want %v", tc.sizes, pass, n, got, want)
+				}
+				for _, k := range earlier {
+					if e.Contains(k) {
+						t.Fatalf("%v pass %d: key %v of an earlier run found after Reset(%d)", tc.sizes, pass, k, n)
+					}
+				}
+				var own []bitset.Set
+				for rel := 0; rel < n; rel++ {
+					e.EmitBase(rel, 10)
+					own = append(own, bitset.Single(rel))
+				}
+				for j := 0; j < 300; j++ {
+					S := fromBits(r.next() & (1<<uint(n) - 1))
+					if S.Len() < 2 {
+						continue
+					}
+					e.Improve(S, 0, 1, algebra.Join, algebra.PhysNone, 1, float64(j), nil)
+					own = append(own, S)
+				}
+				for _, k := range own {
+					if !e.Contains(k) {
+						t.Fatalf("%v pass %d: key %v lost in its own %d-relation run", tc.sizes, pass, k, n)
+					}
+				}
+				earlier = append(earlier, own...)
+				e.warm = true // as Pool.Put marks a recycled engine
+			}
+		}
+	}
 }
 
 func TestEngineFinalNoPlan(t *testing.T) {

@@ -43,9 +43,11 @@ const autoMaxGreedyRels = 64
 // cache off, DefaultConfig; per cell 5 warm-up plans per side, then 20
 // blocks of at least 100 ms per side, 400 ms for star14, clique10 and
 // grid4x4, of alternating single plans whose first side flips on every
-// plan; median block ratio, two runs): chains of 4–20 0.98–1.02,
-// cycle12 and cycle20 0.98–0.99, stars of 6–14 0.99–1.02, clique8 and
-// clique10 0.99–1.00, grid3x4 and grid4x4 0.97–1.00.
+// plan; median block ratio, two runs), with both solvers on the
+// word-sized memo and pricing kernel: chains of 4–20 1.006–1.018,
+// cycle12 and cycle20 1.006–1.012, stars of 6–14 1.012–1.037, clique8
+// and clique10 1.011–1.017, grid3x4 and grid4x4 1.006–1.032. DPhyp
+// stays the route for the reasons above at that cost per plan.
 //
 // Every route enumerates on one goroutine: no parallel route beat the
 // serial clique route on a clique a benchmark workload plans (see
